@@ -206,7 +206,7 @@ def _cmd_limit_shape(args) -> int:
 
 def _cmd_bulk(args) -> int:
     if args.probe_p:
-        ps = [int(s) for s in args.probe_p.split(",")]
+        ps = [int(s) for value in args.probe_p for s in value.split(",")]
         offsets = [(args.s0, args.t0, args.X, args.Y)]
         rows = []
         for p in ps:
@@ -506,7 +506,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--Y", type=float, default=0.0)
     sp.add_argument("--gamma-form", action="store_true", help="evaluate the J form instead")
     sp.add_argument("--b-variant", choices=("convergent", "alternate"), default="convergent")
-    sp.add_argument("--probe-p", default=None, help="comma list of p values for the probe")
+    sp.add_argument(
+        "--probe-p",
+        action="append",
+        help="p values for the probe; repeat the flag or give a comma list",
+    )
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_bulk)
 

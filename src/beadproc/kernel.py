@@ -9,15 +9,18 @@ summation range exceeds the bead counts and individual factors hit gamma-pole
 times zero), so that branch is evaluated from the underlying transfer-operator
 representation instead: a rank-``p`` sum of incoming/outgoing polynomial
 families, minus the one-sided propagator ``(x - y)^{t-s-1}/(t-s-1)!``.  Those
-polynomials are built with generalized (possibly negative) integer binomials
-and evaluated in exact rational arithmetic, which also removes cancellation
-between the ``p`` summands; the only rounding is the final conversion to
-float.
+polynomials are Jacobi polynomials with integer, possibly negative,
+parameters, and each family is kept as integer coefficient rows over one
+common denominator.  Every float position is dyadic, ``m / 2^e``, so the
+families, their rank-``p`` sum and the propagator are evaluated in integer
+fixed point: still exact, hence free of cancellation between the ``p``
+summands, with a single correctly rounded integer division at the end.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -73,7 +76,9 @@ class KernelContext:
     lines: tuple[_LineData, ...]
 
 
+@lru_cache(maxsize=8)
 def kernel_context(spec: HexagonSpec) -> KernelContext:
+    """Per-line tables for ``spec``; memoized, so repeated calls share one context."""
     p, q = spec.p, spec.q
     data = []
     for t in spec.lines():
@@ -91,6 +96,8 @@ def kernel_context(spec: HexagonSpec) -> KernelContext:
             pa, pb = t - p, t - q
             logc = np.array([math.lgamma(t - l + 1) - math.lgamma(p - l + 1) for l in ls])
         logn = np.array([log_jacobi_norm(r - l, pa, pb) for l in ls])
+        logc.setflags(write=False)  # shared by every caller of the memoized context
+        logn.setflags(write=False)
         data.append(_LineData(pa=pa, pb=pb, r=r, logc=logc, logn=logn))
     return KernelContext(spec=spec, lines=tuple(data))
 
@@ -100,102 +107,136 @@ def _check_positions(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"{name} positions must lie strictly inside (0, 1)")
 
 
-def _gen_binom(nu: int, k: int) -> int:
-    # binomial coefficient with integer (possibly negative) upper index
-    if k < 0:
-        return 0
-    if nu >= 0:
-        return math.comb(nu, k) if k <= nu else 0
-    return (-1) ** k * math.comb(k - nu - 1, k)
-
-
-@lru_cache(maxsize=None)
 def _jacobi_monomial_coeffs(n: int, a: int, b: int) -> tuple[int, ...]:
-    # Monomial coefficients of the shifted Jacobi polynomial for any integer
-    # parameters (each coefficient is polynomial in (a, b), so the binomial
-    # form extends the classical one).  Index k holds the x^k coefficient.
-    coeffs = [0] * (n + 1)
-    for k in range(n + 1):
-        lead = _gen_binom(n + a, n - k) * _gen_binom(n + b, k) * (-1) ** k
-        if lead == 0:
-            continue
-        for j in range(n - k + 1):
-            coeffs[k + j] += lead * math.comb(n - k, j) * (-1) ** j
+    # Monomial coefficients of P~_n^{(a,b)}(x) = P_n^{(a,b)}(1 - 2x); index m
+    # holds (-1)^m C(n, m) (a+m+1)_{n-m} (a+b+n+1)_m / n!, an integer.  Being a
+    # polynomial in (a, b), the form holds for negative integer parameters too.
+    upper = [1] * (n + 1)  # upper[m] = (a+m+1)_{n-m}
+    for m in range(n - 1, -1, -1):
+        upper[m] = upper[m + 1] * (a + m + 1)
+    fact_n = math.factorial(n)
+    coeffs, rising = [], 1  # rising = (a+b+n+1)_m
+    for m in range(n + 1):
+        coeffs.append((-1) ** m * math.comb(n, m) * upper[m] * rising // fact_n)
+        rising *= a + b + n + 1 + m
     return tuple(coeffs)
 
 
-def _log_norm_fraction(n: int, a: int, b: int) -> Fraction:
+def _norm_fraction(n: int, a: int, b: int) -> Fraction:
+    # Squared norm N_n^{(a,b)} of the shifted Jacobi polynomial, exactly.
     return Fraction(
         math.factorial(n + a) * math.factorial(n + b),
         (2 * n + a + b + 1) * math.factorial(n) * math.factorial(n + a + b),
     )
 
 
-@lru_cache(maxsize=None)
-def _psi_poly(p: int, q: int, s: int, l: int) -> tuple[Fraction, ...] | None:
-    # Incoming family on line s (index l = 1..p), as exact monomial
-    # coefficients in y; None when identically zero.
+@dataclass(frozen=True)
+class _IntFamily:
+    # Rows l = 1..len(rows) of a polynomial family, row l being
+    # factor(z) * rows[l-1](z) / den with integer monomial coefficients
+    # (index k holds z^k, degree at most deg).  The factor, common to every
+    # row, is (1 - y)^pre for the incoming family and x^pre for the outgoing.
+    rows: tuple[tuple[int, ...], ...]
+    den: int
+    deg: int
+    pre: int
+
+
+def _int_family(scales: list[Fraction], polys: list[tuple[int, ...]], pre: int) -> _IntFamily:
+    den = math.lcm(*(f.denominator for f in scales))
+    rows = tuple(
+        tuple(c * (f.numerator * (den // f.denominator)) for c in poly)
+        for f, poly in zip(scales, polys)
+    )
+    return _IntFamily(rows, den, max(len(poly) for poly in polys) - 1, pre)
+
+
+@lru_cache(maxsize=16)
+def _psi_family(p: int, q: int, s: int) -> _IntFamily:
+    # Incoming family on line s, in y.  Above q the rows run out where the
+    # degree p+q-s-l turns negative; up to q they share (1 - y)^(q-s).
     if s > q:
-        deg = p + q - s - l
-        if deg < 0:
-            return None
-        scale = Fraction(math.factorial(q - l), math.factorial(deg))
-        scale /= _log_norm_fraction(deg, s - p, s - q)
-        return tuple(scale * c for c in _jacobi_monomial_coeffs(deg, s - p, s - q))
-    scale = Fraction(math.factorial(q - l), math.factorial(p + q - s - l))
-    scale /= _log_norm_fraction(p - l, q - p, 0)
-    base = _jacobi_monomial_coeffs(p - l, s - p, q - s)
-    out = [Fraction(0)] * (q - s + p - l + 1)
-    for j in range(q - s + 1):  # multiply by (1 - y)^(q-s)
-        w = scale * math.comb(q - s, j) * (-1) ** j
-        for k, c in enumerate(base):
-            out[k + j] += w * c
-    return tuple(out)
+        degs = range(p + q - s - 1, -1, -1)  # l = 1 .. p+q-s
+        scales = [
+            Fraction(math.factorial(n + s - p), math.factorial(n))
+            / _norm_fraction(n, s - p, s - q)
+            for n in degs
+        ]
+        return _int_family(scales, [_jacobi_monomial_coeffs(n, s - p, s - q) for n in degs], 0)
+    ls = range(1, p + 1)
+    scales = [
+        Fraction(math.factorial(q - l), math.factorial(p + q - s - l)) / _norm_fraction(p - l, q - p, 0)
+        for l in ls
+    ]
+    return _int_family(scales, [_jacobi_monomial_coeffs(p - l, s - p, q - s) for l in ls], q - s)
 
 
-@lru_cache(maxsize=None)
-def _phi_poly(p: int, q: int, t: int, l: int) -> tuple[Fraction, ...] | None:
-    # Outgoing family on line t (index l = 1..p), exact monomial coefficients in x.
+@lru_cache(maxsize=16)
+def _phi_family(p: int, q: int, t: int) -> _IntFamily:
+    # Outgoing family on line t, in x.  Up to p the rows stop at l = t;
+    # above p they share x^(t-p).
     if t <= p:
-        if l > t:
-            return None
-        scale = Fraction(
-            (-1) ** (p + t) * math.factorial(p + q - t - l), math.factorial(q - l)
-        )
-        return tuple(scale * c for c in _jacobi_monomial_coeffs(t - l, p - t, q - t))
-    scale = Fraction(math.factorial(p - l), math.factorial(t - l))
-    base = _jacobi_monomial_coeffs(p - l, t - p, q - t)
-    return (Fraction(0),) * (t - p) + tuple(scale * c for c in base)
+        ls = range(1, t + 1)
+        scales = [
+            Fraction((-1) ** (p + t) * math.factorial(p + q - t - l), math.factorial(q - l))
+            for l in ls
+        ]
+        return _int_family(scales, [_jacobi_monomial_coeffs(t - l, p - t, q - t) for l in ls], 0)
+    ls = range(1, p + 1)
+    scales = [Fraction(math.factorial(p - l), math.factorial(t - l)) for l in ls]
+    return _int_family(scales, [_jacobi_monomial_coeffs(p - l, t - p, q - t) for l in ls], t - p)
 
 
-def _horner(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _dyadic(v: float) -> tuple[int, int]:
+    # v = m / 2^e exactly (every finite float is dyadic)
+    m, d = v.as_integer_ratio()
+    return m, d.bit_length() - 1
+
+
+def _horner_rows(fam: _IntFamily, m: int, e: int) -> list[int]:
+    # 2^(e*deg) * row(m / 2^e) for every row: Horner on the integer numerator,
+    # the coefficient of z^k entering scaled by 2^(e*(deg-k)).
+    out = []
+    for row in fam.rows:
+        acc, shift = 0, e * (fam.deg + 1 - len(row))
+        for c in reversed(row):
+            acc = acc * m + (c << shift)
+            shift += e
+        out.append(acc)
+    return out
 
 
 def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarray) -> np.ndarray:
-    # s < t branch: rank-p transfer sum minus propagator, all in exact rationals.
+    # s < t branch: rank-p transfer sum minus propagator, exactly.  Every entry
+    # is one integer fraction over a common dyadic denominator, rounded once.
     p, q = spec.p, spec.q
-    yf = [Fraction(float(v)) for v in ys]
-    xf = [Fraction(float(v)) for v in xs]
-    psis, phis = [], []
-    for l in range(1, p + 1):
-        cp = _psi_poly(p, q, s, l)
-        cq = _phi_poly(p, q, t, l)
-        if cp is None or cq is None:
-            continue
-        psis.append([_horner(cp, y) for y in yf])
-        phis.append([_horner(cq, x) for x in xf])
-    fact = math.factorial(t - s - 1)
-    out = np.empty((len(yf), len(xf)), dtype=float)
-    for i, y in enumerate(yf):
-        for j, x in enumerate(xf):
-            tot = sum((pv[i] * qv[j] for pv, qv in zip(psis, phis)), Fraction(0))
+    psi, phi = _psi_family(p, q, s), _phi_family(p, q, t)
+    g = t - s - 1
+    fact_g = math.factorial(g)
+    den0 = psi.den * phi.den
+    cols = []
+    for x in map(float, xs):
+        m, e = _dyadic(x)
+        cols.append((x, m, e, _horner_rows(phi, m, e), m**phi.pre, e * (phi.deg + phi.pre)))
+    out = np.empty((len(ys), len(xs)), dtype=float)
+    for i, y in enumerate(map(float, ys)):
+        my, ey = _dyadic(y)
+        hy = _horner_rows(psi, my, ey)
+        pre_y = ((1 << ey) - my) ** psi.pre
+        shift_y = ey * (psi.deg + psi.pre)
+        for j, (x, mx, ex, hx, pre_x, shift_x) in enumerate(cols):
+            # sum_l psi_l(y) phi_l(x) = num / (den0 * 2^shift)
+            num = sum(map(operator.mul, hy, hx)) * pre_y * pre_x
+            shift = shift_y + shift_x
+            den = den0
             if y < x:
-                tot -= (x - y) ** (t - s - 1) / fact
-            out[i, j] = float(tot)
+                # minus (x - y)^g / g! = d^g / (g! * 2^(e*g))
+                e = max(ex, ey)
+                d = (mx << (e - ex)) - (my << (e - ey))
+                top = max(shift, e * g)
+                num = (num * fact_g << (top - shift)) - (d**g * den0 << (top - e * g))
+                den, shift = den0 * fact_g, top
+            out[i, j] = num / (den << shift)
     return out
 
 

@@ -7,7 +7,7 @@ current pole set (previous line's beads, plus multiplicity-weighted anchors at
 resolvent sum ``sum_i w_i / (x - a_i)``.  That function decreases strictly on
 every pole gap, so each gap holds exactly one zero and bisection is
 unconditionally convergent — interlacing is automatic, never enforced after
-the fact (though it is still asserted).
+the fact (though both sampling paths still check it).
 
 Batched internally: all configurations of a chunk march through the lines
 together as (batch, beads) arrays, and each fixed-size chunk owns a spawned
@@ -178,16 +178,41 @@ def _run_chunks(stream: RandomStream, spec: HexagonSpec, count: int, threads: in
     return [_sample_lines_batch(sub.generator, spec, size) for sub, size in jobs]
 
 
+def _check_interlacing(spec: HexagonSpec, lines: list[np.ndarray]) -> None:
+    """Raise unless every row of the per-line (count, r(t)) arrays interlaces.
+
+    Rows are decreasing, as :func:`sample_positions` returns them.  Line ``t``
+    must sit strictly between the beads of line ``t + 1``, augmented by the
+    virtual anchor at 0 from line ``p`` on and at 1 from line ``q`` on — the
+    rule :func:`~beadproc.model.interlace_indicator` applies per configuration.
+    """
+    p, q = spec.p, spec.q
+    count = lines[0].shape[0]
+    zeros, ones, empty = np.zeros((count, 1)), np.ones((count, 1)), np.empty((count, 0))
+    for t in range(1, p + q):
+        cur = lines[t - 1]
+        nxt = lines[t] if t < p + q - 1 else empty
+        if t < p:
+            aug = nxt
+        elif t < q:
+            aug = np.hstack([nxt, zeros])
+        else:
+            aug = np.hstack([ones, nxt, zeros])
+        if not (np.all(aug[:, 1:] < cur) and np.all(cur < aug[:, :-1])):
+            raise RuntimeError(f"sampled lines {t} and {t + 1} failed the interlacing check")
+
+
 def sample_positions(stream: RandomStream, spec: HexagonSpec, count: int, threads: int = 1) -> list[np.ndarray]:
     """Raw sample arrays: one (count, r(t)) array per line, rows decreasing.
 
     Fast path for statistics on large sample counts; consumes the stream
-    exactly like :func:`sample_many` does.
+    exactly like :func:`sample_many` does, and checks interlacing on the
+    whole arrays at once.
     """
     chunks = _run_chunks(stream, spec, count, threads)
-    return [
-        np.vstack([chunk[t] for chunk in chunks])[:, ::-1] for t in range(spec.n_lines)
-    ]
+    lines = [np.vstack([chunk[t] for chunk in chunks])[:, ::-1] for t in range(spec.n_lines)]
+    _check_interlacing(spec, lines)
+    return lines
 
 
 def sample_many(stream: RandomStream, spec: HexagonSpec, count: int, threads: int = 1) -> list[BeadConfiguration]:

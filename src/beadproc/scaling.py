@@ -26,12 +26,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .kernel import kernel_context, kernel_eval
+from .kernel import _gauss_legendre_unit, kernel_context, kernel_eval
 from .model import HexagonSpec
 
 __all__ = [
@@ -239,12 +238,6 @@ def tail_integral_real(tau: float, nu: float, d: int) -> float:
 # --- bulk kernels -------------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _gl_unit(n: int):
-    u, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (u + 1.0), 0.5 * w
-
-
 def bulk_kernel(nu: float, s0: int, Y: float, t0: int, X: float, nodes: int = 200) -> float:
     """Translation-invariant bulk kernel at line offsets ``s0, t0``.
 
@@ -263,7 +256,7 @@ def bulk_kernel(nu: float, s0: int, Y: float, t0: int, X: float, nodes: int = 20
     d = int(s0) - int(t0)
     tau = math.pi * (X - Y)
     if d >= 0 or tau == 0.0:
-        t, w = _gl_unit(nodes)
+        t, w = _gauss_legendre_unit(nodes)
         vals = (np.exp(1j * tau * t) * (1.0 + 1j * nu * t) ** d).real
         return float(np.dot(w, vals))
     return -tail_integral_real(tau, nu, -d)
@@ -281,7 +274,7 @@ def boutillier_kernel(gamma: float, s0: int, Y: float, t0: int, X: float, nodes:
     if d >= 0 or tau == 0.0:
         # same coincident-point convention as bulk_kernel, so the rescale
         # identity holds pointwise including at X == Y
-        t, w = _gl_unit(nodes)
+        t, w = _gauss_legendre_unit(nodes)
         vals = (np.exp(1j * tau * t) * (gamma + 1j * root * t) ** d).real
         return float(np.dot(w, vals)) / math.pi
     nu_g = root / gamma

@@ -167,6 +167,15 @@ def test_bulk_probe_table(capsys):
     assert err16 < err8
 
 
+def test_bulk_probe_flag_repeats(capsys):
+    # the README form: one row per repeated flag, in order
+    assert run("bulk --k 2 --S 2 --probe-p 16 --probe-p 32".split()) == 0
+    out, _ = _capture(capsys)
+    lines = out.strip().split("\n")
+    assert lines[0] == "p,s0,t0,X,Y,normalized,limit,abs_err"
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["16", "32"]
+
+
 # ---------------------------------------------------------------- validate
 
 

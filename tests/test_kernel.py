@@ -9,6 +9,7 @@ import pytest
 from beadproc.kernel import (
     KernelContext,
     SpacePoint,
+    _jacobi_monomial_coeffs,
     expected_count,
     kernel_context,
     kernel_eval,
@@ -18,8 +19,10 @@ from beadproc.kernel import (
 )
 from beadproc.model import HexagonSpec, line_marginal_unnormalized, particles_per_line
 from beadproc.orthopoly import JacobiIndex, jacobi_norm, jacobi_shifted
+from beadproc.scaling import scaling_context
 
 import bruteforce
+import fraction_kernel
 
 
 def _gl(n, lo=0.0, hi=1.0):
@@ -242,3 +245,65 @@ def test_one_sided_power_expansion_converges():
         assert all(b <= a + 1e-15 for a, b in zip(dists, dists[1:]))
         # the remainder genuinely shrinks (kink at y=x limits the rate)
         assert dists[-1] < 0.2 * dists[0]
+
+
+def test_jacobi_monomial_coeffs_match_binomial_sum():
+    # the Pochhammer form against the binomial double sum, negative parameters included
+    for n in range(12):
+        for a in range(-15, 16):
+            for b in range(-15, 16):
+                assert _jacobi_monomial_coeffs(n, a, b) == fraction_kernel.jacobi_monomial_coeffs(n, a, b)
+
+
+def _cross_line_pairs(p, q):
+    # every s < t when the fan is small; otherwise lines around 1, p, q and the
+    # top, each paired at gaps t - s - 1 of 0, 1 and 2
+    n = p + q - 1
+    if n <= 12:
+        return [(s, t) for s in range(1, n) for t in range(s + 1, n + 1)]
+    anchors = {1, p - 1, p, p + 1, (p + q) // 2, q - 1, q, q + 1, n - 4}
+    return [(s, s + d) for s in sorted(anchors) for d in (1, 2, 3) if 1 <= s and s + d <= n]
+
+
+def _cross_case(p, q, s, t):
+    # which branch each family takes, and the propagator gap capped at 2
+    return (s > q, "t<=p" if t <= p else "t<=q" if t <= q else "t>q", min(t - s - 1, 2))
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (2, 3), (3, 7), (4, 4), (5, 9), (20, 60)])
+def test_cross_block_bit_identical_to_fraction_reference(p, q):
+    # the integer fixed-point branch must round the same rationals as the
+    # Fraction route: equality, not closeness
+    spec = HexagonSpec(p, q)
+    ctx = kernel_context(spec)
+    rng = np.random.default_rng(97 * p + q)
+    covered = set()
+    for s, t in _cross_line_pairs(p, q):
+        shared = float(rng.uniform(0.05, 0.95))
+        ys = np.array([shared, *rng.uniform(0.05, 0.95, 2)])
+        xs = np.array([shared, *rng.uniform(0.05, 0.95, 2), ys[1] / 2, (1 + ys[1]) / 2])
+        got = kernel_matrix(ctx, s, ys, t, xs)
+        want = fraction_kernel.cross_block(p, q, s, ys, t, xs)
+        assert np.array_equal(got, want), (p, q, s, t)
+        covered.add(_cross_case(p, q, s, t))
+    n = spec.n_lines
+    assert covered == {_cross_case(p, q, s, t) for s in range(1, n) for t in range(s + 1, n + 1)}
+
+
+def test_bulk_probe_cross_entry_bit_identical():
+    # the probe's bulk-scaled points at p = 32 (k = 2, S = 2), both orders of y, x
+    p, q = 32, 96
+    bulk = scaling_context(2.0, 2.0)
+    ctx = kernel_context(HexagonSpec(p, q))
+    ys = bulk.X_S + np.array([0.3, -0.4]) / (p * bulk.u_S)
+    xs = bulk.X_S + np.array([-0.2]) / (p * bulk.u_S)
+    for s, t in [(64, 65), (64, 66)]:
+        got = kernel_matrix(ctx, s, ys, t, xs)
+        assert np.array_equal(got, fraction_kernel.cross_block(p, q, s, ys, t, xs))
+
+
+def test_kernel_context_is_shared_and_read_only():
+    ctx = kernel_context(HexagonSpec(3, 5))
+    assert kernel_context(HexagonSpec(3, 5)) is ctx
+    with pytest.raises(ValueError):
+        ctx.lines[0].logn[0] = 0.0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beadproc import sampler
 from beadproc.model import (
     BeadConfiguration,
     HexagonSpec,
@@ -128,6 +129,20 @@ def test_sample_positions_shapes_and_ordering():
         assert block.shape == (40, particles_per_line(spec, t))
         assert np.all(block > 0.0) and np.all(block < 1.0)
         assert np.all(np.diff(block, axis=1) < 0.0)  # rows strictly decreasing
+
+
+def test_sample_positions_rejects_broken_interlacing(monkeypatch):
+    # a chunk with two beads of line 3 swapped must not pass the fast path
+    real = sampler._sample_lines_batch
+
+    def swapped(rng, spec, batch):
+        lines = real(rng, spec, batch)
+        lines[2][0, [0, 1]] = lines[2][0, [1, 0]]
+        return lines
+
+    monkeypatch.setattr(sampler, "_sample_lines_batch", swapped)
+    with pytest.raises(RuntimeError, match="lines 2 and 3"):
+        sample_positions(RandomStream(3), HexagonSpec(p=3, q=5), count=4)
 
 
 def test_seed_determinism_is_bytewise():
