@@ -5,9 +5,14 @@ line is obtained from the previous one by drawing Dirichlet weights on the
 current pole set (previous line's beads, plus multiplicity-weighted anchors at
 0 and/or 1 while those are active) and taking the zeros of the weighted
 resolvent sum ``sum_i w_i / (x - a_i)``.  That function decreases strictly on
-every pole gap, so each gap holds exactly one zero and bisection is
-unconditionally convergent — interlacing is automatic, never enforced after
-the fact (though both sampling paths still check it).
+every pole gap, so each gap holds exactly one zero, and the zeros are the
+eigenvalues of ``diag(a)`` compressed onto the complement of ``sqrt(w)``: each
+line is the next matrix of a random corank-1 sequence.  The solver takes
+those eigenvalues (one batched ``eigvalsh`` per line) as starting points and
+polishes them by Newton's method inside each gap's bracket, bisecting
+whenever a step would leave it; the bracket only ever shrinks, so every zero
+stays in its gap.  Interlacing therefore holds by construction and is never
+enforced after the fact, though every sample is still checked for it.
 
 Batched internally: all configurations of a chunk march through the lines
 together as (batch, beads) arrays, and each fixed-size chunk owns a spawned
@@ -22,8 +27,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import eigvalsh
 
-from .model import BeadConfiguration, HexagonSpec, interlace_indicator
+from .model import BeadConfiguration, HexagonSpec
 
 __all__ = [
     "RandomStream",
@@ -36,7 +42,7 @@ __all__ = [
 ]
 
 _CHUNK = 1024  # configurations per substream; part of the determinism contract
-_BISECT_ITERS = 60  # interval shrinks by 2^-60 < 1e-18 of the gap; tol 1e-13 easily met
+_NEWTON_ITERS = 60  # cap on polishing steps; a step that leaves its bracket bisects it
 
 
 class RandomStream:
@@ -94,8 +100,41 @@ class SecularProblem:
             raise ValueError(f"weights must sum to 1, got {sum(weights)!r}")
 
 
+def _eigen_start(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``diag(a)`` compressed onto ``sqrt(w)``-perp; (B, n) -> (B, n-1).
+
+    The Householder reflector ``H = I - beta v v^T`` with ``v = u + |u| e1``
+    maps ``u = sqrt(w)`` to ``-|u| e1``, so the trailing block of
+    ``H diag(a) H`` acts on ``u``-perp.  That block is
+    ``diag(a') + u' g^T + g u'^T`` with ``g = u' (kappa/2 - beta a')``,
+    ``beta = 2 / v.v`` and ``kappa = beta^2 v^T diag(a) v``; its eigenvalues,
+    ascending, are the zeros of the resolvent sum, one per pole gap.
+    """
+    u = np.sqrt(weights)
+    norm = np.sqrt(weights.sum(axis=1))
+    v0 = u[:, 0] + norm
+    beta = 1.0 / (norm * v0)
+    kappa = beta**2 * (poles[:, 0] * v0**2 + (poles[:, 1:] * weights[:, 1:]).sum(axis=1))
+    a, ut = poles[:, 1:], u[:, 1:]
+    g = ut * (0.5 * kappa[:, None] - beta[:, None] * a)
+    block = ut[:, :, None] * g[:, None, :]
+    block += np.swapaxes(block, 1, 2)
+    diag = np.arange(a.shape[1])
+    block[:, diag, diag] += a
+    return eigvalsh(block)
+
+
 def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Zeros of ``sum_i w_i/(x - a_i)`` per row; shapes (B, n) -> (B, n-1)."""
+    """Zeros of ``sum_i w_i/(x - a_i)`` per row; shapes (B, n) -> (B, n-1).
+
+    Each zero starts from the eigenvalue guess of :func:`_eigen_start` and is
+    polished by Newton steps inside its pole bracket, which shrinks by the
+    sign of ``f`` at every step.  A step of more than 4 ulps that does not
+    land strictly inside the bracket (or is NaN) becomes a bisection step,
+    and an entry freezes once its step is at most 4 ulps or its bracket has
+    closed, so every zero depends on its own row alone.  Raises ``RuntimeError`` naming the gap if a zero comes out
+    non-finite or outside its bracket.
+    """
 
     def f(x):
         with np.errstate(divide="ignore"):
@@ -122,12 +161,54 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     lo = np.where(fhi >= 0.0, hi, lo)
     if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
         raise RuntimeError("secular bracket failed — degenerate pole configuration")
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        positive = f(mid) > 0.0
-        lo = np.where(positive, mid, lo)
-        hi = np.where(positive, hi, mid)
-    return 0.5 * (lo + hi)
+
+    # Entries are flattened to (B * (n-1),); ``act`` lists the unfrozen ones.
+    # The (entries, n) arrays are updated in place to keep peak memory down.
+    x = np.clip(_eigen_start(poles, weights), lo, hi).ravel()
+    left, right = lo.flatten(), hi.flatten()
+    act = np.arange(x.size)
+    for _ in range(_NEWTON_ITERS):
+        if act.size == 0:
+            break
+        xa, la, ha = x[act], left[act], right[act]
+        ra, ja = np.divmod(act, gap.shape[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = poles[ra]
+            np.subtract(xa[:, None], inv, out=inv)
+            np.reciprocal(inv, out=inv)
+            wr = weights[ra]
+            wr *= inv
+            fa = wr.sum(axis=1)
+            # Newton on (x - a) f(x), a the nearer end of the gap: the factor
+            # drops that pole's term from the derivative, so a start next to
+            # a pole jumps to the zero instead of only doubling its distance
+            # from the pole at every step.
+            k = np.arange(act.size)
+            below, above = inv[k, ja], inv[k, ja + 1]
+            inv -= np.where(np.abs(below) >= np.abs(above), below, above)[:, None]
+            inv *= wr
+            xn = xa + fa / inv.sum(axis=1)
+        la = np.where(fa > 0.0, xa, la)
+        ha = np.where(fa < 0.0, xa, ha)
+        # Every point visited becomes a bracket end or lies outside, so a
+        # longer step that does not land strictly inside could revisit one
+        # and cycle.
+        small = np.abs(xn - xa) <= 4.0 * np.spacing(np.abs(xn))
+        inside = np.where(small, (la <= xn) & (xn <= ha), (la < xn) & (xn < ha))
+        xn = np.where(inside, xn, 0.5 * (la + ha))
+        done = (np.abs(xn - xa) <= 4.0 * np.spacing(np.abs(xn))) | (la >= ha)
+        x[act], left[act], right[act] = xn, la, ha
+        act = act[~done]
+
+    zeros = x.reshape(lo.shape)
+    bad = ~(np.isfinite(zeros) & (lo <= zeros) & (zeros <= hi))
+    if bad.any():
+        b, j = np.argwhere(bad)[0]
+        raise RuntimeError(
+            f"secular solve failed — gap {j + 1} ({poles[b, j]!r}, {poles[b, j + 1]!r}) of row {b}: "
+            f"zero {zeros[b, j]!r} is non-finite or outside [{lo[b, j]!r}, {hi[b, j]!r}]"
+        )
+    return zeros
 
 
 def secular_zeros(problem: SecularProblem) -> np.ndarray:
@@ -142,24 +223,20 @@ def _sample_lines_batch(rng: np.random.Generator, spec: HexagonSpec, batch: int)
     p, q = spec.p, spec.q
     zeros_col = np.zeros((batch, 1))
     ones_col = np.ones((batch, 1))
-    lam = _dirichlet_batch(rng, (p, q), batch)[:, :1]
-    lines = [lam]
-    prev = lam
-    for r in range(2, p + 1):
-        poles = np.hstack([zeros_col, prev, ones_col])
-        mult = (p - r + 1,) + (1,) * (r - 1) + (q - r + 1,)
+    prev = _dirichlet_batch(rng, (p, q), batch)[:, :1]
+    lines = [prev]
+    for r in range(2, p + q):
+        # Poles: the previous line, plus the anchor at 0 (multiplicity
+        # p - r + 1) while r <= p and the anchor at 1 (q - r + 1) while r <= q.
+        below = [zeros_col] if r <= p else []
+        above = [ones_col] if r <= q else []
+        poles = np.hstack(below + [prev] + above)
+        mult = (p - r + 1,) * len(below) + (1,) * prev.shape[1] + (q - r + 1,) * len(above)
         w = _dirichlet_batch(rng, mult, batch)
-        prev = _secular_zeros_batch(poles, w)
-        lines.append(prev)
-    for r in range(p + 1, q + 1):
-        poles = np.hstack([prev, ones_col])
-        mult = (1,) * p + (q - r + 1,)
-        w = _dirichlet_batch(rng, mult, batch)
-        prev = _secular_zeros_batch(poles, w)
-        lines.append(prev)
-    for r in range(q + 1, p + q):
-        w = _dirichlet_batch(rng, (1,) * prev.shape[1], batch)
-        prev = _secular_zeros_batch(prev, w)
+        try:
+            prev = _secular_zeros_batch(poles, w)
+        except RuntimeError as exc:
+            raise RuntimeError(f"line {r}: {exc}") from None
         lines.append(prev)
     return lines
 
@@ -205,9 +282,8 @@ def _check_interlacing(spec: HexagonSpec, lines: list[np.ndarray]) -> None:
 def sample_positions(stream: RandomStream, spec: HexagonSpec, count: int, threads: int = 1) -> list[np.ndarray]:
     """Raw sample arrays: one (count, r(t)) array per line, rows decreasing.
 
-    Fast path for statistics on large sample counts; consumes the stream
-    exactly like :func:`sample_many` does, and checks interlacing on the
-    whole arrays at once.
+    Fast path for statistics on large sample counts; :func:`sample_many`
+    wraps its rows.  Interlacing is checked on the whole arrays at once.
     """
     chunks = _run_chunks(stream, spec, count, threads)
     lines = [np.vstack([chunk[t] for chunk in chunks])[:, ::-1] for t in range(spec.n_lines)]
@@ -216,17 +292,9 @@ def sample_positions(stream: RandomStream, spec: HexagonSpec, count: int, thread
 
 
 def sample_many(stream: RandomStream, spec: HexagonSpec, count: int, threads: int = 1) -> list[BeadConfiguration]:
-    """``count`` independent configurations; every one re-checked for interlacing."""
-    chunks = _run_chunks(stream, spec, count, threads)
-    configs: list[BeadConfiguration] = []
-    for chunk in chunks:
-        batch = chunk[0].shape[0]
-        for b in range(batch):
-            cfg = BeadConfiguration(tuple(tuple(line[b, ::-1]) for line in chunk))
-            if not interlace_indicator(spec, cfg):
-                raise RuntimeError("sampled configuration failed the interlacing check")
-            configs.append(cfg)
-    return configs
+    """``count`` independent configurations: the rows of :func:`sample_positions`."""
+    lines = sample_positions(stream, spec, count, threads)
+    return [BeadConfiguration(tuple(tuple(line[b]) for line in lines)) for b in range(count)]
 
 
 def sample_configuration(stream: RandomStream, spec: HexagonSpec) -> BeadConfiguration:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beadproc import sampler
@@ -24,6 +24,7 @@ from beadproc.sampler import (
     secular_zeros,
 )
 from beadproc.stats import beta_cdf, ks_statistic
+from secular_reference import secular_brackets, secular_zeros_bisect
 
 
 # ---------------------------------------------------------------- dirichlet
@@ -115,6 +116,99 @@ def test_secular_zeros_survive_pinched_gap():
     assert poles[0] <= z[0] <= poles[1]
     assert poles[1] < z[1] < poles[2]
     assert np.all(np.isfinite(z))
+    _assert_matches_reference(np.array([poles]), np.full((1, 3), 1 / 3), z[None])
+
+
+def _assert_matches_reference(poles, weights, zeros):
+    """Inside the reference brackets, and equal to bisection to a relative 1e-14.
+
+    Bisection only resolves 2^-60 of its bracket, which for a zero near 0 in
+    a wide gap is coarser than 1e-14 of the zero, so that is allowed on top.
+    """
+    lo, hi = secular_brackets(poles, weights)
+    ref = secular_zeros_bisect(poles, weights)
+    assert np.all((lo <= zeros) & (zeros <= hi))
+    assert np.all(np.abs(zeros - ref) <= 1e-14 * np.abs(ref) + 2.0**-60 * (hi - lo))
+
+
+_tiny = st.floats(min_value=1e-14, max_value=1e-6)
+
+
+@st.composite
+def _secular_rows(draw):
+    """One pole row and its weights: spread, with gaps of 1e-15..1e-9, or
+    clustered at the 1e-12 scale next to the anchors at 0 and 1."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    if draw(st.booleans()):
+        inner = draw(st.lists(st.floats(min_value=1e-13, max_value=1e-11), min_size=n - 2, max_size=n - 2))
+        poles = np.array([0.0, *sorted(inner), 1.0])
+    else:
+        gap = st.one_of(st.floats(min_value=1e-15, max_value=1e-9), st.floats(min_value=1e-3, max_value=1.0))
+        gaps = draw(st.lists(gap, min_size=n - 1, max_size=n - 1))
+        poles = draw(st.floats(min_value=-3.0, max_value=3.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    assume(np.all(np.diff(poles) > 0.0))
+    w = np.array(draw(st.lists(st.one_of(_tiny, st.floats(min_value=0.01, max_value=1.0)), min_size=n, max_size=n)))
+    return poles, w / w.sum()
+
+
+@given(row=_secular_rows())
+@settings(max_examples=300, deadline=None)
+def test_secular_zeros_match_bisection_reference(row):
+    poles, weights = row[0][None], row[1][None]
+    _assert_matches_reference(poles, weights, sampler._secular_zeros_batch(poles, weights))
+
+
+def _hard_batch(seed, batch=24, n=9):
+    """Rows of one batch: spread poles with gaps down to 1e-15, poles
+    clustered at the 1e-12 scale between anchors at 0 and 1, and weights
+    down to 1e-14."""
+    rng = np.random.default_rng(seed)
+    half = batch // 2
+    tiny_gap = rng.random((half, n - 1)) < 0.3
+    gaps = np.where(tiny_gap, 10.0 ** rng.uniform(-15, -9, (half, n - 1)), 0.2 * rng.random((half, n - 1)))
+    spread = np.cumsum(np.hstack([rng.random((half, 1)), gaps]), axis=1)
+    inner = np.sort(1e-12 * rng.random((half, n - 2)), axis=1)
+    cluster = np.hstack([np.zeros((half, 1)), inner, np.ones((half, 1))])
+    poles = np.vstack([spread, cluster])
+    poles = poles[np.all(np.diff(poles, axis=1) > 0.0, axis=1)]
+    w = rng.random(poles.shape)
+    w = np.where(rng.random(poles.shape) < 0.3, 10.0 ** rng.uniform(-14, -6, poles.shape), w)
+    return poles, w / w.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("start", [np.nan, -np.inf, np.inf], ids=["nan", "bracket-lo", "bracket-hi"])
+def test_secular_safeguard_recovers_from_bad_starts(monkeypatch, start):
+    # eigenvalue starts that are NaN, or clip to either bracket end
+    monkeypatch.setattr(sampler, "eigvalsh", lambda m: np.full(m.shape[:-1], start))
+    for seed in range(6):
+        poles, weights = _hard_batch(seed)
+        _assert_matches_reference(poles, weights, sampler._secular_zeros_batch(poles, weights))
+
+
+def test_secular_newton_does_not_cycle(monkeypatch):
+    # In the 359-ulp gap, Newton from the bracket's left end (4 ulps in) goes
+    # to 269 ulps, and from there lands back on the left end exactly: without
+    # the strict-inside rule the two points alternate until the step cap.
+    monkeypatch.setattr(sampler, "eigvalsh", lambda m: np.full(m.shape[:-1], -np.inf))
+    poles = 0.5 + np.spacing(0.5) * np.array([[-14.0, 0.0, 359.0, 785.0]])
+    weights = np.array([[0.0026, 0.1736, 0.1912, 0.1656]])
+    weights /= weights.sum()
+    _assert_matches_reference(poles, weights, sampler._secular_zeros_batch(poles, weights))
+
+
+def test_secular_zeros_depend_only_on_their_row():
+    poles, weights = _hard_batch(11)
+    together = sampler._secular_zeros_batch(poles, weights)
+    for b in range(poles.shape[0]):
+        alone = sampler._secular_zeros_batch(poles[b : b + 1], weights[b : b + 1])
+        assert alone.tobytes() == together[b : b + 1].tobytes()
+
+
+def test_unconverged_zero_names_line_and_gap(monkeypatch):
+    monkeypatch.setattr(sampler, "eigvalsh", lambda m: np.full(m.shape[:-1], np.nan))
+    monkeypatch.setattr(sampler, "_NEWTON_ITERS", 0)
+    with pytest.raises(RuntimeError, match=r"^line 2: .*gap 1 .*non-finite"):
+        sample_positions(RandomStream(3), HexagonSpec(p=2, q=3), count=4)
 
 
 # ----------------------------------------------------------------- sampling
@@ -132,7 +226,7 @@ def test_sample_positions_shapes_and_ordering():
 
 
 def test_sample_positions_rejects_broken_interlacing(monkeypatch):
-    # a chunk with two beads of line 3 swapped must not pass the fast path
+    # a chunk with two beads of line 3 swapped must not pass either path
     real = sampler._sample_lines_batch
 
     def swapped(rng, spec, batch):
@@ -141,8 +235,9 @@ def test_sample_positions_rejects_broken_interlacing(monkeypatch):
         return lines
 
     monkeypatch.setattr(sampler, "_sample_lines_batch", swapped)
-    with pytest.raises(RuntimeError, match="lines 2 and 3"):
-        sample_positions(RandomStream(3), HexagonSpec(p=3, q=5), count=4)
+    for sample in (sample_positions, sample_many):
+        with pytest.raises(RuntimeError, match="lines 2 and 3"):
+            sample(RandomStream(3), HexagonSpec(p=3, q=5), count=4)
 
 
 def test_seed_determinism_is_bytewise():
@@ -153,10 +248,11 @@ def test_seed_determinism_is_bytewise():
 
 
 def test_thread_count_does_not_change_the_draw():
-    spec = HexagonSpec(p=2, q=2)
-    serial = sample_positions(RandomStream(5), spec, count=3000, threads=1)
-    pooled = sample_positions(RandomStream(5), spec, count=3000, threads=4)
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(serial, pooled))
+    # 3000 draws are three chunks; (8, 12) solves up to 8 zeros per row
+    for spec in (HexagonSpec(p=2, q=2), HexagonSpec(p=8, q=12)):
+        serial = sample_positions(RandomStream(5), spec, count=3000, threads=1)
+        pooled = sample_positions(RandomStream(5), spec, count=3000, threads=4)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(serial, pooled))
 
 
 def test_entropy_echo_reproduces_os_seeded_run():
