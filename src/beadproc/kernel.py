@@ -2,19 +2,22 @@
 
 Correlation functions of the uniform interlacing measure are minors of a
 single two-line kernel ``K(s, y; t, x)``.  For ``s >= t`` it is a biorthogonal
-sum of shifted Jacobi polynomials attached to the two lines, assembled in log
-space with sign tracking so the code path stays stable from tiny cases up to
-hundreds of lines.  For ``s < t`` the factored tables degenerate (the natural
-summation range exceeds the bead counts and individual factors hit gamma-pole
-times zero), so that branch is evaluated from the underlying transfer-operator
-representation instead: a rank-``p`` sum of incoming/outgoing polynomial
-families, minus the one-sided propagator ``(x - y)^{t-s-1}/(t-s-1)!``.  Those
-polynomials are Jacobi polynomials with integer, possibly negative,
-parameters, and each family is kept as integer coefficient rows over one
-common denominator.  Every float position is dyadic, ``m / 2^e``, so the
-families, their rank-``p`` sum and the propagator are evaluated in integer
-fixed point: still exact, hence free of cancellation between the ``p``
-summands, with a single correctly rounded integer division at the end.
+sum of shifted Jacobi polynomials attached to the two lines.  Each line's
+family is evaluated orthonormal, by the three-term recurrence of its Jacobi
+matrix, in one per-point gauge that keeps every value inside the range of a
+double; an entry is then a sign times one ``exp`` of its summed exponent, so
+it is accurate, or raises where its true size is beyond a double.  For
+``s < t`` the factored tables degenerate (the natural summation range exceeds
+the bead counts and individual factors hit gamma-pole times zero), so that
+branch is evaluated from the underlying transfer-operator representation
+instead: a rank-``p`` sum of incoming/outgoing polynomial families, minus the
+one-sided propagator ``(x - y)^{t-s-1}/(t-s-1)!``.  Those polynomials are
+Jacobi polynomials with integer, possibly negative, parameters, and each
+family is kept as integer coefficient rows over one common denominator.
+Every float position is dyadic, ``m / 2^e``, so the families, their
+rank-``p`` sum and the propagator are evaluated in integer fixed point: still
+exact, hence free of cancellation between the ``p`` summands, with a single
+correctly rounded integer division at the end.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from typing import Sequence
 import numpy as np
 
 from .model import HexagonSpec, particles_per_line
-from .orthopoly import jacobi_tower, log_jacobi_norm
 
 __all__ = [
     "SpacePoint",
@@ -59,47 +61,57 @@ class SpacePoint:
 
 @dataclass(frozen=True)
 class _LineData:
-    # Polynomial family P~^{(pa,pb)} on this line; the sum over l = 1..r uses
-    # degree r - l, log-weight logc[l-1] - (other line's logc/logn), etc.
+    # Line t: the weight w_t = x^pa (1-x)^pb, split into the row prefactor
+    # a_t = (-1)^ea x^ea (1-x)^eb and the column prefactor b_t = w_t / a_t,
+    # and the orthonormal family p_n = P~_n^{(pa,pb)} / sqrt(N_n), n < r,
+    # from a[n] p_{n+1} = (1 - 2x - b[n]) p_n - a[n-1] p_{n-1}.
     pa: int
     pb: int
     r: int
-    logc: np.ndarray  # log C_l, l = 1..r
-    logn: np.ndarray  # log N_{r-l} for this line's family, l = 1..r
+    ea: int
+    eb: int
+    half_log_n0: float  # ½ log N_0
+    b: np.ndarray
+    a: np.ndarray
 
 
 @dataclass(frozen=True)
 class KernelContext:
-    """Precomputed per-line tables; build once per (p, q) via :func:`kernel_context`."""
+    """Precomputed per-line data; build once per (p, q) via :func:`kernel_context`."""
 
     spec: HexagonSpec
+    logfact: np.ndarray  # log k!, k = 0..p+q
     lines: tuple[_LineData, ...]
+
+
+def _line_data(spec: HexagonSpec, t: int, logfact: np.ndarray) -> _LineData:
+    p, q = spec.p, spec.q
+    if t <= p:
+        pa, pb, ea, eb = p - t, q - t, p - t, q - t
+    elif t <= q:
+        pa, pb, ea, eb = t - p, q - t, 0, q - t
+    else:
+        pa, pb, ea, eb = t - p, t - q, 0, 0
+    r, s = particles_per_line(spec, t), pa + pb
+    # Jacobi matrix of the weight (1-z)^pa (1+z)^pb on (-1, 1); at n = 0,
+    # b is (pb - pa) / (s + 2), which the maximum keeps finite for s = 0
+    n = np.arange(r - 1)
+    m = n + 1
+    b = (pb * pb - pa * pa) / (np.maximum(2 * n + s, 1) * (2 * n + s + 2))
+    a = np.sqrt(4.0 * m * (m + pa) * (m + pb) * (m + s) / ((2 * m + s) ** 2 * (2 * m + s + 1.0) * (2 * m + s - 1)))
+    for arr in (b, a):
+        arr.setflags(write=False)  # shared by every caller of the memoized context
+    half_log_n0 = 0.5 * (-math.log(s + 1) + logfact[pa] + logfact[pb] - logfact[s])
+    return _LineData(pa, pb, r, ea, eb, half_log_n0, b, a)
 
 
 @lru_cache(maxsize=8)
 def kernel_context(spec: HexagonSpec) -> KernelContext:
-    """Per-line tables for ``spec``; memoized, so repeated calls share one context."""
-    p, q = spec.p, spec.q
-    data = []
-    for t in spec.lines():
-        r = particles_per_line(spec, t)
-        ls = np.arange(1, r + 1)
-        if t <= p:
-            pa, pb = p - t, q - t
-            logc = np.array([math.lgamma(t - l + 1) - math.lgamma(p - l + 1) for l in ls])
-        elif t <= q:
-            pa, pb = t - p, q - t
-            logc = np.array(
-                [math.lgamma(q - l + 1) - math.lgamma(p + q - t - l + 1) for l in ls]
-            )
-        else:
-            pa, pb = t - p, t - q
-            logc = np.array([math.lgamma(t - l + 1) - math.lgamma(p - l + 1) for l in ls])
-        logn = np.array([log_jacobi_norm(r - l, pa, pb) for l in ls])
-        logc.setflags(write=False)  # shared by every caller of the memoized context
-        logn.setflags(write=False)
-        data.append(_LineData(pa=pa, pb=pb, r=r, logc=logc, logn=logn))
-    return KernelContext(spec=spec, lines=tuple(data))
+    """Per-line data for ``spec``; memoized, so repeated calls share one context."""
+    logfact = np.array([math.lgamma(k + 1) for k in range(spec.p + spec.q + 1)])
+    logfact.setflags(write=False)
+    lines = tuple(_line_data(spec, t, logfact) for t in spec.lines())
+    return KernelContext(spec=spec, logfact=logfact, lines=lines)
 
 
 def _check_positions(name: str, arr: np.ndarray) -> None:
@@ -240,24 +252,48 @@ def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarr
     return out
 
 
-def _log_row_prefactor(spec: HexagonSpec, s: int, y: np.ndarray):
-    # a_s(y): (-y)^{p-s} (1-y)^{q-s}  |  (1-y)^{q-s}  |  1
-    p, q = spec.p, spec.q
-    if s <= p:
-        return (p - s) * np.log(y) + (q - s) * np.log1p(-y), (-1.0) ** (p - s)
-    if s <= q:
-        return (q - s) * np.log1p(-y), 1.0
-    return np.zeros_like(y), 1.0
+def _tower(d: _LineData, x: np.ndarray, ea: float, eb: float):
+    """``(E, psi)`` with ``x^ea (1-x)^eb p_n(x) = exp(E - ½ log N_0) psi[n]``, n < r.
+
+    One gauge per point: the recurrence starts from ``psi[0] = exp(c)``,
+    ``c = log phi_0 - max(log phi_0, -300)`` with ``phi_n = sqrt(w) p_n``, so
+    the O(1) functions ``phi_n`` give ``|psi| <~ e^300``.  Where ``phi_0 <
+    e^-1000``, ``c`` stops at -700, so ``psi[0]`` cannot underflow while the
+    growth ``p_n / p_0`` (up to ``e^973`` at p = 512) still fits.  The result
+    is scaled to ``max_n |psi[n]| = 1``.
+    """
+    lx, l1x = np.log(x), np.log1p(-x)
+    c = (0.5 * d.pa) * lx + (0.5 * d.pb) * l1x + (300.0 - d.half_log_n0)
+    np.clip(c, -700.0, 0.0, out=c)
+    psi = np.empty((d.r,) + x.shape)
+    np.exp(c, out=psi[0])
+    if d.r > 1:
+        step = (1.0 - 2.0 * x - d.b[:, None]) / d.a[:, None]
+        ratio = (d.a[:-1] / d.a[1:]).tolist()
+        np.multiply(step[0], psi[0], out=psi[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, d.r - 1):
+                row = np.multiply(step[n], psi[n], out=psi[n + 1])
+                row -= ratio[n - 1] * psi[n - 1]
+    top = np.maximum(psi.max(axis=0), -psi.min(axis=0))
+    if not np.all(np.isfinite(top)):
+        bad = float(x[~np.isfinite(top)][0])
+        raise OverflowError(f"Jacobi tower ({d.pa}, {d.pb}) of degree {d.r - 1} outgrows a double at x = {bad!r}")
+    psi /= top
+    return ea * lx + eb * l1x + (np.log(top) - c), psi
 
 
-def _log_col_prefactor(spec: HexagonSpec, t: int, x: np.ndarray):
-    # b_t(x): (-1)^{p-t}  |  x^{t-p}  |  x^{t-p} (1-x)^{t-q}
-    p, q = spec.p, spec.q
-    if t <= p:
-        return np.zeros_like(x), (-1.0) ** (p - t)
-    if t <= q:
-        return (t - p) * np.log(x), 1.0
-    return (t - p) * np.log(x) + (t - q) * np.log1p(-x), 1.0
+def _log_weights(ctx: KernelContext, t: int, L: int) -> np.ndarray:
+    # log C_l + ½ log N_{r-l} on line t for l = L..1, so degree n = r - l
+    # ascends from r - L; C_l = (c0 - l)! / (c1 - l)!
+    p, q, d, lf = ctx.spec.p, ctx.spec.q, ctx.lines[t - 1], ctx.logfact
+    c0, c1 = (q, p + q - t) if p < t <= q else (t, p)
+    lo, hi, s = d.r - L, d.r, d.pa + d.pb
+    log_norm = (
+        lf[lo + d.pa : hi + d.pa] + lf[lo + d.pb : hi + d.pb] - lf[lo:hi] - lf[lo + s : hi + s]
+        - np.log(2.0 * np.arange(lo, hi) + s + 1)
+    )
+    return lf[c0 - L : c0] - lf[c1 - L : c1] + 0.5 * log_norm
 
 
 def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
@@ -265,6 +301,7 @@ def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
 
     Rows carry line ``s``, columns line ``t``.  The coincident-point
     convention of the propagator term is strict: it vanishes when ``y >= x``.
+    Raises ``OverflowError`` when an entry lies beyond the range of a double.
     """
     spec = ctx.spec
     if not 1 <= s <= spec.n_lines or not 1 <= t <= spec.n_lines:
@@ -277,19 +314,35 @@ def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
     if s < t:
         return _cross_block(spec, s, ys, t, xs)
 
+    # K = a_s(y) b_t(x) sum_l kappa_l p_{s,r_s-l}(y) p_{t,r_t-l}(x), with
+    # kappa_l = (C_{s,l} / C_{t,l}) sqrt(N_{s,r_s-l} / N_{t,r_t-l}); 1 if s = t
     ds, dt = ctx.lines[s - 1], ctx.lines[t - 1]
-    L = min(ds.r, dt.r)
-    sel = np.arange(1, L + 1)
-    rows = jacobi_tower(ds.r - 1, ds.pa, ds.pb, ys)[ds.r - sel]  # (L, ny)
-    cols = jacobi_tower(dt.r - 1, dt.pa, dt.pb, xs)[dt.r - sel]  # (L, nx)
-    logw = ds.logc[sel - 1] - dt.logc[sel - 1] - dt.logn[sel - 1]
-    shift = logw.max()
-    S = np.einsum("li,l,lj->ij", rows, np.exp(logw - shift), cols)
-
-    la, sa = _log_row_prefactor(spec, s, ys)
-    lb, sb = _log_col_prefactor(spec, t, xs)
-    with np.errstate(divide="ignore"):
-        K = (sa * sb) * np.sign(S) * np.exp(la[:, None] + lb[None, :] + shift + np.log(np.abs(S)))
+    row_log, rows = _tower(ds, ys, ds.ea, ds.eb)
+    col_log, cols = _tower(dt, xs, dt.pa - dt.ea, dt.pb - dt.eb)
+    if s == t:
+        shift, S = 0.0, rows.T @ cols
+    else:
+        L = min(ds.r, dt.r)
+        logkappa = _log_weights(ctx, s, L) - _log_weights(ctx, t, L)
+        shift = logkappa.max()
+        S = np.einsum("li,l,lj->ij", rows[ds.r - L :], np.exp(logkappa - shift), cols[dt.r - L :])
+    # The per-line constants are summed apart from the per-point terms: on a
+    # single-term line such as K(1, y; 1, x) = 2(1 - y) at (1, 2) the exponent
+    # then takes one rounding, and K(1, 0.25; 1, 0.25) comes out as 1.5.
+    with np.errstate(divide="ignore", over="ignore"):
+        expo = (
+            row_log[:, None] + col_log[None, :]
+            + (shift - ds.half_log_n0 - dt.half_log_n0)
+            + np.log(np.abs(S))
+        )
+        K = (-1.0) ** (ds.ea + dt.ea) * np.sign(S) * np.exp(expo)
+    bad = ~np.isfinite(K)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise OverflowError(
+            f"K({s}, y; {t}, x) at (y, x) = ({float(ys[i])!r}, {float(xs[j])!r}) is beyond "
+            f"the range of a double: log10|K| = {expo[i, j] / math.log(10):.1f}"
+        )
     return K
 
 
@@ -306,15 +359,9 @@ def line_density(ctx: KernelContext, t: int, xs):
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
     _check_positions("line", xs_arr)
     d = ctx.lines[t - 1]
-    sel = np.arange(1, d.r + 1)
-    vals = jacobi_tower(d.r - 1, d.pa, d.pb, xs_arr)[d.r - sel]  # (r, n)
-    logw = -d.logn[sel - 1]
-    shift = logw.max()
-    S = np.einsum("li,l,li->i", vals, np.exp(logw - shift), vals)
-    la, sa = _log_row_prefactor(spec, t, xs_arr)
-    lb, sb = _log_col_prefactor(spec, t, xs_arr)
-    with np.errstate(divide="ignore"):
-        out = (sa * sb) * np.sign(S) * np.exp(la + lb + shift + np.log(np.abs(S)))
+    # K(t, x; t, x) = w_t(x) sum_n p_n(x)^2
+    half_log, psi = _tower(d, xs_arr, 0.5 * d.pa, 0.5 * d.pb)
+    out = np.exp(2.0 * (half_log - d.half_log_n0) + np.log(np.einsum("ni,ni->i", psi, psi)))
     return float(out[0]) if np.ndim(xs) == 0 else out
 
 
@@ -324,8 +371,14 @@ def _gauss_legendre_unit(n: int):
     return 0.5 * (u + 1.0), 0.5 * w
 
 
-def expected_count(ctx: KernelContext, t: int, nodes: int = 400) -> float:
-    """``int_0^1 K(t, x; t, x) dx`` — must reproduce the bead count of line ``t``."""
+def expected_count(ctx: KernelContext, t: int, nodes: int | None = None) -> float:
+    """``int_0^1 K(t, x; t, x) dx`` — must reproduce the bead count of line ``t``.
+
+    The integrand is a polynomial of degree ``p + q - 2``, so the default
+    ``(p + q) // 2 + 1`` Gauss–Legendre nodes integrate it exactly.
+    """
+    if nodes is None:
+        nodes = (ctx.spec.p + ctx.spec.q) // 2 + 1
     x, w = _gauss_legendre_unit(nodes)
     return float(np.dot(w, line_density(ctx, t, x)))
 

@@ -22,6 +22,7 @@ how many worker threads are used.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -92,8 +93,9 @@ class SecularProblem:
         object.__setattr__(self, "weights", weights)
         if len(poles) != len(weights) or len(poles) < 2:
             raise ValueError("need equally many poles and weights, at least two of each")
-        if any(b <= a for a, b in zip(poles, poles[1:])):
-            raise ValueError(f"poles must strictly increase, got {poles}")
+        for j, (a, b) in enumerate(zip(poles, poles[1:]), start=1):
+            if not math.nextafter(a, math.inf) < b:
+                raise ValueError(f"gap {j} ({a!r}, {b!r}): poles must increase with a double strictly between")
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
         if abs(sum(weights) - 1.0) > 1e-9:
@@ -132,17 +134,26 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     sign of ``f`` at every step.  A step of more than 4 ulps that does not
     land strictly inside the bracket (or is NaN) becomes a bisection step,
     and an entry freezes once its step is at most 4 ulps or its bracket has
-    closed, so every zero depends on its own row alone.  Raises ``RuntimeError`` naming the gap if a zero comes out
-    non-finite or outside its bracket.
+    closed, so every zero depends on its own row alone.  Raises
+    ``RuntimeError`` naming the row and the gap if a gap holds no double
+    strictly between its poles, or if a zero comes out non-finite or outside
+    its bracket.
     """
 
     def f(x):
         with np.errstate(divide="ignore"):
             return (weights[:, None, :] / (x[:, :, None] - poles[:, None, :])).sum(axis=2)
 
+    # A zero needs a double strictly inside its gap: the midpoint, if any.
+    mid_gap = 0.5 * (poles[:, 1:] + poles[:, :-1])
+    no_room = ~((poles[:, :-1] < mid_gap) & (mid_gap < poles[:, 1:]))
+    if no_room.any():
+        b, j = np.argwhere(no_room)[0]
+        raise RuntimeError(
+            f"secular bracket failed — gap {j + 1} ({float(poles[b, j])!r}, "
+            f"{float(poles[b, j + 1])!r}) of row {b} holds no double strictly between its poles"
+        )
     gap = poles[:, 1:] - poles[:, :-1]
-    if not np.all(gap > 0.0):
-        raise RuntimeError("secular bracket failed — poles not strictly increasing")
     # Inward offset: relative to the gap, but never below a few ulps of the
     # pole itself, or the endpoint rounds back onto the pole (division by zero).
     off_lo = np.maximum(1e-14 * gap, 4.0 * np.spacing(np.abs(poles[:, :-1])))
@@ -150,7 +161,6 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     lo = poles[:, :-1] + off_lo
     hi = poles[:, 1:] - off_hi
     # A gap only a few ulps wide pins its zero completely; collapse the bracket.
-    mid_gap = 0.5 * (poles[:, 1:] + poles[:, :-1])
     pinched = lo >= hi
     lo = np.where(pinched, mid_gap, lo)
     hi = np.where(pinched, mid_gap, hi)

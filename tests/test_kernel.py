@@ -3,6 +3,7 @@
 import math
 from math import factorial
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from beadproc.kernel import (
     KernelContext,
     SpacePoint,
     _jacobi_monomial_coeffs,
+    _tower,
     expected_count,
     kernel_context,
     kernel_eval,
@@ -23,6 +25,9 @@ from beadproc.scaling import scaling_context
 
 import bruteforce
 import fraction_kernel
+import mp_kernel
+
+DBL_MAX = np.finfo(float).max
 
 
 def _gl(n, lo=0.0, hi=1.0):
@@ -306,4 +311,103 @@ def test_kernel_context_is_shared_and_read_only():
     ctx = kernel_context(HexagonSpec(3, 5))
     assert kernel_context(HexagonSpec(3, 5)) is ctx
     with pytest.raises(ValueError):
-        ctx.lines[0].logn[0] = 0.0
+        ctx.lines[2].a[1] = 0.0
+    with pytest.raises(ValueError):
+        ctx.logfact[0] = 1.0
+
+
+# Probe positions for the mpmath comparisons: three seeded ones plus points
+# far outside every line's oscillatory band, down to 1e-9 from either end.
+_FAR = (1e-9, 0.002, 0.5, 0.998, 1.0 - 1e-9)
+
+
+def _same_line_pairs(p, q):
+    # s = t across the regimes, and s > t pairs inside and across them
+    n = p + q - 1
+    same = [(s, s) for s in (1, p // 2, p, p + 1, (p + q) // 2, q, q + 1, n - 3, n)]
+    return same + [(p + 3, p), (q + 2, q - 1), (n, 1), (p, 1), ((p + q) // 2, p // 2), (n, q)]
+
+
+@pytest.mark.parametrize("p,q", [(64, 192), (256, 768)])
+def test_tower_matches_mpmath(p, q):
+    # the orthonormal tower, scaled by the returned exponent, against p_n(x)
+    # = P~_n / sqrt(N_n) at 60 digits: every value to 1e-10 of the largest
+    ctx = kernel_context(HexagonSpec(p, q))
+    xs = np.concatenate([np.random.default_rng(p).random(3), _FAR])
+    for t in sorted({s for pair in _same_line_pairs(p, q) for s in pair}):
+        d = ctx.lines[t - 1]
+        expo, psi = _tower(d, xs, d.ea, d.eb)
+        assert np.all(np.abs(psi).max(axis=0) == 1.0)
+        for j, x in enumerate(xs):
+            scale = mp.mpf(x) ** d.ea * (1 - mp.mpf(x)) ** d.eb / mp.exp(mp.mpf(expo[j]) - d.half_log_n0)
+            want = [float(v * scale) for v in mp_kernel.orthonormal(p, q, t, float(x))]
+            assert np.max(np.abs(psi[:, j] - want)) <= 1e-10, (t, x)
+
+
+@pytest.mark.parametrize("p,q", [(64, 192), (256, 768)])
+def test_same_line_entries_match_mpmath(p, q):
+    # Every s >= t entry against the 60-digit reference, out-of-band points
+    # included.  Within the range of a double: s = t entries to a relative
+    # 1e-10; s > t sums cancel (by 1e4 here), so their error is held to 1e-10
+    # of the sum of the absolute values of their terms.  Beyond the range the
+    # entry must raise; below 1e-290 it must come out as tiny.
+    ctx = kernel_context(HexagonSpec(p, q))
+    rng = np.random.default_rng(5 + p)
+    counts = {"checked": 0, "raised": 0}
+    for s, t in _same_line_pairs(p, q):
+        pts = np.concatenate([rng.random(3), _FAR])
+        try:
+            block = kernel_matrix(ctx, s, pts, t, pts)
+        except OverflowError:
+            block = None  # some entry overflows; go entry by entry
+        for i, y in enumerate(map(float, pts)):
+            for j, x in enumerate(map(float, pts)):
+                want, size = mp_kernel.entry(p, q, s, y, t, x)
+                if abs(want) > DBL_MAX:
+                    assert block is None
+                    with pytest.raises(OverflowError):
+                        kernel_eval(ctx, s, y, t, x)
+                    counts["raised"] += 1
+                    continue
+                got = kernel_eval(ctx, s, y, t, x) if block is None else block[i, j]
+                if abs(want) < 1e-290:
+                    assert abs(got) < 1e-280, (s, y, t, x)
+                    continue
+                bound = 1e-10 * (abs(want) if s == t else size)
+                assert abs(got - want) <= bound, (s, y, t, x, got, want)
+                counts["checked"] += 1
+    assert counts["checked"] > 400 and counts["raised"] > 50
+
+
+def test_overflowing_entry_raises_with_its_place():
+    # K(384, y; 384, x) = -2.199e319 at (256, 768) by the 60-digit reference
+    y, x = 0.010953, 0.973261
+    assert mp_kernel.entry(256, 768, 384, y, 384, x)[0] < mp.mpf("-2.19e319")
+    ctx = kernel_context(HexagonSpec(256, 768))
+    msg = r"K\(384, y; 384, x\) at \(y, x\) = \(0\.010953, 0\.973261\).*log10\|K\| = 319\.3"
+    with pytest.raises(OverflowError, match=msg):
+        kernel_matrix(ctx, 384, [0.5, y], 384, [0.3, x])
+
+
+def test_tower_overflow_raises_instead_of_nan():
+    # at (1024, 3072) the growth of a tower outruns a double: raise, not nan
+    ctx = kernel_context(HexagonSpec(1024, 3072))
+    with pytest.raises(OverflowError, match=r"Jacobi tower \(0, 2048\) of degree 1023"):
+        line_density(ctx, 1024, [0.5, 0.999])
+
+
+def test_count_identity_every_line_256_768():
+    # the default node count integrates the degree p+q-2 integrand exactly
+    spec = HexagonSpec(256, 768)
+    ctx = kernel_context(spec)
+    worst = max(abs(expected_count(ctx, t) - particles_per_line(spec, t)) for t in spec.lines())
+    assert worst < 1e-8
+
+
+def test_count_identity_512_1536():
+    p, q = 512, 1536
+    spec = HexagonSpec(p, q)
+    ctx = kernel_context(spec)
+    lines = {1, p - 1, p, p + 1, q - 1, q, q + 1, p + q - 1} | set(range(16, p + q, 16))
+    for t in sorted(lines):
+        assert abs(expected_count(ctx, t) - particles_per_line(spec, t)) < 1e-8, t

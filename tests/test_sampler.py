@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beadproc import sampler
+from beadproc.cli import run
 from beadproc.model import (
     BeadConfiguration,
     HexagonSpec,
@@ -109,6 +110,16 @@ def test_secular_zeros_interlace_poles(gaps, start, raw_w):
     assert np.all(z > poles[:-1]) and np.all(z < poles[1:])
 
 
+def test_one_ulp_gap_is_rejected_not_collapsed_onto_a_pole():
+    # no double lies strictly inside the first gap, so no zero can either
+    poles = (0.5, math.nextafter(0.5, 1.0), 1.0)
+    with pytest.raises(ValueError, match=r"gap 1 \(0\.5, 0\.5000000000000001\): .*double strictly between"):
+        SecularProblem(poles=poles, weights=(1 / 3, 1 / 3, 1 / 3))
+    batch = np.array([[0.25, 0.5, 1.0], poles])
+    with pytest.raises(RuntimeError, match=r"gap 1 \(0\.5, 0\.5000000000000001\) of row 1 holds no double"):
+        sampler._secular_zeros_batch(batch, np.full((2, 3), 1 / 3))
+
+
 def test_secular_zeros_survive_pinched_gap():
     # a gap a few ulps wide pins its zero; must not divide by zero or unbracket
     poles = (0.5, 0.5 + 1e-13, 1.0)
@@ -155,6 +166,11 @@ def _secular_rows(draw):
 @settings(max_examples=300, deadline=None)
 def test_secular_zeros_match_bisection_reference(row):
     poles, weights = row[0][None], row[1][None]
+    if any(math.nextafter(a, math.inf) >= b for a, b in zip(row[0], row[0][1:])):
+        # a gap with no double strictly inside holds no zero a double can give
+        with pytest.raises(RuntimeError, match="holds no double strictly between its poles"):
+            sampler._secular_zeros_batch(poles, weights)
+        return
     _assert_matches_reference(poles, weights, sampler._secular_zeros_batch(poles, weights))
 
 
@@ -225,8 +241,8 @@ def test_sample_positions_shapes_and_ordering():
         assert np.all(np.diff(block, axis=1) < 0.0)  # rows strictly decreasing
 
 
-def test_sample_positions_rejects_broken_interlacing(monkeypatch):
-    # a chunk with two beads of line 3 swapped must not pass either path
+def _swap_two_beads_of_line_3(monkeypatch):
+    # every chunk comes back with its first row's line 3 out of order
     real = sampler._sample_lines_batch
 
     def swapped(rng, spec, batch):
@@ -235,9 +251,41 @@ def test_sample_positions_rejects_broken_interlacing(monkeypatch):
         return lines
 
     monkeypatch.setattr(sampler, "_sample_lines_batch", swapped)
+
+
+def test_sample_positions_rejects_broken_interlacing(monkeypatch):
+    # a chunk with two beads of line 3 swapped must not pass either path
+    _swap_two_beads_of_line_3(monkeypatch)
     for sample in (sample_positions, sample_many):
         with pytest.raises(RuntimeError, match="lines 2 and 3"):
             sample(RandomStream(3), HexagonSpec(p=3, q=5), count=4)
+
+
+def test_validate_interlacing_row_counts_rejections(monkeypatch, capsys):
+    # the row counts the configurations interlace_indicator rejects: none from
+    # the sampler; one once the first bead of one draw is moved past line 2
+    # with the sampler's own check switched off
+    assert run("validate --suite sampler".split()) == 0
+    assert "sampler,interlacing_holds,pass,0,0" in capsys.readouterr().out.splitlines()
+    real = sampler._sample_lines_batch
+
+    def moved(rng, spec, batch):
+        lines = real(rng, spec, batch)
+        lines[0][0, 0] = 1.0 - 1e-9
+        return lines
+
+    monkeypatch.setattr(sampler, "_sample_lines_batch", moved)
+    monkeypatch.setattr(sampler, "_check_interlacing", lambda spec, lines: None)
+    assert run("validate --suite sampler".split()) == 1
+    assert "sampler,interlacing_holds,fail,1,0" in capsys.readouterr().out.splitlines()
+
+
+def test_validate_reports_a_refused_draw_as_a_failed_row(monkeypatch, capsys):
+    # the sampler refuses a draw that fails its interlacing check: validate
+    # prints a failed row and exits 1 instead of stopping with a traceback
+    _swap_two_beads_of_line_3(monkeypatch)
+    assert run("validate --suite sampler".split()) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["sampler,interlacing_holds,fail,200,0"]
 
 
 def test_seed_determinism_is_bytewise():
