@@ -10,22 +10,9 @@ with p; the other's does not decay at all — that is the study's point.
 """
 
 import argparse
-import itertools
 
-import numpy as np
-
+from beadproc.checks import bulk_offsets
 from beadproc.scaling import b_factor_variants, bulk_convergence_probe
-
-
-def offset_grid(max_d=2, n_pts=5, span=1.0):
-    """|s0-t0| <= max_d crossed with an (X, Y) grid of width 2*span."""
-    pts = np.linspace(-span, span, n_pts)
-    offsets = []
-    for d in range(-max_d, max_d + 1):
-        s0, t0 = (d, 0) if d >= 0 else (0, -d)
-        for X, Y in itertools.product(pts, pts):
-            offsets.append((s0, t0, float(X), float(Y)))
-    return offsets
 
 
 def main(argv=None):
@@ -36,7 +23,7 @@ def main(argv=None):
     ap.add_argument("--max-offset", type=int, default=2)
     args = ap.parse_args(argv)
 
-    offsets = offset_grid(max_d=args.max_offset)
+    offsets = bulk_offsets(args.max_offset)
     variants = b_factor_variants(args.k, args.S)
     print(f"# k = {args.k}, S = {args.S}, {len(offsets)} probe points")
     for name, value in sorted(variants.items()):

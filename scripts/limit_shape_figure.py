@@ -17,25 +17,22 @@ band [c_S - margin, d_S + margin].
 import argparse
 import sys
 
-import numpy as np
-
+from beadproc.checks import in_band_fractions
 from beadproc.cli import run
 from beadproc.model import HexagonSpec
-from beadproc.sampler import RandomStream, sample_many
+from beadproc.sampler import RandomStream, sample_positions
 from beadproc.scaling import support_interval
 
 
 def band_report(p, q, count, seed, margin):
     spec = HexagonSpec(p, q)
     k = (q - p) / p
-    configs = sample_many(RandomStream(seed), spec, count)
+    fracs = in_band_fractions(spec, sample_positions(RandomStream(seed), spec, count), margin)
     print(f"# (p, q) = ({p}, {q}), {count} configurations, margin {margin}")
     print("line,S,c,d,inside_fraction")
-    for t in spec.lines():
+    for t, frac in zip(spec.lines(), fracs):
         S = t / p
         c, d = support_interval(k, S)
-        xs = np.concatenate([np.asarray(cfg.positions(t)) for cfg in configs])
-        frac = np.mean((xs >= c - margin) & (xs <= d + margin))
         print(f"{t},{S:.6g},{c:.6g},{d:.6g},{frac:.4f}")
 
 

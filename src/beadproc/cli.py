@@ -22,19 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import checks, scaling
 from . import hexagon as hx
-from . import scaling
-from .kernel import (
-    expected_count,
-    kernel_context,
-    kernel_eval,
-    line_density,
-    npoint_correlation,
-)
-from .model import HexagonSpec, interlace_indicator, particles_per_line
-from .oracle import oracle_deviation
+from .kernel import kernel_context, kernel_eval, line_density, npoint_correlation
+from .model import HexagonSpec
 from .sampler import RandomStream, dirichlet_draw, sample_many, sample_positions
-from .stats import beta_cdf, ks_statistic
+from .stats import ks_statistic
 
 __all__ = ["main", "run"]
 
@@ -142,6 +135,8 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     spec = HexagonSpec(args.p, args.q)
     ctx = kernel_context(spec)
     xs = (np.arange(args.points) + 0.5) / args.points
@@ -194,6 +189,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_limit_shape(args) -> int:
+    if args.points < 2:
+        raise ValueError(f"--points must be >= 2, got {args.points}")
     ks = args.k
     rows = []
     for i in range(args.points):
@@ -240,50 +237,25 @@ def _check(rows, suite, name, measure, threshold, ok) -> None:
     rows.append((suite, name, "pass" if ok else "fail", float(measure), float(threshold)))
 
 
-# Probe set for the (2,3) refinement check: every line-pair class is covered
-# (both lines below p, straddling p, inside [p,q], straddling q, both above q)
-# while keeping kernel magnitudes modest, so the O(1/m) half-cell bias of the
-# grid oracle stays resolvable under an absolute tolerance.
-_REFINEMENT_PROBES = (
-    (1, 0.35, 1, 0.35),
-    (1, 0.65, 2, 0.20),
-    (2, 0.20, 1, 0.20),
-    (2, 0.20, 3, 0.80),
-    (3, 0.65, 2, 0.50),
-    (2, 0.80, 2, 0.20),
-    (3, 0.80, 4, 0.35),
-    (4, 0.20, 3, 0.20),
-    (4, 0.20, 4, 0.65),
-)
-
-
 def _suite_kernel(level: str, rows: list) -> None:
     ctx = kernel_context(HexagonSpec(1, 1))
     xs = (np.arange(31) + 0.5) / 31
     dev = float(np.max(np.abs(line_density(ctx, 1, xs) - 1.0)))
     _check(rows, "kernel", "unit_case_constant", dev, 1e-12, dev < 1e-12)
 
-    ctx12 = kernel_context(HexagonSpec(1, 2))
-    d1 = float(np.max(np.abs(line_density(ctx12, 1, xs) - 2.0 * (1.0 - xs))))
-    d2 = float(np.max(np.abs(line_density(ctx12, 2, xs) - 2.0 * xs)))
-    _check(rows, "kernel", "two_line_density_forms", max(d1, d2), 1e-10, max(d1, d2) < 1e-10)
+    dev = checks.two_line_form_error(31)
+    _check(rows, "kernel", "two_line_density_forms", dev, 1e-10, dev < 1e-10)
 
-    spec = HexagonSpec(2, 2)
-    ctx22 = kernel_context(spec)
-    worst = max(
-        abs(expected_count(ctx22, t) - particles_per_line(spec, t)) for t in spec.lines()
-    )
+    worst = checks.count_identity_error([HexagonSpec(2, 2)])
     _check(rows, "kernel", "count_identity", worst, 1e-8, worst < 1e-8)
 
-    probes = [(1, 0.3, 1, 0.7), (1, 0.4, 2, 0.6), (2, 0.6, 1, 0.2)]
     if level == "full":
-        spec23 = HexagonSpec(2, 3)
-        devs = [oracle_deviation(spec23, m, _REFINEMENT_PROBES) for m in (50, 100, 200)]
+        devs = checks.oracle_refinement(HexagonSpec(2, 3), (50, 100, 200), checks.REFINEMENT_PROBES)
         ok = devs[0] > devs[1] > devs[2] and devs[2] < 0.02
         _check(rows, "kernel", "oracle_refinement", devs[2], 0.02, ok)
     else:
-        deva = oracle_deviation(HexagonSpec(1, 2), 40, probes)
-        devb = oracle_deviation(HexagonSpec(1, 2), 80, probes)
+        probes = [(1, 0.3, 1, 0.7), (1, 0.4, 2, 0.6), (2, 0.6, 1, 0.2)]
+        deva, devb = checks.oracle_refinement(HexagonSpec(1, 2), (40, 80), probes)
         _check(rows, "kernel", "oracle_refinement", devb, deva, devb < deva)
 
 
@@ -291,17 +263,14 @@ def _suite_sampler(level: str, rows: list) -> None:
     n = 5000 if level == "full" else 1500
     spec = HexagonSpec(2, 3)
     try:
-        cfgs = sample_many(RandomStream(7), spec, 200)
+        rejected = checks.interlacing_rejections(spec, 200, 7)
     except RuntimeError:
         # The sampler refuses a whole draw that fails its own interlacing
         # check; every other row of this suite samples too, so stop here.
         _check(rows, "sampler", "interlacing_holds", 200.0, 0.0, False)
         return
-    rejected = sum(not interlace_indicator(spec, cfg) for cfg in cfgs)
 
-    per_line = sample_positions(RandomStream(1), spec, n)
-    lam1 = per_line[0][:, 0]
-    ks = ks_statistic(lam1, lambda x: beta_cdf(x, 2, 3))
+    ks = checks.first_line_ks(spec, n, 1)
     band = 1.63 / math.sqrt(n)
     _check(rows, "sampler", "first_line_beta_ks", ks, band, ks < band)
     _check(rows, "sampler", "interlacing_holds", float(rejected), 0.0, rejected == 0)
@@ -325,32 +294,9 @@ def _suite_discrete(level: str, rows: list) -> None:
         worst_ok = worst_ok and got == want
     _check(rows, "discrete", "frozen_counts", 0.0 if worst_ok else 1.0, 0.0, worst_ok)
 
-    hexa = hx.DiscreteHexagon(2, 2, 2)
-    ok = True
-    for xs in [(x1, x2) for x1 in hx.line_sites(hexa, 2) for x2 in hx.line_sites(hexa, 2) if x2 < x1]:
-        xs_desc = (max(xs), min(xs))
-        if hx.left_count(hexa, 2, xs_desc) != hx.left_count_closed_form(2, xs_desc):
-            ok = False
-    _check(rows, "discrete", "left_count_closed_form", 0.0 if ok else 1.0, 0.0, ok)
-
-    from fractions import Fraction
-
-    ok = True
-    for t in (1, 2, 3):
-        r = hx.lattice_particles_per_line(hexa, t)
-        sites = list(hx.line_sites(hexa, t))
-        import itertools as it
-
-        ratios = set()
-        for xs in it.combinations(sorted(sites, reverse=True), r):
-            brute = hx.bruteforce_marginal(hexa, t, xs)
-            weight = hx.hahn_marginal_unnormalized(hexa, t, xs)
-            if weight == 0:
-                ok = ok and brute == 0
-            else:
-                ratios.add(Fraction(brute, weight))
-        ok = ok and len(ratios) == 1
-    _check(rows, "discrete", "hahn_proportionality", 0.0 if ok else 1.0, 0.0, ok)
+    count_ok, marginal_ok = checks.lattice_identities(hx.DiscreteHexagon(2, 2, 2), (2,), (1, 2, 3))
+    _check(rows, "discrete", "left_count_closed_form", 0.0 if count_ok else 1.0, 0.0, count_ok)
+    _check(rows, "discrete", "hahn_proportionality", 0.0 if marginal_ok else 1.0, 0.0, marginal_ok)
 
     na = len(hx.enumerate_configurations(hx.DiscreteHexagon(1, 1, 2)))
     nb = len(hx.enumerate_configurations(hx.DiscreteHexagon(1, 2, 1)))
@@ -381,34 +327,7 @@ def _suite_scaling(level: str, rows: list) -> None:
         worst = max(worst, abs(val - math.sin(math.pi * tau) / (math.pi * tau)))
     _check(rows, "scaling", "sine_reduction", worst, 1e-9, worst < 1e-9)
 
-    g = scaling.gamma_parameter(2.0, 2.0)
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(4 if level == "quick" else 12):
-        s_off = rng.integers(-2, 3, size=2)
-        xs = rng.uniform(-1.5, 1.5, size=2)
-        M1 = np.array(
-            [
-                [
-                    scaling.bulk_kernel(nu, int(s_off[i]), xs[i], int(s_off[j]), xs[j])
-                    for j in range(2)
-                ]
-                for i in range(2)
-            ]
-        )
-        M2 = np.array(
-            [
-                [
-                    math.pi
-                    * scaling.boutillier_kernel(
-                        g, int(s_off[i]), math.pi * xs[i], int(s_off[j]), math.pi * xs[j]
-                    )
-                    for j in range(2)
-                ]
-                for i in range(2)
-            ]
-        )
-        worst = max(worst, abs(np.linalg.det(M1) - np.linalg.det(M2)))
+    worst = checks.form_identity_gap(3, [2] * (4 if level == "quick" else 12))
     _check(rows, "scaling", "gamma_form_det_identity", worst, 1e-8, worst < 1e-8)
 
     p = 32 if level == "full" else 16
@@ -420,17 +339,18 @@ def _suite_scaling(level: str, rows: list) -> None:
     _check(rows, "scaling", "same_line_bulk_convergence", worst, bound, worst < bound)
 
 
+_SUITES = {
+    "kernel": _suite_kernel,
+    "sampler": _suite_sampler,
+    "discrete": _suite_discrete,
+    "scaling": _suite_scaling,
+}
+
+
 def _cmd_validate(args) -> int:
     rows: list = []
-    suites = {
-        "kernel": _suite_kernel,
-        "sampler": _suite_sampler,
-        "discrete": _suite_discrete,
-        "scaling": _suite_scaling,
-    }
-    wanted = list(suites) if args.suite == "all" else [args.suite]
-    for name in wanted:
-        suites[name](args.level, rows)
+    for name in _SUITES if args.suite == "all" else [args.suite]:
+        _SUITES[name](args.level, rows)
     _emit_rows(
         args,
         ("suite", "check", "status", "measure", "threshold"),
@@ -521,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_bulk)
 
     sp = sub.add_parser("validate", help="run built-in cross-module validation suites")
-    sp.add_argument("--suite", choices=("all", "kernel", "sampler", "discrete", "scaling"), default="all")
+    sp.add_argument("--suite", choices=("all", *_SUITES), default="all")
     sp.add_argument("--level", choices=("quick", "full"), default="quick")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_validate)

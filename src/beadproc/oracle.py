@@ -11,9 +11,7 @@ single ``p x p`` solve:
     K = H . M^{-1} . G  -  (path block when s < t),
 
 with ``G = (source rows) . (weighted path sums)``, ``H`` its sink-side mirror
-and ``M = G`` contracted against the sinks.  No dense ``L`` matrix is formed
-on this path; a literal dense construction is kept alongside (module-private)
-purely to cross-check the assembly at tiny sizes.
+and ``M = G`` contracted against the sinks.  No dense ``L`` matrix is formed.
 
 Everything here converges O(1/m) to the continuum kernel; it is an oracle,
 not a production path, and sizes are capped accordingly.
@@ -21,13 +19,12 @@ not a production path, and sizes are capped accordingly.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .kernel import KernelContext, kernel_context, kernel_eval
-from .model import HexagonSpec, particles_per_line
+from .model import HexagonSpec
 
 __all__ = ["grid_points", "discrete_kernel", "moment_matrix", "oracle_deviation"]
 
@@ -149,64 +146,3 @@ def oracle_deviation(
         exact = kernel_eval(ctx, s, g[i], t, g[j])
         worst = max(worst, abs(disc - exact))
     return float(worst)
-
-
-# --- dense construction, kept only to validate the assembly above -----------
-
-
-def _dense_conditional_kernel(spec: HexagonSpec, m: int) -> np.ndarray:
-    """Kernel via the literal block matrix: 1 - inv(1 + L) on the grid part.
-
-    Unweighted hops and the conditional-inverse route leave this in a
-    different gauge: block ``(s, t)`` equals ``(-m)^{t-s}`` times the
-    corresponding block of :func:`discrete_kernel`.  Correlation minors agree
-    exactly (the gauge cancels over any set); the identity is a pure
-    linear-algebra check tests exploit at tiny sizes.
-    """
-    p, q = spec.p, spec.q
-    nl = spec.n_lines
-    dim = p + nl * m
-    step = np.triu(np.ones((m, m)), k=1)
-
-    def gslice(t: int) -> slice:
-        return slice(p + (t - 1) * m, p + t * m)
-
-    L = np.zeros((dim, dim))
-    for l in range(1, p + 1):  # virtual source l feeds line l
-        L[l - 1, gslice(l)] = 1.0
-    for n in range(1, p + 1):  # virtual sink n drains line p+q-n
-        L[gslice(p + q - n), n - 1] = 1.0
-    for t in range(1, nl):
-        L[gslice(t), gslice(t + 1)] = step
-
-    A = L.copy()
-    A[p:, p:] += np.eye(nl * m)
-    K = np.eye(nl * m) - np.linalg.inv(A)[p:, p:]
-    return K
-
-
-def _subset_weight(spec: HexagonSpec, m: int, config_indices: Sequence[Sequence[int]]) -> float:
-    """Measure of one grid configuration under the dense ensemble:
-    ``det L_{virtuals + X} / det(1 + L)`` with X given as per-line node indices."""
-    p, q = spec.p, spec.q
-    nl = spec.n_lines
-    for t in range(1, nl + 1):
-        if len(config_indices[t - 1]) != particles_per_line(spec, t):
-            raise ValueError(f"line {t}: wrong bead count")
-    dim = p + nl * m
-    step = np.triu(np.ones((m, m)), k=1)
-    L = np.zeros((dim, dim))
-    for l in range(1, p + 1):
-        L[l - 1, p + (l - 1) * m : p + l * m] = 1.0
-    for n in range(1, p + 1):
-        sink = p + q - n
-        L[p + (sink - 1) * m : p + sink * m, n - 1] = 1.0
-    for t in range(1, nl):
-        L[p + (t - 1) * m : p + t * m, p + t * m : p + (t + 1) * m] = step
-    idx = list(range(p)) + [
-        p + (t - 1) * m + i for t in range(1, nl + 1) for i in config_indices[t - 1]
-    ]
-    sub = L[np.ix_(idx, idx)]
-    A = L.copy()
-    A[p:, p:] += np.eye(nl * m)
-    return float(np.linalg.det(sub) / np.linalg.det(A))

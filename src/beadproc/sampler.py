@@ -215,8 +215,9 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if bad.any():
         b, j = np.argwhere(bad)[0]
         raise RuntimeError(
-            f"secular solve failed — gap {j + 1} ({poles[b, j]!r}, {poles[b, j + 1]!r}) of row {b}: "
-            f"zero {zeros[b, j]!r} is non-finite or outside [{lo[b, j]!r}, {hi[b, j]!r}]"
+            f"secular solve failed — gap {j + 1} ({float(poles[b, j])!r}, {float(poles[b, j + 1])!r}) "
+            f"of row {b}: zero {float(zeros[b, j])!r} is non-finite or outside "
+            f"[{float(lo[b, j])!r}, {float(hi[b, j])!r}]"
         )
     return zeros
 

@@ -1,10 +1,12 @@
 """Monte Carlo estimators and goodness-of-fit statistics.
 
-Bridges sampled configurations and exact kernel predictions: per-line density
-histograms normalized per configuration (so the kernel diagonal is the direct
-target), the one-sample Kolmogorov-Smirnov statistic, product-count pair
-statistics, and the regularized incomplete beta function (the first line's
-exact law) evaluated by a vectorized continued fraction.
+Bridges samples and exact kernel predictions: per-line density histograms
+normalized per configuration (so the kernel diagonal is the direct target),
+the one-sample Kolmogorov-Smirnov statistic, product-count pair statistics,
+and the regularized incomplete beta function (the first line's exact law)
+evaluated by a vectorized continued fraction.  Samples come as the per-line
+``(count, r(t))`` arrays of :func:`~beadproc.sampler.sample_positions`, one
+row per configuration.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .model import BeadConfiguration
 
 __all__ = [
     "Histogram",
@@ -43,21 +43,22 @@ class Histogram:
     normalization: str = "per-configuration density"
 
 
-def empirical_line_density(
-    configs: Sequence[BeadConfiguration], t: int, bins: int
-) -> Histogram:
-    if len(configs) == 0:
+def _n_configs(lines: Sequence[np.ndarray]) -> int:
+    n = len(lines[0]) if len(lines) else 0
+    if n == 0:
         raise ValueError("need at least one configuration")
+    return n
+
+
+def empirical_line_density(lines: Sequence[np.ndarray], t: int, bins: int) -> Histogram:
+    n = _n_configs(lines)
     if bins < 1:
         raise ValueError("need at least one bin")
-    positions = np.fromiter(
-        (x for cfg in configs for x in cfg.positions(t)), dtype=float
-    )
     edges = np.linspace(0.0, 1.0, bins + 1)
-    counts, _ = np.histogram(positions, bins=edges)
+    counts, _ = np.histogram(lines[t - 1], bins=edges)
     width = 1.0 / bins
-    density = counts / (len(configs) * width)
-    return Histogram(line=t, edges=edges, counts=counts, density=density, n_configs=len(configs))
+    density = counts / (n * width)
+    return Histogram(line=t, edges=edges, counts=counts, density=density, n_configs=n)
 
 
 def ks_statistic(samples, cdf: Callable) -> float:
@@ -76,12 +77,8 @@ def ks_statistic(samples, cdf: Callable) -> float:
     return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
 
 
-def _cell_count(cfg: BeadConfiguration, line: int, lo: float, hi: float) -> int:
-    return sum(1 for x in cfg.positions(line) if lo <= x < hi)
-
-
 def pair_correlation_estimate(
-    configs: Sequence[BeadConfiguration],
+    lines: Sequence[np.ndarray],
     cellA: tuple[int, tuple[float, float]],
     cellB: tuple[int, tuple[float, float]],
 ) -> float:
@@ -91,20 +88,17 @@ def pair_correlation_estimate(
     Cells are half-open ``[lo, hi)``; same-line cells must be disjoint or
     identical (partial overlap would double-count pairs ambiguously).
     """
-    if len(configs) == 0:
-        raise ValueError("need at least one configuration")
+    n = _n_configs(lines)
     (la, (loa, hia)), (lb, (lob, hib)) = cellA, cellB
     if not (0.0 <= loa < hia <= 1.0 and 0.0 <= lob < hib <= 1.0):
         raise ValueError("cell intervals must be nondegenerate within [0, 1]")
     same_cell = la == lb and (loa, hia) == (lob, hib)
     if la == lb and not same_cell and not (hia <= lob or hib <= loa):
         raise ValueError("same-line cells must be disjoint or identical")
-    total = 0.0
-    for cfg in configs:
-        na = _cell_count(cfg, la, loa, hia)
-        nb = na if same_cell else _cell_count(cfg, lb, lob, hib)
-        total += na * (nb - 1) if same_cell else na * nb
-    return total / len(configs)
+    a, b = lines[la - 1], lines[lb - 1]
+    na = ((a >= loa) & (a < hia)).sum(axis=1)
+    nb = na - 1 if same_cell else ((b >= lob) & (b < hib)).sum(axis=1)
+    return float((na * nb).sum()) / n
 
 
 # --- regularized incomplete beta ------------------------------------------------

@@ -7,30 +7,15 @@ checks run at fixed seeds, so the whole gate is deterministic.
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
 import bruteforce
-from beadproc.cli import _REFINEMENT_PROBES, run
-from beadproc.hexagon import (
-    DiscreteHexagon,
-    bruteforce_marginal,
-    hahn_marginal_unnormalized,
-    lattice_particles_per_line,
-    left_count,
-    left_count_closed_form,
-    line_sites,
-)
-from beadproc.kernel import (
-    expected_count,
-    kernel_context,
-    kernel_eval,
-    kernel_matrix,
-    line_density,
-    npoint_correlation,
-)
-from beadproc.model import HexagonSpec, interlace_indicator, particles_per_line
+from beadproc import checks
+from beadproc.cli import run
+from beadproc.hexagon import DiscreteHexagon
+from beadproc.kernel import kernel_context, kernel_eval, kernel_matrix, line_density, npoint_correlation
+from beadproc.model import HexagonSpec
 from beadproc.orthopoly import (
     JacobiIndex,
     ci_asymptotic,
@@ -38,17 +23,9 @@ from beadproc.orthopoly import (
     jacobi_shifted,
     szego_asymptotic,
 )
-from beadproc.oracle import oracle_deviation
-from beadproc.sampler import RandomStream, sample_many, sample_positions
-from beadproc.scaling import (
-    boutillier_kernel,
-    bulk_convergence_probe,
-    bulk_kernel,
-    gamma_parameter,
-    scaling_context,
-    support_interval,
-)
-from beadproc.stats import beta_cdf, ks_statistic
+from beadproc.sampler import RandomStream, sample_positions
+from beadproc.scaling import bulk_convergence_probe
+from beadproc.stats import ks_statistic
 
 
 def _finish(num: int, label: str, ok: bool, detail: str, t0: float, budget: float) -> None:
@@ -81,9 +58,7 @@ def test_criterion_02_two_line_density():
     t0 = time.perf_counter()
     spec = HexagonSpec(1, 2)
     ctx = kernel_context(spec)
-    xs = (np.arange(100) + 0.5) / 100
-    d1 = float(np.max(np.abs(line_density(ctx, 1, xs) - 2.0 * (1.0 - xs))))
-    d2 = float(np.max(np.abs(line_density(ctx, 2, xs) - 2.0 * xs)))
+    form_dev = checks.two_line_form_error(100)
     n = 100_000
     pos = sample_positions(RandomStream(202), spec, n)
     edges = np.linspace(0.0, 1.0, 21)
@@ -102,35 +77,27 @@ def test_criterion_02_two_line_density():
             var = mu - cross  # exact per-configuration bin-count variance
             z = (obs[b] - n * mu) / math.sqrt(n * var)
             worst_z = max(worst_z, abs(z))
-    ok = max(d1, d2) < 1e-10 and worst_z < 4.0
-    _finish(2, "two-line closed-form density", ok, f"form dev {max(d1, d2):.2e}, max |z| {worst_z:.2f}", t0, 30.0)
+    ok = form_dev < 1e-10 and worst_z < 4.0
+    _finish(2, "two-line closed-form density", ok, f"form dev {form_dev:.2e}, max |z| {worst_z:.2f}", t0, 30.0)
 
 
 def test_criterion_03_first_line_beta_law():
     t0 = time.perf_counter()
     n = 100_000
-    lam1 = sample_positions(RandomStream(303), HexagonSpec(4, 12), n)[0][:, 0]
-    ks = ks_statistic(lam1, lambda x: beta_cdf(x, 4.0, 12.0))
+    ks = checks.first_line_ks(HexagonSpec(4, 12), n, 303)
     band = 1.63 / math.sqrt(n)
     _finish(3, "first-line Beta(4,12) law", ks < band, f"KS {ks:.5f} < {band:.5f}", t0, 60.0)
 
 
 def test_criterion_04_interlacing_always():
     t0 = time.perf_counter()
-    spec = HexagonSpec(4, 12)
-    configs = sample_many(RandomStream(404), spec, 10_000)
-    failures = sum(0 if interlace_indicator(spec, cfg) else 1 for cfg in configs)
+    failures = checks.interlacing_rejections(HexagonSpec(4, 12), 10_000, 404)
     _finish(4, "interlacing holds on 1e4 draws", failures == 0, f"{failures} failures", t0, 60.0)
 
 
 def test_criterion_05_counting_identity():
     t0 = time.perf_counter()
-    worst = 0.0
-    for p, q in [(2, 2), (4, 12)]:
-        spec = HexagonSpec(p, q)
-        ctx = kernel_context(spec)
-        for t in spec.lines():
-            worst = max(worst, abs(expected_count(ctx, t, nodes=400) - particles_per_line(spec, t)))
+    worst = checks.count_identity_error([HexagonSpec(2, 2), HexagonSpec(4, 12)], nodes=400)
     _finish(5, "counting identity", worst < 1e-8, f"max |int K - r(t)| = {worst:.2e}", t0, 10.0)
 
 
@@ -183,14 +150,14 @@ def test_criterion_08_matrix_formalism_refinement():
     spec = HexagonSpec(2, 3)
     p, q = 2, 3
     cover = {"below_p": False, "straddle_p": False, "inside": False, "straddle_q": False, "above_q": False}
-    for s, _, t, _ in _REFINEMENT_PROBES:
+    for s, _, t, _ in checks.REFINEMENT_PROBES:
         lo, hi = min(s, t), max(s, t)
         cover["below_p"] |= hi <= p
         cover["straddle_p"] |= lo <= p < hi
         cover["inside"] |= p <= lo and hi <= q
         cover["straddle_q"] |= lo <= q < hi
         cover["above_q"] |= lo >= q
-    devs = [oracle_deviation(spec, m, _REFINEMENT_PROBES) for m in (50, 100, 200)]
+    devs = checks.oracle_refinement(spec, (50, 100, 200), checks.REFINEMENT_PROBES)
     ok = all(cover.values()) and devs[0] > devs[1] > devs[2] and devs[2] < 0.02
     _finish(
         8,
@@ -204,28 +171,12 @@ def test_criterion_08_matrix_formalism_refinement():
 
 def test_criterion_09_discrete_exact_identities():
     t0 = time.perf_counter()
-    import itertools
-
     shapes = [(1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 2, 3), (2, 1, 1), (2, 2, 2), (3, 2, 2), (1, 3, 3), (2, 2, 3)]
     assert all(n * p * q <= 12 for n, p, q in shapes)
     count_ok = marginal_ok = True
     for n, p, q in shapes:
-        hexa = DiscreteHexagon(n, p, q)
-        for t in range(1, min(p, q) + 1):
-            sites = sorted(line_sites(hexa, t), reverse=True)
-            for xs in itertools.combinations(sites, lattice_particles_per_line(hexa, t)):
-                if Fraction(left_count(hexa, t, xs)) != left_count_closed_form(t, xs):
-                    count_ok = False
-        for t in range(p + q + 1):
-            r = lattice_particles_per_line(hexa, t)
-            if r == 0:
-                continue
-            sites = sorted(line_sites(hexa, t), reverse=True)
-            ratios = set()
-            for xs in itertools.combinations(sites, r):
-                ratios.add(Fraction(bruteforce_marginal(hexa, t, xs), hahn_marginal_unnormalized(hexa, t, xs)))
-            if len(ratios) != 1:
-                marginal_ok = False
+        c_ok, m_ok = checks.lattice_identities(DiscreteHexagon(n, p, q), range(1, min(p, q) + 1), range(p + q + 1))
+        count_ok, marginal_ok = count_ok and c_ok, marginal_ok and m_ok
     ok = count_ok and marginal_ok
     _finish(9, "discrete rational identities", ok, f"left-count exact: {count_ok}, marginal ratio exact: {marginal_ok}", t0, 60.0)
 
@@ -270,11 +221,7 @@ def test_criterion_10_growing_parameter_asymptotics():
 
 def test_criterion_11_bulk_convergence():
     t0 = time.perf_counter()
-    grid = np.linspace(-1.0, 1.0, 5)
-    offsets = []
-    for d in (-2, -1, 0, 1, 2):
-        s0, t0_off = (d, 0) if d >= 0 else (0, -d)
-        offsets.extend((s0, t0_off, float(X), float(Y)) for X in grid for Y in grid)
+    offsets = checks.bulk_offsets(2)
     sup = {}
     rows_by_p = {}
     for p in (16, 32, 64):
@@ -309,13 +256,7 @@ def test_criterion_11_bulk_convergence():
 def test_criterion_12_global_shape(tmp_path):
     t0 = time.perf_counter()
     spec = HexagonSpec(32, 96)
-    pos = sample_positions(RandomStream(1212), spec, 300)
-    worst_frac = 1.0
-    for t in spec.lines():
-        c, d = support_interval(2.0, t / 32.0)
-        arr = pos[t - 1].ravel()
-        frac = float(np.mean((arr >= c - 0.05) & (arr <= d + 0.05)))
-        worst_frac = min(worst_frac, frac)
+    worst_frac = min(checks.in_band_fractions(spec, sample_positions(RandomStream(1212), spec, 300), 0.05))
     svg_path = tmp_path / "shape.svg"
     code = run(f"sample --p 4 --q 12 --count 40 --seed 5 --out {tmp_path / 'cfg.csv'} --svg {svg_path}".split())
     svg = svg_path.read_text()
@@ -326,25 +267,5 @@ def test_criterion_12_global_shape(tmp_path):
 
 def test_criterion_13_anisotropic_form_identity():
     t0 = time.perf_counter()
-    nu = scaling_context(2.0, 2.0).nu
-    gamma = gamma_parameter(2.0, 2.0)
-    rng = np.random.default_rng(1313)
-    worst = 0.0
-    for trial in range(20):
-        size = 2 if trial < 10 else 3
-        lines = rng.integers(-2, 3, size=size)
-        xs = rng.uniform(-1.5, 1.5, size=size)
-        K = np.array(
-            [[bulk_kernel(nu, int(lines[i]), xs[i], int(lines[j]), xs[j]) for j in range(size)] for i in range(size)]
-        )
-        J = np.array(
-            [
-                [
-                    math.pi * boutillier_kernel(gamma, int(lines[i]), math.pi * xs[i], int(lines[j]), math.pi * xs[j])
-                    for j in range(size)
-                ]
-                for i in range(size)
-            ]
-        )
-        worst = max(worst, abs(np.linalg.det(K) - np.linalg.det(J)))
+    worst = checks.form_identity_gap(1313, [2] * 10 + [3] * 10)
     _finish(13, "determinant-level form identity", worst < 1e-8, f"20 point sets, worst |det diff| {worst:.2e}", t0, 10.0)

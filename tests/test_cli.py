@@ -134,6 +134,16 @@ def test_limit_shape_rows(capsys):
     assert last == pytest.approx([4.0, 0.75, 0.75], abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "cmd,least,points",
+    [("limit-shape --k 2", 2, 1), ("limit-shape --k 2", 2, 0), ("density --p 1 --q 2 --t 1", 1, 0)],
+)
+def test_too_few_points_is_usage_error(cmd, least, points, capsys):
+    # limit-shape needs both ends of the fan, density at least one node
+    assert run(f"{cmd} --points {points}".split()) == 2
+    assert _capture(capsys) == ("", f"error: --points must be >= {least}, got {points}\n")
+
+
 def test_density_grid(capsys):
     assert run("density --p 1 --q 2 --t 1 --points 4".split()) == 0
     out, _ = _capture(capsys)
@@ -187,6 +197,22 @@ def test_validate_quick_all_passes(capsys):
     assert len(lines) > 10
     statuses = {ln.split(",")[2] for ln in lines[1:]}
     assert statuses == {"pass"}
+
+
+def test_validate_full_all_passes(capsys):
+    assert run("validate --suite all --level full".split()) == 0
+    out, _ = _capture(capsys)
+    rows = [ln.split(",") for ln in out.strip().split("\n")[1:]]
+    assert {r[0] for r in rows} == {"kernel", "sampler", "discrete", "scaling"}
+    assert {r[2] for r in rows} == {"pass"}
+
+
+def test_validate_suite_choices_are_all_and_the_suites(capsys):
+    assert run("validate --help".split()) == 0
+    out, _ = _capture(capsys)
+    assert "--suite {all,kernel,sampler,discrete,scaling}" in out
+    assert run("validate --suite bogus".split()) == 2
+    _capture(capsys)
 
 
 def test_validate_single_suite(capsys):

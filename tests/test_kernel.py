@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from beadproc.checks import count_identity_error
 from beadproc.kernel import (
     KernelContext,
     SpacePoint,
@@ -398,10 +399,7 @@ def test_tower_overflow_raises_instead_of_nan():
 
 def test_count_identity_every_line_256_768():
     # the default node count integrates the degree p+q-2 integrand exactly
-    spec = HexagonSpec(256, 768)
-    ctx = kernel_context(spec)
-    worst = max(abs(expected_count(ctx, t) - particles_per_line(spec, t)) for t in spec.lines())
-    assert worst < 1e-8
+    assert count_identity_error([HexagonSpec(256, 768)]) < 1e-8
 
 
 def test_count_identity_512_1536():

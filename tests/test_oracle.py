@@ -8,14 +8,8 @@ import pytest
 
 from beadproc.kernel import kernel_context, kernel_eval
 from beadproc.model import BeadConfiguration, HexagonSpec, interlace_indicator, particles_per_line
-from beadproc.oracle import (
-    _dense_conditional_kernel,
-    _subset_weight,
-    discrete_kernel,
-    grid_points,
-    moment_matrix,
-    oracle_deviation,
-)
+from beadproc.oracle import discrete_kernel, grid_points, moment_matrix, oracle_deviation
+from dense_oracle import dense_conditional_kernel, subset_weight
 
 
 def test_grid_points_midpoint_layout():
@@ -121,7 +115,7 @@ def test_hat_and_conditional_routes_agree_up_to_gauge(p, q, m):
     # every correlation minor is gauge-blind
     spec = HexagonSpec(p, q)
     K_hat = discrete_kernel(spec, m)
-    K_dense = _dense_conditional_kernel(spec, m)
+    K_dense = dense_conditional_kernel(spec, m)
     nl = spec.n_lines
     for s in range(1, nl + 1):
         for t in range(1, nl + 1):
@@ -141,7 +135,7 @@ def test_subset_measure_is_uniform_and_normalized():
     for i1 in itertools.combinations(range(m), 1):
         for i2 in itertools.combinations(range(m), 2):
             for i3 in itertools.combinations(range(m), 1):
-                w = _subset_weight(spec, m, [i1, i2, i3])
+                w = subset_weight(spec, m, [i1, i2, i3])
                 weights[(i1, i2, i3)] = w
     vals = np.array(list(weights.values()))
     assert np.all(vals > -1e-12)
@@ -169,7 +163,7 @@ def test_subset_measure_is_uniform_and_normalized():
 
 def test_wrong_bead_count_rejected():
     with pytest.raises(ValueError):
-        _subset_weight(HexagonSpec(2, 2), 4, [(0,), (1,), (2,)])
+        subset_weight(HexagonSpec(2, 2), 4, [(0,), (1,), (2,)])
 
 
 def test_grid_dimension_guard():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from beadproc import sampler
+from beadproc import checks, sampler
 from beadproc.cli import run
 from beadproc.model import (
     BeadConfiguration,
@@ -24,7 +24,7 @@ from beadproc.sampler import (
     sample_positions,
     secular_zeros,
 )
-from beadproc.stats import beta_cdf, ks_statistic
+from beadproc.stats import ks_statistic
 from secular_reference import secular_brackets, secular_zeros_bisect
 
 
@@ -223,8 +223,9 @@ def test_secular_zeros_depend_only_on_their_row():
 def test_unconverged_zero_names_line_and_gap(monkeypatch):
     monkeypatch.setattr(sampler, "eigvalsh", lambda m: np.full(m.shape[:-1], np.nan))
     monkeypatch.setattr(sampler, "_NEWTON_ITERS", 0)
-    with pytest.raises(RuntimeError, match=r"^line 2: .*gap 1 .*non-finite"):
+    with pytest.raises(RuntimeError, match=r"^line 2: .*gap 1 .*non-finite") as err:
         sample_positions(RandomStream(3), HexagonSpec(p=2, q=3), count=4)
+    assert "np.float64" not in str(err.value)  # plain floats under numpy 2 too
 
 
 # ----------------------------------------------------------------- sampling
@@ -338,11 +339,8 @@ def test_unit_hexagon_single_particle_is_uniform():
 
 def test_first_line_law_is_beta():
     # line 1 is the first Dirichlet(p, q) component, i.e. Beta(p, q)
-    spec = HexagonSpec(p=4, q=12)
-    pos = sample_positions(RandomStream(8), spec, count=4000)
-    lam1 = pos[0][:, 0]
-    stat = ks_statistic(lam1, lambda x: beta_cdf(x, 4.0, 12.0))
-    assert stat < 1.63 / math.sqrt(lam1.size)  # 99% KS band
+    stat = checks.first_line_ks(HexagonSpec(p=4, q=12), 4000, 8)
+    assert stat < 1.63 / math.sqrt(4000)  # 99% KS band
 
 
 def test_count_must_be_positive():

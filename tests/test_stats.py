@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from beadproc.kernel import kernel_context, kernel_eval
 from beadproc.model import HexagonSpec, particles_per_line
-from beadproc.sampler import RandomStream, sample_many
+from beadproc.sampler import RandomStream, sample_positions
 from beadproc.stats import (
     beta_cdf,
     empirical_line_density,
@@ -20,8 +20,8 @@ from beadproc.stats import (
 
 
 @pytest.fixture(scope="module")
-def square_configs():
-    return sample_many(RandomStream(314), HexagonSpec(p=2, q=2), count=20_000)
+def square_lines():
+    return sample_positions(RandomStream(314), HexagonSpec(p=2, q=2), count=20_000)
 
 
 # ---------------------------------------------------------------------- KS
@@ -89,9 +89,9 @@ def test_beta_cdf_monotone(x, y, a, b):
 # ---------------------------------------------------------------- histogram
 
 
-def test_histogram_mass_is_line_count(square_configs):
+def test_histogram_mass_is_line_count(square_lines):
     spec = HexagonSpec(p=2, q=2)
-    subset = square_configs[:64]
+    subset = [a[:64] for a in square_lines]
     for t in spec.lines():
         hist = empirical_line_density(subset, t, bins=8)
         width = 1.0 / 8
@@ -101,42 +101,44 @@ def test_histogram_mass_is_line_count(square_configs):
         assert float(np.sum(hist.density * width)) == float(particles_per_line(spec, t))
 
 
-def test_histogram_tracks_kernel_diagonal(square_configs):
+def test_histogram_tracks_kernel_diagonal(square_lines):
     # bin means of the empirical density against the exact one-point density
     spec = HexagonSpec(p=2, q=2)
     ctx = kernel_context(spec)
-    hist = empirical_line_density(square_configs, 2, bins=10)
+    hist = empirical_line_density(square_lines, 2, bins=10)
     mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
     exact = np.array([kernel_eval(ctx, 2, x, 2, x) for x in mids])
     # kernel varies little within a 0.1 bin; 4 sigma with Poisson-ish bin spread
-    sd = np.sqrt(np.maximum(hist.counts, 1.0)) / (len(square_configs) * 0.1)
+    sd = np.sqrt(np.maximum(hist.counts, 1.0)) / (len(square_lines[1]) * 0.1)
     assert np.all(np.abs(hist.density - exact) < 4.0 * sd + 0.01)
 
 
-def test_histogram_validation(square_configs):
+def test_histogram_validation(square_lines):
     with pytest.raises(ValueError):
         empirical_line_density([], 1, bins=4)
     with pytest.raises(ValueError):
-        empirical_line_density(square_configs[:2], 1, bins=0)
+        empirical_line_density([a[:0] for a in square_lines], 1, bins=4)  # zero rows
+    with pytest.raises(ValueError):
+        empirical_line_density([a[:2] for a in square_lines], 1, bins=0)
 
 
 # ----------------------------------------------------------- pair statistics
 
 
-def test_pair_identical_full_line_is_count_identity(square_configs):
+def test_pair_identical_full_line_is_count_identity(square_lines):
     cell = (2, (0.0, 1.0))
-    est = pair_correlation_estimate(square_configs[:100], cell, cell)
+    est = pair_correlation_estimate([a[:100] for a in square_lines], cell, cell)
     assert est == 2.0 * 1.0  # n(n-1) for the 2-bead line, configuration-exact
 
 
-def test_pair_cross_line_full_cells(square_configs):
+def test_pair_cross_line_full_cells(square_lines):
     est = pair_correlation_estimate(
-        square_configs[:100], (1, (0.0, 1.0)), (3, (0.0, 1.0))
+        [a[:100] for a in square_lines], (1, (0.0, 1.0)), (3, (0.0, 1.0))
     )
     assert est == 1.0  # one bead on each outer line, always
 
 
-def test_pair_disjoint_cells_match_kernel_determinant(square_configs):
+def test_pair_disjoint_cells_match_kernel_determinant(square_lines):
     # rho_2 on one line is det[[K(x,x), K(x,y)], [K(y,x), K(y,y)]]
     spec = HexagonSpec(p=2, q=2)
     ctx = kernel_context(spec)
@@ -153,24 +155,20 @@ def test_pair_disjoint_cells_match_kernel_determinant(square_configs):
             kxy = kernel_eval(ctx, 2, yj, 2, xi)
             kyx = kernel_eval(ctx, 2, xi, 2, yj)
             exact += wi * wj * (kxx * kyy - kxy * kyx)
-    est = pair_correlation_estimate(square_configs, cell_a, cell_b)
-    products = np.array(
-        [
-            sum(1 for v in cfg.positions(2) if 0.3 <= v < 0.4)
-            * sum(1 for v in cfg.positions(2) if 0.6 <= v < 0.7)
-            for cfg in square_configs
-        ],
-        dtype=float,
-    )
-    sigma = products.std(ddof=1) / math.sqrt(len(square_configs))
+    est = pair_correlation_estimate(square_lines, cell_a, cell_b)
+    line2 = square_lines[1]
+    in_a = ((line2 >= 0.3) & (line2 < 0.4)).sum(axis=1)
+    in_b = ((line2 >= 0.6) & (line2 < 0.7)).sum(axis=1)
+    products = (in_a * in_b).astype(float)
+    sigma = products.std(ddof=1) / math.sqrt(len(line2))
     assert abs(est - exact) < 4.5 * sigma
 
 
-def test_pair_repulsion_near_the_diagonal(square_configs):
+def test_pair_repulsion_near_the_diagonal(square_lines):
     # touching cells: the 2-point mass is far below the independent product
     spec = HexagonSpec(p=2, q=2)
     ctx = kernel_context(spec)
-    est = pair_correlation_estimate(square_configs, (2, (0.45, 0.5)), (2, (0.5, 0.55)))
+    est = pair_correlation_estimate(square_lines, (2, (0.45, 0.5)), (2, (0.5, 0.55)))
     u, w = np.polynomial.legendre.leggauss(16)
     xs_a, xs_b = 0.475 + 0.025 * u, 0.525 + 0.025 * u
     ww = 0.025 * w
@@ -179,10 +177,12 @@ def test_pair_repulsion_near_the_diagonal(square_configs):
     assert est < 0.3 * mean_a * mean_b
 
 
-def test_pair_cell_validation(square_configs):
-    few = square_configs[:3]
+def test_pair_cell_validation(square_lines):
+    few = [a[:3] for a in square_lines]
     with pytest.raises(ValueError):
         pair_correlation_estimate([], (1, (0.0, 1.0)), (1, (0.0, 1.0)))
+    with pytest.raises(ValueError):
+        pair_correlation_estimate([a[:0] for a in square_lines], (1, (0.0, 1.0)), (1, (0.0, 1.0)))
     with pytest.raises(ValueError):
         pair_correlation_estimate(few, (2, (0.2, 0.6)), (2, (0.4, 0.8)))  # overlap
     with pytest.raises(ValueError):
