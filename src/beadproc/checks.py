@@ -16,9 +16,9 @@ import numpy as np
 
 from . import hexagon as hx
 from .kernel import expected_count, kernel_context, line_density
-from .model import HexagonSpec, interlace_indicator, particles_per_line
+from .model import HexagonSpec, interlacing_breaks, particles_per_line
 from .oracle import oracle_deviation
-from .sampler import RandomStream, sample_many, sample_positions
+from .sampler import RandomStream, sample_positions
 from .scaling import boutillier_kernel, bulk_kernel, gamma_parameter, scaling_context, support_interval
 from .stats import beta_cdf, ks_statistic
 
@@ -80,10 +80,11 @@ def first_line_ks(spec: HexagonSpec, n: int, seed: int) -> float:
 
 
 def interlacing_rejections(spec: HexagonSpec, n: int, seed: int) -> int:
-    """How many of ``n`` sampled configurations ``interlace_indicator`` rejects;
-    raises ``RuntimeError`` when the sampler refuses the draw itself."""
-    configs = sample_many(RandomStream(seed), spec, n)
-    return sum(not interlace_indicator(spec, cfg) for cfg in configs)
+    """How many of ``n`` sampled configurations (rows of ``sample_positions``)
+    :func:`~beadproc.model.interlacing_breaks` rejects; raises ``RuntimeError``
+    when the sampler refuses the draw itself."""
+    breaks = interlacing_breaks(spec, sample_positions(RandomStream(seed), spec, n))
+    return int(np.count_nonzero(breaks))
 
 
 def lattice_identities(

@@ -26,7 +26,7 @@ from . import checks, scaling
 from . import hexagon as hx
 from .kernel import kernel_context, kernel_eval, line_density, npoint_correlation
 from .model import HexagonSpec
-from .sampler import RandomStream, dirichlet_draw, sample_many, sample_positions
+from .sampler import RandomStream, dirichlet_draw, sample_positions
 from .stats import ks_statistic
 
 __all__ = ["main", "run"]
@@ -65,7 +65,7 @@ def _make_stream(args) -> RandomStream:
 # --- sample -------------------------------------------------------------------
 
 
-def _svg_document(spec: HexagonSpec, configs) -> str:
+def _svg_document(spec: HexagonSpec, rows) -> str:
     p = spec.p
     k = (spec.q - spec.p) / spec.p
     span = spec.p + spec.q  # boundary curves run over t in [0, p+q]
@@ -97,11 +97,9 @@ def _svg_document(spec: HexagonSpec, configs) -> str:
         parts.append(
             f'<polyline fill="none" stroke="#d62728" stroke-width="1.5" points="{" ".join(pts)}"/>'
         )
-    for cfg in configs:
-        for t in spec.lines():
-            for pos in cfg.positions(t):
-                cx, cy = xy(t, pos)
-                parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2.2" fill="#1f77b4"/>')
+    for _, t, _, pos in rows:
+        cx, cy = xy(t, pos)
+        parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2.2" fill="#1f77b4"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -109,18 +107,18 @@ def _svg_document(spec: HexagonSpec, configs) -> str:
 def _cmd_sample(args) -> int:
     spec = HexagonSpec(args.p, args.q)
     stream = _make_stream(args)
-    configs = sample_many(stream, spec, args.count, threads=args.threads)
+    lines = [line.tolist() for line in sample_positions(stream, spec, args.count, threads=args.threads)]
     rows = [
-        (s, t, i, float(x))
-        for s, cfg in enumerate(configs)
+        (s, t, i, x)
+        for s in range(args.count)
         for t in spec.lines()
-        for i, x in enumerate(cfg.positions(t), start=1)
+        for i, x in enumerate(lines[t - 1][s], start=1)
     ]
     seed = args.seed if args.seed is not None else stream.entropy
     _emit_rows(args, ("sample", "line", "index", "position"), rows, {"p": spec.p, "q": spec.q}, seed)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_svg_document(spec, configs))
+            fh.write(_svg_document(spec, rows))
     return 0
 
 

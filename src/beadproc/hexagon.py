@@ -106,13 +106,6 @@ def _interleaves(u: Sequence[int], v: Sequence[int]) -> bool:
     )
 
 
-def _interleaves_below(u: Sequence[int], v: Sequence[int]) -> bool:
-    # mirror image: v sits strictly below u slotwise and within u's gaps
-    return all(v[j] < u[j] for j in range(len(u))) and all(
-        u[j + 1] < v[j] for j in range(len(u) - 1)
-    )
-
-
 def _next_lines(hexa: DiscreteHexagon, t: int, current: tuple[int, ...]):
     """All admissible line-(t+1) tuples given line ``t`` (virtual padding applied).
 
@@ -127,19 +120,19 @@ def _next_lines(hexa: DiscreteHexagon, t: int, current: tuple[int, ...]):
     a_nxt, _ = boundary_positions(hexa, t + 1)
     u = current + ((b_cur - 2,) if r_nxt == r_cur + 1 else ())
     pad_top = r_nxt == r_cur - 1
-    accept = _interleaves
-    if r_nxt == r_cur and a_nxt < a_cur:
-        accept = _interleaves_below
+    below = r_nxt == r_cur and a_nxt < a_cur
     sites = tuple(reversed(line_sites(hexa, t + 1)))  # decreasing
     for cand in itertools.combinations(sites, r_nxt):
         v = ((a_nxt + 2,) + cand) if pad_top else cand
-        if accept(u, v):
+        if _interleaves(v, u) if below else _interleaves(u, v):
             yield cand
 
 
-def _enumerate(hexa: DiscreteHexagon, pinned: dict[int, tuple[int, ...]] | None = None):
-    """DFS over lines; ``pinned`` forces given tuples on given lines."""
-    nl = hexa.p + hexa.q
+def _enumerate(
+    hexa: DiscreteHexagon, pinned: dict[int, tuple[int, ...]] | None = None, stop: int | None = None
+):
+    """DFS over lines ``0..stop`` (default ``p + q``); ``pinned`` forces given tuples on given lines."""
+    nl = hexa.p + hexa.q if stop is None else stop
     partial: list[tuple[int, ...]] = [()]
     out = []
 
@@ -183,24 +176,7 @@ def left_count(hexa: DiscreteHexagon, t: int, xs: Sequence[int]) -> int:
     xs = _validate_line(hexa, t, xs)
     if len(xs) != lattice_particles_per_line(hexa, t):
         raise ValueError(f"line {t} needs {lattice_particles_per_line(hexa, t)} beads")
-
-    count = 0
-    partial: list[tuple[int, ...]] = [()]
-
-    def walk(s: int) -> None:
-        nonlocal count
-        if s == t:
-            count += 1
-            return
-        for cand in _next_lines(hexa, s, partial[-1]):
-            if s + 1 == t and cand != xs:
-                continue
-            partial.append(cand)
-            walk(s + 1)
-            partial.pop()
-
-    walk(0)
-    return count
+    return len(_enumerate(hexa, pinned={t: xs}, stop=t))
 
 
 def left_count_closed_form(t: int, xs: Sequence[int]) -> Fraction:

@@ -24,6 +24,7 @@ __all__ = [
     "particles_per_line",
     "line_weight",
     "interlace_indicator",
+    "interlacing_breaks",
     "line_marginal_unnormalized",
 ]
 
@@ -132,9 +133,31 @@ def _as_lines(config) -> tuple[tuple[float, ...], ...]:
     return BeadConfiguration(tuple(tuple(line) for line in config)).lines
 
 
-def _chi(x: Sequence[float], y: Sequence[float]) -> bool:
-    # y has one more entry than x and brackets it: y[j+1] < x[j] < y[j].
-    return all(y[j + 1] < x[j] < y[j] for j in range(len(x)))
+def interlacing_breaks(spec: HexagonSpec, lines: Sequence[np.ndarray]) -> np.ndarray:
+    """Per row, the first line ``t`` whose pair ``(t, t+1)`` fails to interlace.
+
+    A row that interlaces gets 0.  ``lines`` are per-line ``(count, r(t))``
+    arrays with decreasing rows, as :func:`~beadproc.sampler.sample_positions`
+    returns them.  Line ``t`` must sit strictly between the beads of line
+    ``t + 1``, augmented by the virtual anchor at 0 from line ``p`` on and at
+    1 from line ``q`` on.
+    """
+    p, q = spec.p, spec.q
+    count = lines[0].shape[0]
+    zeros, ones, empty = np.zeros((count, 1)), np.ones((count, 1)), np.empty((count, 0))
+    breaks = np.zeros(count, dtype=int)
+    for t in range(p + q - 1, 0, -1):  # downwards, so the first failing line is written last
+        cur = lines[t - 1]
+        nxt = lines[t] if t < p + q - 1 else empty
+        if t < p:
+            aug = nxt
+        elif t < q:
+            aug = np.hstack([nxt, zeros])
+        else:
+            aug = np.hstack([ones, nxt, zeros])
+        ok = np.all(aug[:, 1:] < cur, axis=1) & np.all(cur < aug[:, :-1], axis=1)
+        breaks[~ok] = t
+    return breaks
 
 
 def interlace_indicator(spec: HexagonSpec, config) -> bool:
@@ -142,7 +165,7 @@ def interlace_indicator(spec: HexagonSpec, config) -> bool:
 
     Raises :class:`InterlacingShapeError` when the line count or any per-line
     bead count disagrees with ``spec`` — that is a structural error, not a
-    geometric ``False``.
+    geometric ``False``.  The rule itself is :func:`interlacing_breaks`.
     """
     lines = _as_lines(config)
     if len(lines) != spec.n_lines:
@@ -154,19 +177,7 @@ def interlace_indicator(spec: HexagonSpec, config) -> bool:
             raise InterlacingShapeError(
                 f"line {t}: expected {particles_per_line(spec, t)} beads, got {len(lines[t - 1])}"
             )
-    p, q = spec.p, spec.q
-    for t in range(1, p + q):
-        cur = lines[t - 1]
-        nxt = lines[t] if t < p + q - 1 else ()
-        if t < p:
-            aug = nxt
-        elif t < q:
-            aug = tuple(nxt) + (0.0,)
-        else:
-            aug = (1.0,) + tuple(nxt) + (0.0,)
-        if not _chi(cur, aug):
-            return False
-    return True
+    return not interlacing_breaks(spec, [np.array([line]) for line in lines])[0]
 
 
 def line_marginal_unnormalized(spec: HexagonSpec, t: int, xs: Sequence[float]) -> float:

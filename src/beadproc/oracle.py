@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import KernelContext, kernel_context, kernel_eval
+from .kernel import kernel_context, kernel_eval
 from .model import HexagonSpec
 
 __all__ = ["grid_points", "discrete_kernel", "moment_matrix", "oracle_deviation"]
@@ -122,20 +122,14 @@ def discrete_kernel(spec: HexagonSpec, m: int) -> np.ndarray:
     return out
 
 
-def oracle_deviation(
-    spec: HexagonSpec,
-    m: int,
-    probes: Sequence[tuple[int, float, int, float]],
-    ctx: KernelContext | None = None,
-) -> float:
+def oracle_deviation(spec: HexagonSpec, m: int, probes: Sequence[tuple[int, float, int, float]]) -> float:
     """Max over probes of ``|m * K_discrete - K_exact|`` at snapped positions.
 
     Probe positions are moved to the nearest grid node before either side is
     evaluated, so the comparison carries no interpolation error — only the
     genuine O(1/m) discretization gap.
     """
-    if ctx is None:
-        ctx = kernel_context(spec)
+    ctx = kernel_context(spec)
     K = discrete_kernel(spec, m)
     g = grid_points(m)
     worst = 0.0

@@ -18,6 +18,10 @@ Batched internally: all configurations of a chunk march through the lines
 together as (batch, beads) arrays, and each fixed-size chunk owns a spawned
 child stream, which makes output byte-identical for a given seed no matter
 how many worker threads are used.
+
+Samples leave as those arrays: :func:`sample_positions` returns one
+``(count, r(t))`` array per line, and configuration ``b`` is
+``BeadConfiguration(tuple(tuple(line[b]) for line in lines))``.
 """
 
 from __future__ import annotations
@@ -30,16 +34,14 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import eigvalsh
 
-from .model import BeadConfiguration, HexagonSpec
+from .model import HexagonSpec, interlacing_breaks
 
 __all__ = [
     "RandomStream",
     "SecularProblem",
     "dirichlet_draw",
     "secular_zeros",
-    "sample_configuration",
     "sample_positions",
-    "sample_many",
 ]
 
 _CHUNK = 1024  # configurations per substream; part of the determinism contract
@@ -267,47 +269,20 @@ def _run_chunks(stream: RandomStream, spec: HexagonSpec, count: int, threads: in
 
 
 def _check_interlacing(spec: HexagonSpec, lines: list[np.ndarray]) -> None:
-    """Raise unless every row of the per-line (count, r(t)) arrays interlaces.
-
-    Rows are decreasing, as :func:`sample_positions` returns them.  Line ``t``
-    must sit strictly between the beads of line ``t + 1``, augmented by the
-    virtual anchor at 0 from line ``p`` on and at 1 from line ``q`` on — the
-    rule :func:`~beadproc.model.interlace_indicator` applies per configuration.
-    """
-    p, q = spec.p, spec.q
-    count = lines[0].shape[0]
-    zeros, ones, empty = np.zeros((count, 1)), np.ones((count, 1)), np.empty((count, 0))
-    for t in range(1, p + q):
-        cur = lines[t - 1]
-        nxt = lines[t] if t < p + q - 1 else empty
-        if t < p:
-            aug = nxt
-        elif t < q:
-            aug = np.hstack([nxt, zeros])
-        else:
-            aug = np.hstack([ones, nxt, zeros])
-        if not (np.all(aug[:, 1:] < cur) and np.all(cur < aug[:, :-1])):
-            raise RuntimeError(f"sampled lines {t} and {t + 1} failed the interlacing check")
+    """Raise unless :func:`~beadproc.model.interlacing_breaks` passes every row."""
+    breaks = interlacing_breaks(spec, lines)
+    if breaks.any():
+        t = int(breaks[breaks > 0].min())
+        raise RuntimeError(f"sampled lines {t} and {t + 1} failed the interlacing check")
 
 
 def sample_positions(stream: RandomStream, spec: HexagonSpec, count: int, threads: int = 1) -> list[np.ndarray]:
     """Raw sample arrays: one (count, r(t)) array per line, rows decreasing.
 
-    Fast path for statistics on large sample counts; :func:`sample_many`
-    wraps its rows.  Interlacing is checked on the whole arrays at once.
+    Row ``b`` of every array is configuration ``b``; interlacing is checked
+    on the whole arrays at once.
     """
     chunks = _run_chunks(stream, spec, count, threads)
     lines = [np.vstack([chunk[t] for chunk in chunks])[:, ::-1] for t in range(spec.n_lines)]
     _check_interlacing(spec, lines)
     return lines
-
-
-def sample_many(stream: RandomStream, spec: HexagonSpec, count: int, threads: int = 1) -> list[BeadConfiguration]:
-    """``count`` independent configurations: the rows of :func:`sample_positions`."""
-    lines = sample_positions(stream, spec, count, threads)
-    return [BeadConfiguration(tuple(tuple(line[b]) for line in lines)) for b in range(count)]
-
-
-def sample_configuration(stream: RandomStream, spec: HexagonSpec) -> BeadConfiguration:
-    """A single configuration with the law induced by the uniform measure."""
-    return sample_many(stream, spec, 1)[0]

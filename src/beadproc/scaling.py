@@ -237,8 +237,10 @@ def tail_integral_real(tau: float, nu: float, d: int) -> float:
 
 # --- bulk kernels -------------------------------------------------------------
 
+_BULK_NODES = 200  # Gauss-Legendre nodes for the [0, 1] integrals of both bulk forms
 
-def bulk_kernel(nu: float, s0: int, Y: float, t0: int, X: float, nodes: int = 200) -> float:
+
+def bulk_kernel(nu: float, s0: int, Y: float, t0: int, X: float) -> float:
     """Translation-invariant bulk kernel at line offsets ``s0, t0``.
 
     ``int_0^1 Re(e^{i pi t (X-Y)} (1 + i t nu)^{s0-t0}) dt`` when
@@ -256,13 +258,13 @@ def bulk_kernel(nu: float, s0: int, Y: float, t0: int, X: float, nodes: int = 20
     d = int(s0) - int(t0)
     tau = math.pi * (X - Y)
     if d >= 0 or tau == 0.0:
-        t, w = _gauss_legendre_unit(nodes)
+        t, w = _gauss_legendre_unit(_BULK_NODES)
         vals = (np.exp(1j * tau * t) * (1.0 + 1j * nu * t) ** d).real
         return float(np.dot(w, vals))
     return -tail_integral_real(tau, nu, -d)
 
 
-def boutillier_kernel(gamma: float, s0: int, Y: float, t0: int, X: float, nodes: int = 200) -> float:
+def boutillier_kernel(gamma: float, s0: int, Y: float, t0: int, X: float) -> float:
     """One-parameter bulk kernel ``J_gamma``; equivalent to :func:`bulk_kernel`
     after the rescale ``pi * J(s0, pi Y; t0, pi X) = gamma^{s0-t0} K*`` —
     the gamma powers conjugate away in determinants."""
@@ -274,7 +276,7 @@ def boutillier_kernel(gamma: float, s0: int, Y: float, t0: int, X: float, nodes:
     if d >= 0 or tau == 0.0:
         # same coincident-point convention as bulk_kernel, so the rescale
         # identity holds pointwise including at X == Y
-        t, w = _gauss_legendre_unit(nodes)
+        t, w = _gauss_legendre_unit(_BULK_NODES)
         vals = (np.exp(1j * tau * t) * (gamma + 1j * root * t) ** d).real
         return float(np.dot(w, vals)) / math.pi
     nu_g = root / gamma

@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+import beadproc
 from beadproc.cli import run
 
 
@@ -238,12 +240,17 @@ def test_missing_subcommand_exits_two(capsys):
 
 
 def test_module_entry_point():
+    # pytest's ``pythonpath`` setting reaches only its own sys.path, so hand
+    # the child the directory that holds the imported package
+    src = os.path.dirname(os.path.dirname(beadproc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "beadproc.cli", "kernel", "--p", "1", "--q", "1",
          "--s", "1", "--t", "1", "--y", "0.5", "--x", "0.5"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"

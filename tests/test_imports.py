@@ -1,0 +1,40 @@
+"""Lint: every module-level import is used.
+
+No external linter is a dependency, so this scans the package, the tests and
+the scripts with ``ast``: a name bound by a module-level ``import`` must be
+read somewhere in its module, or be listed in the module's ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = ("src/beadproc", "tests", "scripts")
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(path: Path) -> list[str]:
+    """``"path:line name"`` for each module-level import ``path`` never uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names if alias.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+    return [f"{path.relative_to(ROOT)}:{line} {name}" for line, name in bound if name not in used]
+
+
+def test_no_unused_module_level_imports():
+    files = sorted(f for d in SCANNED for f in (ROOT / d).rglob("*.py"))
+    assert files
+    assert [entry for f in files for entry in unused_imports(f)] == []

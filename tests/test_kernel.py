@@ -9,7 +9,6 @@ import pytest
 
 from beadproc.checks import count_identity_error
 from beadproc.kernel import (
-    KernelContext,
     SpacePoint,
     _jacobi_monomial_coeffs,
     _tower,

@@ -1,7 +1,5 @@
 """Configuration space: bead counts, line weights, interlacing, marginals."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +10,14 @@ from beadproc.model import (
     HexagonSpec,
     InterlacingShapeError,
     interlace_indicator,
+    interlacing_breaks,
     line_marginal_unnormalized,
     line_weight,
     particles_per_line,
 )
+from beadproc.sampler import RandomStream, sample_positions
+
+import bruteforce
 
 
 def test_spec_validation():
@@ -168,10 +170,43 @@ def test_marginal_wrong_cardinality_raises():
 )
 def test_sampled_configurations_interlace(p, dq, seed):
     # round-trip property: the sampler's output always satisfies the indicator
-    from beadproc.sampler import RandomStream, sample_many
-
     spec = HexagonSpec(p, p + dq)
-    cfg = sample_many(RandomStream(seed), spec, 1)[0]
+    cfg = BeadConfiguration(tuple(tuple(line[0]) for line in sample_positions(RandomStream(seed), spec, 1)))
     assert interlace_indicator(spec, cfg) is True
     for t in spec.lines():
         assert len(cfg.positions(t)) == particles_per_line(spec, t)
+
+
+def test_interlacing_breaks_matches_the_cover_relations():
+    # the array rule against the independent poset of tests/bruteforce.py:
+    # sampled rows with one bead moved to a uniform position in (0, 1) and its
+    # line re-sorted, then, on shapes with more than one line, rows with one
+    # bead moved onto a bead of the next or previous line, which strict
+    # interlacing forbids; the rule must name the first line pair whose cover
+    # relations fail, and 0 where they all hold
+    rng = np.random.default_rng(77)
+    verdicts = []
+    for p, q in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 5), (1, 4), (4, 4)]:
+        spec = HexagonSpec(p, q)
+        n, ties = 400, (100 if spec.n_lines > 1 else 0)
+        lines = sample_positions(RandomStream(10 * p + q), spec, n + ties)
+        for b, t in enumerate(rng.integers(1, spec.n_lines + 1, size=n + ties)):
+            row = lines[t - 1][b]
+            if b < n:
+                x = rng.uniform()
+            else:
+                other = lines[t if t < spec.n_lines else t - 2][b]
+                x = other[rng.integers(other.size)]
+            row[rng.integers(row.size)] = x
+            row[:] = np.sort(row)[::-1]
+        breaks = interlacing_breaks(spec, lines)
+        relations = bruteforce.build_relations(p, q)
+        for b in range(n + ties):
+            failed = [
+                min(lo[0], hi[0])
+                for lo, hi in relations
+                if not lines[lo[0] - 1][b, lo[1] - 1] < lines[hi[0] - 1][b, hi[1] - 1]
+            ]
+            assert breaks[b] == min(failed, default=0)
+            verdicts.append(not failed)
+    assert any(verdicts) and not all(verdicts)

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beadproc.orthopoly import (
-    CIParams,
     JacobiIndex,
     ci_asymptotic,
     ci_params,

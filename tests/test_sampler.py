@@ -19,8 +19,6 @@ from beadproc.sampler import (
     RandomStream,
     SecularProblem,
     dirichlet_draw,
-    sample_configuration,
-    sample_many,
     sample_positions,
     secular_zeros,
 )
@@ -255,15 +253,14 @@ def _swap_two_beads_of_line_3(monkeypatch):
 
 
 def test_sample_positions_rejects_broken_interlacing(monkeypatch):
-    # a chunk with two beads of line 3 swapped must not pass either path
+    # a chunk with two beads of line 3 swapped must not pass
     _swap_two_beads_of_line_3(monkeypatch)
-    for sample in (sample_positions, sample_many):
-        with pytest.raises(RuntimeError, match="lines 2 and 3"):
-            sample(RandomStream(3), HexagonSpec(p=3, q=5), count=4)
+    with pytest.raises(RuntimeError, match="lines 2 and 3"):
+        sample_positions(RandomStream(3), HexagonSpec(p=3, q=5), count=4)
 
 
 def test_validate_interlacing_row_counts_rejections(monkeypatch, capsys):
-    # the row counts the configurations interlace_indicator rejects: none from
+    # the row counts the configurations interlacing_breaks rejects: none from
     # the sampler; one once the first bead of one draw is moved past line 2
     # with the sampler's own check switched off
     assert run("validate --suite sampler".split()) == 0
@@ -314,21 +311,11 @@ def test_entropy_echo_reproduces_os_seeded_run():
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
-def test_sample_many_interlaces_and_matches_fast_path():
+def test_sampled_rows_interlace_as_configurations():
     spec = HexagonSpec(p=2, q=3)
-    configs = sample_many(RandomStream(21), spec, count=60)
-    assert len(configs) == 60
-    assert all(interlace_indicator(spec, cfg) for cfg in configs)
     pos = sample_positions(RandomStream(21), spec, count=60)
-    for i, cfg in enumerate(configs):
-        for t in spec.lines():
-            assert cfg.lines[t - 1] == tuple(pos[t - 1][i])
-
-
-def test_sample_configuration_single():
-    cfg = sample_configuration(RandomStream(2), HexagonSpec(p=1, q=1))
-    assert isinstance(cfg, BeadConfiguration)
-    assert len(cfg.lines) == 1 and len(cfg.lines[0]) == 1
+    configs = [BeadConfiguration(tuple(tuple(line[b]) for line in pos)) for b in range(60)]
+    assert all(interlace_indicator(spec, cfg) is True for cfg in configs)
 
 
 def test_unit_hexagon_single_particle_is_uniform():
