@@ -205,9 +205,7 @@ def _cmd_bulk(args) -> int:
         offsets = [(args.s0, args.t0, args.X, args.Y)]
         rows = []
         for p in ps:
-            (row,) = scaling.bulk_convergence_probe(
-                args.k, args.S, p, offsets, b_variant=args.b_variant
-            )
+            (row,) = scaling.bulk_convergence_probe(args.k, args.S, p, offsets)
             rows.append(
                 (p, row.s0, row.t0, row.X, row.Y, row.normalized, row.limit, row.abs_err)
             )
@@ -429,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--X", type=float, default=0.0)
     sp.add_argument("--Y", type=float, default=0.0)
     sp.add_argument("--gamma-form", action="store_true", help="evaluate the J form instead")
-    sp.add_argument("--b-variant", choices=("convergent", "alternate"), default="convergent")
     sp.add_argument(
         "--probe-p",
         action="append",

@@ -12,9 +12,8 @@ line label ``S = t/p``:
   at determinant level);
 * a finite-size probe that evaluates the exact kernel at bulk-scaled points,
   strips the gauge prefactor ``A^{X-Y} (pB)^{s0-t0}``, and reports distances
-  to ``K*``.  Two sign variants of the ``B`` constant are implemented; the
-  probe records which one converges.  ``B`` conjugates away in determinants,
-  so nothing downstream depends on the choice.
+  to ``K*``.  The gauge constant is ``B = pi u_S / nu``; it conjugates away
+  in determinants, so no correlation depends on it.
 
 The tail integrals reduce exactly to the scaled complex exponential integral
 ``e^z E_1(z)`` (series near the origin, modified-Lentz continued fraction
@@ -41,7 +40,6 @@ __all__ = [
     "global_density",
     "midpoint_density",
     "scaling_context",
-    "b_factor_variants",
     "bulk_kernel",
     "boutillier_kernel",
     "gamma_parameter",
@@ -112,7 +110,8 @@ def midpoint_density(k: float, S: float) -> float:
 
 @dataclass(frozen=True)
 class ScalingContext:
-    """Bulk constants at the band midpoint of line label ``S``."""
+    """Bulk constants at the band midpoint of line label ``S``; the gauge
+    constant is ``B = pi u_S / nu``."""
 
     k: float
     S: float
@@ -125,49 +124,33 @@ class ScalingContext:
     B: float
 
 
-def b_factor_variants(k: float, S: float) -> dict[str, float]:
-    """Both sign candidates for the ``B`` gauge constant.
-
-    The two differ in one factor, ``(2 - k - S)`` versus ``(2 + k - S)``; only
-    one of them can match the finite-size kernel, and
-    :func:`bulk_convergence_probe` is the arbiter.  Determinants are blind to
-    either choice.
-    """
-    denom = 4.0 + 8.0 * k + k**3 * (1.0 + S) + k**2 * (5.0 + 2.0 * S - S * S)
-    lead = (2.0 + k) ** 2 * k * S
-    return {
-        "alternate": lead * (2.0 - k - S) / denom,
-        "convergent": lead * (2.0 + k - S) / denom,
-    }
-
-
-def scaling_context(k: float, S: float, b_variant: str = "convergent") -> ScalingContext:
-    """All midpoint constants; needs ``k > 0`` and the plateau ``1 <= S <= k+1``."""
+def scaling_context(k: float, S: float) -> ScalingContext:
+    """All midpoint constants, with ``A = e^{pi/nu}`` and ``B = pi u_S / nu``;
+    needs ``k > 0`` and the plateau ``1 <= S <= k+1``."""
     if k <= 0:
         raise ValueError("bulk constants need k > 0 (p = q makes nu infinite)")
     if not 1.0 <= S <= k + 1.0:
         raise ValueError(f"plateau labels need 1 <= S <= {k + 1}, got {S}")
     c, d = support_interval(k, S)
     nu = (2.0 + k) / k * math.sqrt((1.0 + k) / (S * (2.0 + k - S)))
+    u_S = midpoint_density(k, S)
     return ScalingContext(
         k=k,
         S=S,
         c_S=c,
         d_S=d,
         X_S=0.5 * (c + d),
-        u_S=midpoint_density(k, S),
+        u_S=u_S,
         nu=nu,
         A=math.exp(math.pi / nu),
-        B=b_factor_variants(k, S)[b_variant],
+        B=math.pi / nu * u_S,  # this order keeps B = 2 exact at k = S = 2
     )
 
 
-def gamma_parameter(k: float, S: float, reflect: bool = False) -> float:
-    """Anisotropy parameter of ``J_gamma``: ``1/sqrt(1 + nu^2)``, negated by the
-    reflection flag (the mirrored orientation)."""
+def gamma_parameter(k: float, S: float) -> float:
+    """Anisotropy parameter of ``J_gamma``: ``1/sqrt(1 + nu^2)``."""
     nu = scaling_context(k, S).nu
-    g = 1.0 / math.sqrt(1.0 + nu * nu)
-    return -g if reflect else g
+    return 1.0 / math.sqrt(1.0 + nu * nu)
 
 
 # --- tail integrals ----------------------------------------------------------
@@ -306,7 +289,6 @@ def bulk_convergence_probe(
     S: float,
     p: int,
     offsets: Sequence[tuple[int, int, float, float]],
-    b_variant: str = "convergent",
 ) -> list[ProbeRow]:
     """Exact finite-``p`` kernel at bulk-scaled points versus the limit kernel.
 
@@ -320,7 +302,7 @@ def bulk_convergence_probe(
     q = round(q_real)
     if abs(q_real - q) > 1e-9:
         raise ValueError(f"q = p(1+k) = {q_real} is not an integer")
-    ctx_s = scaling_context(k, S, b_variant=b_variant)
+    ctx_s = scaling_context(k, S)
     spec = HexagonSpec(p, q)
     kc = kernel_context(spec)
     center = round(p * S)

@@ -3,10 +3,9 @@
 Bridges samples and exact kernel predictions: per-line density histograms
 normalized per configuration (so the kernel diagonal is the direct target),
 the one-sample Kolmogorov-Smirnov statistic, product-count pair statistics,
-and the regularized incomplete beta function (the first line's exact law)
-evaluated by a vectorized continued fraction.  Samples come as the per-line
-``(count, r(t))`` arrays of :func:`~beadproc.sampler.sample_positions`, one
-row per configuration.
+and the Beta CDF for integer shapes (the first line's exact law) as a
+binomial tail.  Samples come as the per-line ``(count, r(t))`` arrays of
+:func:`~beadproc.sampler.sample_positions`, one row per configuration.
 """
 
 from __future__ import annotations
@@ -67,12 +66,16 @@ def ks_statistic(samples, cdf: Callable) -> float:
     n = xs.size
     if n == 0:
         raise ValueError("need at least one sample")
+    if np.isnan(xs[-1]):  # sort puts NaN last
+        raise ValueError("samples must not contain NaN")
     try:
         F = np.asarray(cdf(xs), dtype=float)
     except (TypeError, ValueError):  # callable rejects arrays outright
         F = np.array([float(cdf(x)) for x in xs])
     if F.shape != xs.shape:  # callable silently collapsed the array
         F = np.array([float(cdf(x)) for x in xs])
+    if np.isnan(F).any():
+        raise ValueError("the reference CDF returned NaN")
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
 
@@ -101,61 +104,25 @@ def pair_correlation_estimate(
     return float((na * nb).sum()) / n
 
 
-# --- regularized incomplete beta ------------------------------------------------
+# --- Beta law ------------------------------------------------------------------
 
 
-def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Continued fraction for the incomplete beta, all of ``x`` at once."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
-    h = d.copy()
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + aa / np.where(np.abs(c) < tiny, tiny, c)
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + aa / np.where(np.abs(c) < tiny, tiny, c)
-        delta = d * c
-        h *= delta
-        if np.all(np.abs(delta - 1.0) < 1e-15):
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
+def beta_cdf(x, a: int, b: int):
+    """Beta(a, b) CDF for positive integer shapes: the binomial tail
+    ``P(Binomial(n, x) >= a) = sum_{j=a}^{n} C(n, j) x^j (1-x)^{n-j}``,
+    ``n = a + b - 1``.  Accepts scalars or arrays; NaN heights are refused.
 
-
-def beta_cdf(x, a: float, b: float):
-    """Regularized incomplete beta ``I_x(a, b)`` — the Beta(a, b) CDF.
-
-    Continued-fraction evaluation on whichever side of the inflection keeps
-    the fraction well-conditioned; accepts scalars or arrays.
+    ``a + b <= 1030`` keeps every ``C(n, j)`` inside a double.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("shape parameters must be positive")
+    integral = float(a).is_integer() and float(b).is_integer()
+    if not (integral and a >= 1 and b >= 1 and a + b <= 1030):
+        raise ValueError(f"Beta shapes must be positive integers with a + b <= 1030, got ({a}, {b})")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x_arr)
-    out[x_arr <= 0.0] = 0.0
-    out[x_arr >= 1.0] = 1.0
-    inner = (x_arr > 0.0) & (x_arr < 1.0)
-    if np.any(inner):
-        xi = x_arr[inner]
-        log_front = (
-            a * np.log(xi)
-            + b * np.log1p(-xi)
-            - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-        )
-        front = np.exp(log_front)
-        res = np.empty_like(xi)
-        direct = xi < (a + 1.0) / (a + b + 2.0)
-        if np.any(direct):
-            res[direct] = front[direct] * _betacf(a, b, xi[direct]) / a
-        if np.any(~direct):
-            res[~direct] = 1.0 - front[~direct] * _betacf(b, a, 1.0 - xi[~direct]) / b
-        out[inner] = res
+    if np.isnan(x_arr).any():
+        raise ValueError("beta_cdf got a NaN height")
+    xc = np.clip(x_arr, 0.0, 1.0)
+    n = int(a) + int(b) - 1
+    out = np.zeros_like(xc)
+    for j in range(int(a), n + 1):
+        out += float(math.comb(n, j)) * xc**j * (1.0 - xc) ** (n - j)
     return float(out[0]) if np.ndim(x) == 0 else out

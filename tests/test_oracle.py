@@ -61,7 +61,7 @@ def test_line_sums_approximate_counts():
         assert float(np.sum(block)) == pytest.approx(particles_per_line(spec, t), abs=5.0 / m)
 
 
-def test_oracle_deviation_definition_and_ctx_reuse():
+def test_oracle_deviation_definition():
     spec = HexagonSpec(1, 2)
     m = 50
     probes = [(1, 0.25, 1, 0.25), (1, 0.3, 2, 0.8)]

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from beadproc.scaling import (
-    b_factor_variants,
     boutillier_kernel,
     bulk_convergence_probe,
     bulk_kernel,
@@ -120,15 +119,21 @@ def test_midpoint_constants_frozen_case():
     assert abs(ctx.B - 2.0) < 1e-12
     assert abs(ctx.B - math.pi * ctx.u_S / ctx.nu) < 1e-12
     assert abs(math.log(ctx.A) * ctx.nu - math.pi) < 1e-12
-    variants = b_factor_variants(2.0, 2.0)
-    assert set(variants) == {"convergent", "alternate"}
-    assert abs(variants["convergent"] - 2.0) < 1e-12
-    assert abs(variants["alternate"] + 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 2.0, 3.0, 5.5])
+def test_gauge_b_matches_rational_closed_form(k):
+    # pi u_S / nu factors into this rational function of (k, S): its
+    # denominator is (Sk+k+2)((k+1)(k+2) - Sk) = (k+2)^4 X_S (1 - X_S)
+    for S in np.linspace(1.0, 1.0 + k, 9):
+        closed = (2 + k) ** 2 * k * S * (2 + k - S) / (
+            4 + 8 * k + k**3 * (1 + S) + k**2 * (5 + 2 * S - S * S)
+        )
+        assert abs(scaling_context(k, S).B - closed) <= 1e-14 * closed
 
 
 def test_gamma_parameter_values():
     assert abs(gamma_parameter(2.0, 2.0) - 0.5) < 1e-14
-    assert abs(gamma_parameter(2.0, 2.0, reflect=True) + 0.5) < 1e-14
     nu = scaling_context(3.0, 1.5).nu
     assert abs(gamma_parameter(3.0, 1.5) - 1.0 / math.sqrt(1.0 + nu * nu)) < 1e-14
 

@@ -45,6 +45,13 @@ def test_ks_rejects_empty():
         ks_statistic([], lambda x: x)
 
 
+def test_ks_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        ks_statistic([0.2, float("nan"), 0.5], lambda x: x)
+    with pytest.raises(ValueError, match="NaN"):
+        ks_statistic([0.2, 0.5], lambda x: np.full_like(x, np.nan))
+
+
 # --------------------------------------------------------- incomplete beta
 
 
@@ -74,11 +81,24 @@ def test_beta_cdf_edges_and_arrays():
         beta_cdf(0.5, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("a,b", [(2.5, 3), (3, 0.5), (0, 2), (2, -1), (float("nan"), 2), (600, 600)])
+def test_beta_cdf_rejects_shapes_outside_positive_integers(a, b):
+    with pytest.raises(ValueError, match="positive integers"):
+        beta_cdf(0.5, a, b)
+
+
+def test_beta_cdf_rejects_nan_heights():
+    with pytest.raises(ValueError, match="NaN"):
+        beta_cdf(float("nan"), 2, 3)
+    with pytest.raises(ValueError, match="NaN"):
+        beta_cdf(np.array([0.2, np.nan]), 2, 3)
+
+
 @given(
     x=st.floats(min_value=0.01, max_value=0.99),
     y=st.floats(min_value=0.01, max_value=0.99),
-    a=st.floats(min_value=0.3, max_value=8.0),
-    b=st.floats(min_value=0.3, max_value=8.0),
+    a=st.integers(min_value=1, max_value=8),
+    b=st.integers(min_value=1, max_value=8),
 )
 @settings(max_examples=60, deadline=None)
 def test_beta_cdf_monotone(x, y, a, b):
