@@ -5,7 +5,7 @@ output is emitted with 17 significant digits (full double round-trip),
 locale-independent.  CSV schemas:
 
 * configurations  -> ``sample,line,index,position``
-* kernel grids    -> ``s,y,t,x,value``
+* line densities  -> ``s,y,t,x,value``
 * limit shape     -> ``S,c,d``
 * validation      -> ``suite,check,status,measure,threshold``
 
@@ -426,8 +426,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t0", type=int, default=0)
     sp.add_argument("--X", type=float, default=0.0)
     sp.add_argument("--Y", type=float, default=0.0)
-    sp.add_argument("--gamma-form", action="store_true", help="evaluate the J form instead")
-    sp.add_argument(
+    form = sp.add_mutually_exclusive_group()
+    form.add_argument("--gamma-form", action="store_true", help="evaluate the J form instead")
+    form.add_argument(
         "--probe-p",
         action="append",
         help="p values for the probe; repeat the flag or give a comma list",

@@ -34,7 +34,6 @@ import numpy as np
 from .model import HexagonSpec, particles_per_line
 
 __all__ = [
-    "SpacePoint",
     "KernelContext",
     "kernel_context",
     "kernel_matrix",
@@ -43,20 +42,6 @@ __all__ = [
     "expected_count",
     "npoint_correlation",
 ]
-
-
-@dataclass(frozen=True)
-class SpacePoint:
-    """A (line, position) pair; position strictly inside (0, 1)."""
-
-    line: int
-    position: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.line, (int, np.integer)):
-            raise TypeError(f"line must be an integer, got {self.line!r}")
-        if not 0.0 < self.position < 1.0:
-            raise ValueError(f"position {self.position!r} not strictly inside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -346,9 +331,35 @@ def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
     return K
 
 
-def kernel_eval(ctx: KernelContext, s: int, y: float, t: int, x: float) -> float:
-    """Single kernel value ``K(s, y; t, x)``."""
-    return float(kernel_matrix(ctx, s, [y], t, [x])[0, 0])
+def _distinct(v: np.ndarray) -> np.ndarray:
+    # sorted distinct values; np.unique would import numpy.ma on first use,
+    # which costs 20 ms and 1 MB of memory
+    v = np.sort(v)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
+def kernel_eval(ctx: KernelContext, s, y, t, x):
+    """Kernel values ``K(s, y; t, x)``, broadcast over the four arguments.
+
+    The points are grouped by line pair ``(s, t)``, and each pair takes one
+    :func:`kernel_matrix` block over its distinct ``y`` by its distinct ``x``,
+    from which the requested entries are gathered; scattered points of one
+    pair therefore evaluate the full cross product.  Lines must be integers.
+    Scalar input returns a float.
+    """
+    for line in (np.asarray(s), np.asarray(t)):
+        if line.size and line.dtype.kind not in "iu":
+            raise TypeError(f"lines must be integers, got {line.ravel()[0].item()!r}")
+    s, y, t, x = np.broadcast_arrays(s, np.asarray(y, dtype=float), t, np.asarray(x, dtype=float))
+    shape = s.shape
+    s, y, t, x = (v.ravel() for v in (s, y, t, x))
+    out = np.empty(s.size)
+    for si, ti in dict.fromkeys(zip(s.tolist(), t.tolist())):  # distinct pairs, first seen first
+        sel = (s == si) & (t == ti)
+        ysel, xsel = y[sel], x[sel]
+        ys, xs = _distinct(ysel), _distinct(xsel)
+        out[sel] = kernel_matrix(ctx, si, ys, ti, xs)[np.searchsorted(ys, ysel), np.searchsorted(xs, xsel)]
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def line_density(ctx: KernelContext, t: int, xs):
@@ -383,19 +394,8 @@ def expected_count(ctx: KernelContext, t: int, nodes: int | None = None) -> floa
     return float(np.dot(w, line_density(ctx, t, x)))
 
 
-def _as_point(pt) -> SpacePoint:
-    if isinstance(pt, SpacePoint):
-        return pt
-    line, pos = pt
-    return SpacePoint(int(line), float(pos))
-
-
 def npoint_correlation(ctx: KernelContext, points: Sequence) -> float:
-    """Correlation function ``det[K(t_i, x_i; t_j, x_j)]`` at the given points."""
-    pts = [_as_point(pt) for pt in points]
-    n = len(pts)
-    M = np.empty((n, n), dtype=float)
-    for i, a in enumerate(pts):
-        for j, b in enumerate(pts):
-            M[i, j] = kernel_eval(ctx, a.line, a.position, b.line, b.position)
-    return float(np.linalg.det(M))
+    """Correlation function ``det[K(t_i, x_i; t_j, x_j)]`` at the given
+    ``(line, position)`` pairs."""
+    L, X = (np.array([pt[k] for pt in points]) for k in (0, 1))
+    return float(np.linalg.det(kernel_eval(ctx, L[:, None], X[:, None], L[None, :], X[None, :])))

@@ -129,14 +129,10 @@ def oracle_deviation(spec: HexagonSpec, m: int, probes: Sequence[tuple[int, floa
     evaluated, so the comparison carries no interpolation error — only the
     genuine O(1/m) discretization gap.
     """
-    ctx = kernel_context(spec)
     K = discrete_kernel(spec, m)
+    s, y, t, x = map(np.asarray, zip(*probes))
+    i = np.clip(np.round(y * m - 0.5), 0, m - 1).astype(int)
+    j = np.clip(np.round(x * m - 0.5), 0, m - 1).astype(int)
     g = grid_points(m)
-    worst = 0.0
-    for s, y, t, x in probes:
-        i = int(np.clip(round(y * m - 0.5), 0, m - 1))
-        j = int(np.clip(round(x * m - 0.5), 0, m - 1))
-        disc = m * K[(s - 1) * m + i, (t - 1) * m + j]
-        exact = kernel_eval(ctx, s, g[i], t, g[j])
-        worst = max(worst, abs(disc - exact))
-    return float(worst)
+    exact = kernel_eval(kernel_context(spec), s, g[i], t, g[j])
+    return float(np.max(np.abs(m * K[(s - 1) * m + i, (t - 1) * m + j] - exact)))

@@ -1,12 +1,11 @@
-"""Jacobi polynomials shifted to (0, 1), their norms, and uniform asymptotics.
+"""Jacobi polynomials shifted to (0, 1) and their uniform asymptotics.
 
 Everything downstream of the correlation kernel is built from the family
 ``P~_n^{(a,b)}(x) = P_n^{(a,b)}(1 - 2x)``, orthogonal on (0, 1) against
-``x^a (1-x)^b``.  This module evaluates them by the three-term recurrence,
-returns their squared norms in log form, and provides two independent
-large-degree approximations (a trigonometric one with simultaneously growing
-parameters, and a Darboux-type generating-function coefficient) used to probe
-the bulk regime.
+``x^a (1-x)^b``.  This module evaluates them by the three-term recurrence
+and provides two independent large-degree approximations (a trigonometric
+one with simultaneously growing parameters, and a Darboux-type
+generating-function coefficient) used to probe the bulk regime.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ __all__ = [
     "DarbouxData",
     "jacobi_shifted",
     "jacobi_tower",
-    "jacobi_norm",
-    "log_jacobi_norm",
     "ci_params",
     "ci_asymptotic",
     "szego_asymptotic",
@@ -78,25 +75,6 @@ def jacobi_shifted(idx: JacobiIndex, x):
         return 0.0 if x.ndim == 0 else np.zeros_like(x)
     vals = jacobi_tower(idx.n, idx.a, idx.b, x)[idx.n]
     return float(vals) if np.ndim(vals) == 0 else vals
-
-
-def log_jacobi_norm(n: int, a: float, b: float) -> float:
-    """``log`` of ``N_n^{(a,b)} = int_0^1 x^a (1-x)^b P~_n(x)^2 dx``."""
-    if n < 0:
-        raise ValueError("norms are defined for n >= 0")
-    if a <= -1 or b <= -1:
-        raise ValueError(f"weight exponents must exceed -1, got ({a}, {b})")
-    return (
-        -math.log(2 * n + a + b + 1)
-        + math.lgamma(n + a + 1)
-        + math.lgamma(n + b + 1)
-        - math.lgamma(n + 1)
-        - math.lgamma(n + a + b + 1)
-    )
-
-
-def jacobi_norm(idx: JacobiIndex) -> float:
-    return math.exp(log_jacobi_norm(idx.n, idx.a, idx.b))
 
 
 @dataclass(frozen=True)

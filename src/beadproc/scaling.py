@@ -204,8 +204,8 @@ def tail_integral_real(tau: float, nu: float, d: int) -> float:
     """
     if d < 1:
         raise ValueError("tail power must be a positive integer")
-    if nu == 0.0:
-        raise ValueError("tail integrals need nu != 0")
+    if not (math.isfinite(tau) and math.isfinite(nu)) or nu == 0.0:
+        raise ValueError(f"tail integrals need finite tau and finite nu != 0, got tau = {tau}, nu = {nu}")
     if tau == 0.0:
         if d == 1:
             return (0.5 * math.pi - math.atan(abs(nu))) / abs(nu)
@@ -223,6 +223,11 @@ def tail_integral_real(tau: float, nu: float, d: int) -> float:
 _BULK_NODES = 200  # Gauss-Legendre nodes for the [0, 1] integrals of both bulk forms
 
 
+def _check_bulk_positions(Y: float, X: float) -> None:
+    if not (math.isfinite(Y) and math.isfinite(X)):
+        raise ValueError(f"bulk positions Y, X must be finite reals, got ({Y}, {X})")
+
+
 def bulk_kernel(nu: float, s0: int, Y: float, t0: int, X: float) -> float:
     """Translation-invariant bulk kernel at line offsets ``s0, t0``.
 
@@ -236,8 +241,9 @@ def bulk_kernel(nu: float, s0: int, Y: float, t0: int, X: float) -> float:
     pointwise limit of the finite-size kernel, whose propagator term vanishes
     at coincident points.
     """
-    if nu <= 0:
-        raise ValueError("bulk kernel needs nu > 0")
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"bulk kernel needs finite nu > 0, got {nu}")
+    _check_bulk_positions(Y, X)
     d = int(s0) - int(t0)
     tau = math.pi * (X - Y)
     if d >= 0 or tau == 0.0:
@@ -253,6 +259,7 @@ def boutillier_kernel(gamma: float, s0: int, Y: float, t0: int, X: float) -> flo
     the gamma powers conjugate away in determinants."""
     if not -1.0 < gamma < 1.0 or gamma == 0.0:
         raise ValueError(f"gamma must lie in (-1, 1) and be nonzero, got {gamma}")
+    _check_bulk_positions(Y, X)
     d = int(s0) - int(t0)
     root = math.sqrt(1.0 - gamma * gamma)
     tau = X - Y
@@ -292,8 +299,8 @@ def bulk_convergence_probe(
 ) -> list[ProbeRow]:
     """Exact finite-``p`` kernel at bulk-scaled points versus the limit kernel.
 
-    Points ``(s0, t0, X, Y)`` name line offsets from ``round(pS)`` and
-    positions ``X_S + X/(p u_S)``.  The finite kernel is scaled by
+    Points ``(s0, t0, X, Y)`` name integer line offsets from ``round(pS)``
+    and positions ``X_S + X/(p u_S)``.  The finite kernel is scaled by
     ``1/(p u_S)`` and divided by the gauge ``A^{X-Y} (pB)^{s0-t0}`` — the
     ``p``-power is the size part of the same gauge and, like ``B`` itself,
     cancels from every correlation determinant.
@@ -304,18 +311,19 @@ def bulk_convergence_probe(
         raise ValueError(f"q = p(1+k) = {q_real} is not an integer")
     ctx_s = scaling_context(k, S)
     spec = HexagonSpec(p, q)
-    kc = kernel_context(spec)
     center = round(p * S)
+    s0s, t0s, Xs, Ys = (np.array([off[j] for off in offsets]) for j in range(4))
+    line_s, line_t = center + s0s, center + t0s
+    outside = (np.minimum(line_s, line_t) < 1) | (np.maximum(line_s, line_t) > spec.n_lines)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"offset ({s0s[i]}, {t0s[i]}) leaves the line range at p = {p}")
+    scale = p * ctx_s.u_S
+    values = kernel_eval(kernel_context(spec), line_s, ctx_s.X_S + Ys / scale, line_t, ctx_s.X_S + Xs / scale)
     rows = []
-    for s0, t0, X, Y in offsets:
-        line_s, line_t = center + int(s0), center + int(t0)
-        if not (1 <= line_s <= spec.n_lines and 1 <= line_t <= spec.n_lines):
-            raise ValueError(f"offset ({s0}, {t0}) leaves the line range at p = {p}")
-        y = ctx_s.X_S + Y / (p * ctx_s.u_S)
-        x = ctx_s.X_S + X / (p * ctx_s.u_S)
-        scaled = kernel_eval(kc, line_s, y, line_t, x) / (p * ctx_s.u_S)
-        gauge = ctx_s.A ** (X - Y) * (p * ctx_s.B) ** (s0 - t0)
-        normalized = scaled / gauge
+    for (s0, t0, X, Y), value in zip(offsets, values.tolist()):
+        scaled = value / scale
+        normalized = scaled / (ctx_s.A ** (X - Y) * (p * ctx_s.B) ** (s0 - t0))
         limit = bulk_kernel(ctx_s.nu, s0, Y, t0, X)
         rows.append(
             ProbeRow(

@@ -188,6 +188,31 @@ def test_bulk_probe_flag_repeats(capsys):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["16", "32"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bulk --k 2 --S 2 --X nan",
+        "bulk --k 2 --S 2 --s0 0 --t0 1 --Y nan",
+        "bulk --k 2 --S 2 --gamma-form --X inf",
+    ],
+)
+def test_bulk_non_finite_position_is_usage_error(argv, capsys):
+    code = run(argv.split())
+    out, err = _capture(capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_bulk_gamma_form_and_probe_exclude_each_other(capsys):
+    # the probe has no gamma form; asking for both is refused, not half-honoured
+    code = run("bulk --k 2 --S 2 --probe-p 16 --gamma-form".split())
+    out, err = _capture(capsys)
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 # ---------------------------------------------------------------- validate
 
 

@@ -7,9 +7,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from beadproc.checks import count_identity_error
+from beadproc import kernel as kernel_module
+from beadproc.checks import bulk_offsets, count_identity_error
 from beadproc.kernel import (
-    SpacePoint,
     _jacobi_monomial_coeffs,
     _tower,
     expected_count,
@@ -20,8 +20,8 @@ from beadproc.kernel import (
     npoint_correlation,
 )
 from beadproc.model import HexagonSpec, line_marginal_unnormalized, particles_per_line
-from beadproc.orthopoly import JacobiIndex, jacobi_norm, jacobi_shifted
-from beadproc.scaling import scaling_context
+from beadproc.orthopoly import JacobiIndex, jacobi_shifted
+from beadproc.scaling import bulk_convergence_probe, scaling_context
 
 import bruteforce
 import fraction_kernel
@@ -66,17 +66,17 @@ def test_two_two_diagonal_and_pair_forms():
         for xp in (0.35, 0.8):
             got = kernel_eval(ctx, 2, x, 2, xp)
             assert got == pytest.approx(1 + 3 * (1 - 2 * x) * (1 - 2 * xp), rel=1e-12)
-            rho = npoint_correlation(ctx, [SpacePoint(2, x), SpacePoint(2, xp)])
+            rho = npoint_correlation(ctx, [(2, x), (2, xp)])
             assert rho == pytest.approx(12 * (x - xp) ** 2, rel=1e-10)
     # first/last line pair has the minimal-spanning-tree form
     for u in (0.3, 0.62):
         for w in (0.18, 0.84):
-            rho = npoint_correlation(ctx, [SpacePoint(1, u), SpacePoint(3, w)])
+            rho = npoint_correlation(ctx, [(1, u), (3, w)])
             assert rho == pytest.approx(12 * min(u, w) * (1 - max(u, w)), rel=1e-10)
     # cross pair straddling the middle line, both orders of positions
     for u in (0.25, 0.6):
         for x in (0.45, 0.9):
-            rho = npoint_correlation(ctx, [SpacePoint(1, u), SpacePoint(2, x)])
+            rho = npoint_correlation(ctx, [(1, u), (2, x)])
             if x > u:
                 want = 12 * (u * x - u * u / 2)
             else:
@@ -143,12 +143,21 @@ def test_point_validation():
     with pytest.raises(ValueError):
         kernel_eval(ctx, 1, 0.0, 1, 0.5)
     with pytest.raises(ValueError):
-        SpacePoint(1, 1.0)
+        npoint_correlation(ctx, [(1, 1.0)])
+
+
+def test_non_integer_line_raises():
+    # 1.7 is not truncated to line 1: the call names it and refuses
+    ctx = kernel_context(HexagonSpec(2, 3))
+    with pytest.raises(TypeError, match=r"lines must be integers, got 1\.7"):
+        npoint_correlation(ctx, [(1.7, 0.3)])
+    with pytest.raises(TypeError, match="2.5"):
+        kernel_eval(ctx, 1, 0.3, np.array([2.5, 3.0]), 0.5)
 
 
 def test_duplicate_points_give_zero_determinant():
     ctx = kernel_context(HexagonSpec(2, 2))
-    pts = [SpacePoint(2, 0.4), SpacePoint(2, 0.4)]
+    pts = [(2, 0.4), (2, 0.4)]
     assert npoint_correlation(ctx, pts) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -169,7 +178,7 @@ def test_correlations_match_bruteforce(p, q):
     for t in spec.lines():
         for x in _probe_positions(rng, 3):
             want = bruteforce.rho(p, q, [(t, float(x))])
-            got = npoint_correlation(ctx, [SpacePoint(t, float(x))])
+            got = npoint_correlation(ctx, [(t, float(x))])
             assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
             checked += 1
     # pairs: same line, adjacent lines, and extreme straddles, cycled with
@@ -185,7 +194,7 @@ def test_correlations_match_bruteforce(p, q):
         i += 1
         y, x = (float(v) for v in _probe_positions(rng, 2))
         want = bruteforce.rho(p, q, [(s, y), (t, x)])
-        got = npoint_correlation(ctx, [SpacePoint(s, y), SpacePoint(t, x)])
+        got = npoint_correlation(ctx, [(s, y), (t, x)])
         assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
         checked += 1
     assert checked >= 25
@@ -212,9 +221,14 @@ def test_full_line_correlation_matches_marginal():
             )
             pts = [(0.8, 0.3), (0.55, 0.2)]
         for tup in pts:
-            rho = npoint_correlation(ctx, [SpacePoint(t, x) for x in tup])
+            rho = npoint_correlation(ctx, [(t, x) for x in tup])
             dens = line_marginal_unnormalized(spec, t, tup) / Z
             assert rho == pytest.approx(math.factorial(r) * dens, rel=1e-6)
+
+
+def _norm(n, a, b):
+    # N_n^{(a,b)} = int_0^1 x^a (1-x)^b P~_n(x)^2 dx for integer a, b >= 0
+    return factorial(n + a) * factorial(n + b) / ((2 * n + a + b + 1) * factorial(n) * factorial(n + a + b))
 
 
 def test_one_sided_power_expansion_converges():
@@ -239,7 +253,7 @@ def test_one_sided_power_expansion_converges():
                         / factorial(l + t - p)
                         * x ** (t - p)
                         * jacobi_shifted(JacobiIndex(l, float(t - p), float(q - t)), x)
-                        / jacobi_norm(JacobiIndex(l, float(s - p), float(q - s)))
+                        / _norm(l, s - p, q - s)
                     )
                     S += coeff * np.array(
                         [jacobi_shifted(JacobiIndex(l, float(s - p), float(q - s)), float(yy)) for yy in ys]
@@ -305,6 +319,43 @@ def test_bulk_probe_cross_entry_bit_identical():
     for s, t in [(64, 65), (64, 66)]:
         got = kernel_matrix(ctx, s, ys, t, xs)
         assert np.array_equal(got, fraction_kernel.cross_block(p, q, s, ys, t, xs))
+
+
+def test_kernel_eval_takes_one_block_per_line_pair(monkeypatch):
+    calls, block = [], kernel_module.kernel_matrix
+
+    def counted(ctx, s, ys, t, xs):
+        calls.append((s, t))
+        return block(ctx, s, ys, t, xs)
+
+    monkeypatch.setattr(kernel_module, "kernel_matrix", counted)
+    bulk_convergence_probe(2.0, 2.0, 16, bulk_offsets(2))  # 125 offsets on 5 line pairs
+    assert len(calls) == 5
+    calls.clear()
+    ctx = kernel_context(HexagonSpec(2, 3))
+    npoint_correlation(ctx, [(2, 0.3), (3, 0.6), (2, 0.8)])
+    assert sorted(calls) == [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("p", [16, 32])
+def test_bulk_probe_matches_entrywise_blocks(p):
+    # s < t entries are exact, so batching cannot move them; s >= t entries
+    # may move through the summation order, within 1e-14 of their pair's size
+    bulk = scaling_context(2.0, 2.0)
+    ctx = kernel_context(HexagonSpec(p, 3 * p))
+    scale, center = p * bulk.u_S, round(2.0 * p)
+    by_pair = {}
+    for row in bulk_convergence_probe(2.0, 2.0, p, bulk_offsets(2)):
+        s, t = center + row.s0, center + row.t0
+        y, x = bulk.X_S + row.Y / scale, bulk.X_S + row.X / scale
+        want = kernel_matrix(ctx, s, [y], t, [x])[0, 0] / scale
+        by_pair.setdefault((s, t), []).append((row.scaled, want))
+    for (s, t), pairs in by_pair.items():
+        got, want = np.array(pairs).T
+        if s < t:
+            assert np.array_equal(got, want), (s, t)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (s, t)
 
 
 def test_kernel_context_is_shared_and_read_only():

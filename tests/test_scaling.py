@@ -195,6 +195,26 @@ def test_bulk_kernel_validation():
         boutillier_kernel(1.5, 0, 0.0, 0, 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bulk_forms_refuse_non_finite_input(bad):
+    nu = math.sqrt(3.0)
+    with pytest.raises(ValueError, match="finite nu > 0"):
+        bulk_kernel(bad, 0, 0.1, 0, 0.3)
+    for s0, t0 in [(0, 0), (0, 1)]:
+        with pytest.raises(ValueError, match="must be finite reals"):
+            bulk_kernel(nu, s0, bad, t0, 0.3)
+        with pytest.raises(ValueError, match="must be finite reals"):
+            bulk_kernel(nu, s0, 0.1, t0, bad)
+        with pytest.raises(ValueError, match="must be finite reals"):
+            boutillier_kernel(0.5, s0, bad, t0, 0.3)
+        with pytest.raises(ValueError, match="must be finite reals"):
+            boutillier_kernel(0.5, s0, 0.1, t0, bad)
+    with pytest.raises(ValueError, match="finite tau and finite nu != 0"):
+        tail_integral_real(bad, 1.0, 2)
+    with pytest.raises(ValueError, match="finite tau and finite nu != 0"):
+        tail_integral_real(0.5, bad, 2)
+
+
 def test_gamma_form_matches_after_rescale_in_determinants():
     # pi J(s, pi y; t, pi x) = gamma^{s-t} K*; the gamma powers cancel in dets
     nu = math.sqrt(3.0)
@@ -258,3 +278,5 @@ def test_probe_validation():
         bulk_convergence_probe(0.35, 1.0, 10, [(0, 0, 0.1, 0.0)])  # q not integral
     with pytest.raises(ValueError):
         bulk_convergence_probe(2.0, 2.0, 4, [(40, 0, 0.1, 0.0)])  # off the line range
+    with pytest.raises(TypeError, match="lines must be integers"):
+        bulk_convergence_probe(2.0, 2.0, 16, [(1.7, 0, 0.1, 0.0)])  # not truncated to offset 1
