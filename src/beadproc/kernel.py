@@ -287,8 +287,14 @@ def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
     Rows carry line ``s``, columns line ``t``.  The coincident-point
     convention of the propagator term is strict: it vanishes when ``y >= x``.
     Raises ``OverflowError`` when an entry lies beyond the range of a double.
+    Lines must be integers; numpy integers are taken as Python ints, which
+    the exact ``s < t`` arithmetic needs.
     """
     spec = ctx.spec
+    try:
+        s, t = operator.index(s), operator.index(t)
+    except TypeError:
+        raise TypeError(f"lines must be integers, got s={s!r}, t={t!r}") from None
     if not 1 <= s <= spec.n_lines or not 1 <= t <= spec.n_lines:
         raise ValueError(f"lines ({s}, {t}) outside 1..{spec.n_lines}")
     ys = np.atleast_1d(np.asarray(ys, dtype=float))

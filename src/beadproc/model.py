@@ -7,11 +7,16 @@ Consecutive lines interlace; on the upper lines the chain is anchored below by
 a virtual bead at 0, and on the top lines by virtual beads at both 0 and 1.
 The reference measure is uniform (Lebesgue) on this polytope, which is what
 makes every density in this package a ratio of polytope volumes.
+
+Configurations are arrays: one ``(count, r(t))`` array per line, row ``b`` of
+every array being configuration ``b``, as
+:func:`~beadproc.sampler.sample_positions` returns them.
+:func:`interlacing_breaks` checks their shape and applies the rule.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,11 +24,9 @@ import numpy as np
 
 __all__ = [
     "HexagonSpec",
-    "BeadConfiguration",
     "InterlacingShapeError",
     "particles_per_line",
     "line_weight",
-    "interlace_indicator",
     "interlacing_breaks",
     "line_marginal_unnormalized",
 ]
@@ -32,10 +35,10 @@ __all__ = [
 class InterlacingShapeError(ValueError):
     """A configuration has the wrong number of lines or beads per line.
 
-    Deliberately distinct from :func:`interlace_indicator` returning ``False``:
-    a shape mismatch means the input is not a candidate point of the state
-    space at all, while ``False`` means a well-shaped point falls outside the
-    interlacing polytope.
+    Deliberately distinct from :func:`interlacing_breaks` returning a nonzero
+    line: a shape mismatch means the input is not a candidate point of the
+    state space at all, while a nonzero line means a well-shaped point falls
+    outside the interlacing polytope.
     """
 
 
@@ -51,8 +54,13 @@ class HexagonSpec:
     q: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, (int, np.integer)) or not isinstance(self.q, (int, np.integer)):
-            raise TypeError("p and q must be integers")
+        # stored as Python ints: the exact kernel's big-integer arithmetic
+        # would overflow in a numpy integer type
+        try:
+            object.__setattr__(self, "p", operator.index(self.p))
+            object.__setattr__(self, "q", operator.index(self.q))
+        except TypeError:
+            raise TypeError(f"p and q must be integers, got p={self.p!r}, q={self.q!r}") from None
         if not 1 <= self.p <= self.q:
             raise ValueError(f"need 1 <= p <= q, got p={self.p}, q={self.q}")
 
@@ -90,65 +98,33 @@ def line_weight(spec, t, x):
     return float(w) if w.ndim == 0 else w
 
 
-@dataclass(frozen=True)
-class BeadConfiguration:
-    """One point of the state space: a tuple of per-line bead tuples.
-
-    ``lines[t-1]`` holds line ``t``, strictly decreasing, every position in the
-    open interval (0, 1).  Positions exactly equal to 0 or 1 are rejected —
-    they belong to the virtual anchors, not to beads.  Shape versus a
-    particular :class:`HexagonSpec` is *not* checked here; that is the job of
-    :func:`interlace_indicator`.
-    """
-
-    lines: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.lines:
-            raise ValueError("a configuration needs at least one line")
-        norm = tuple(tuple(float(x) for x in line) for line in self.lines)
-        object.__setattr__(self, "lines", norm)
-        for t, line in enumerate(norm, start=1):
-            for x in line:
-                if not math.isfinite(x) or not 0.0 < x < 1.0:
-                    raise ValueError(f"line {t}: position {x!r} not strictly inside (0, 1)")
-            for hi, lo in zip(line, line[1:]):
-                if not lo < hi:
-                    raise ValueError(f"line {t}: positions must strictly decrease, got {line}")
-
-    @property
-    def n_lines(self) -> int:
-        return len(self.lines)
-
-    def positions(self, t: int) -> tuple[float, ...]:
-        """Beads on line ``t`` (1-indexed), strictly decreasing."""
-        if not 1 <= t <= len(self.lines):
-            raise ValueError(f"line {t} outside 1..{len(self.lines)}")
-        return self.lines[t - 1]
-
-
-def _as_lines(config) -> tuple[tuple[float, ...], ...]:
-    if isinstance(config, BeadConfiguration):
-        return config.lines
-    return BeadConfiguration(tuple(tuple(line) for line in config)).lines
-
-
 def interlacing_breaks(spec: HexagonSpec, lines: Sequence[np.ndarray]) -> np.ndarray:
     """Per row, the first line ``t`` whose pair ``(t, t+1)`` fails to interlace.
 
     A row that interlaces gets 0.  ``lines`` are per-line ``(count, r(t))``
     arrays with decreasing rows, as :func:`~beadproc.sampler.sample_positions`
-    returns them.  Line ``t`` must sit strictly between the beads of line
-    ``t + 1``, augmented by the virtual anchor at 0 from line ``p`` on and at
-    1 from line ``q`` on.
+    returns them; any other line count or array shape raises
+    :class:`InterlacingShapeError`.  Line ``t`` must sit strictly between the
+    beads of line ``t + 1``, augmented by the virtual anchor at 0 from line
+    ``p`` on and at 1 from line ``q`` on.  A row the rule accepts therefore
+    has every position finite, inside (0, 1) and strictly decreasing.
     """
-    p, q = spec.p, spec.q
-    count = lines[0].shape[0]
+    p, q, n = spec.p, spec.q, spec.n_lines
+    if len(lines) != n:
+        raise InterlacingShapeError(
+            f"line {min(len(lines), n) + 1}: expected {n} lines for (p, q) = ({p}, {q}), got {len(lines)}"
+        )
+    lines = [np.asarray(line, dtype=float) for line in lines]
+    count = (lines[0].shape or (1,))[0]  # rows, as line 1 has them
+    for t, line in enumerate(lines, start=1):
+        want = (count, particles_per_line(spec, t))
+        if line.shape != want:
+            raise InterlacingShapeError(f"line {t}: expected shape {want}, got {line.shape}")
     zeros, ones, empty = np.zeros((count, 1)), np.ones((count, 1)), np.empty((count, 0))
     breaks = np.zeros(count, dtype=int)
-    for t in range(p + q - 1, 0, -1):  # downwards, so the first failing line is written last
+    for t in range(n, 0, -1):  # downwards, so the first failing line is written last
         cur = lines[t - 1]
-        nxt = lines[t] if t < p + q - 1 else empty
+        nxt = lines[t] if t < n else empty
         if t < p:
             aug = nxt
         elif t < q:
@@ -160,50 +136,23 @@ def interlacing_breaks(spec: HexagonSpec, lines: Sequence[np.ndarray]) -> np.nda
     return breaks
 
 
-def interlace_indicator(spec: HexagonSpec, config) -> bool:
-    """Whether a well-shaped configuration lies in the interlacing polytope.
+def line_marginal_unnormalized(spec: HexagonSpec, t: int, xs):
+    """Unnormalized joint density of the beads on line ``t``.
 
-    Raises :class:`InterlacingShapeError` when the line count or any per-line
-    bead count disagrees with ``spec`` — that is a structural error, not a
-    geometric ``False``.  The rule itself is :func:`interlacing_breaks`.
+    Equals the squared Vandermonde of a row times the product of
+    :func:`line_weight` values.  ``xs`` is one row ``(r(t),)``, giving a
+    float, or rows ``(count, r(t))``, giving one value per row; every row
+    must be strictly decreasing and stay inside (0, 1).
     """
-    lines = _as_lines(config)
-    if len(lines) != spec.n_lines:
-        raise InterlacingShapeError(
-            f"expected {spec.n_lines} lines for (p, q)=({spec.p}, {spec.q}), got {len(lines)}"
-        )
-    for t in spec.lines():
-        if len(lines[t - 1]) != particles_per_line(spec, t):
-            raise InterlacingShapeError(
-                f"line {t}: expected {particles_per_line(spec, t)} beads, got {len(lines[t - 1])}"
-            )
-    return not interlacing_breaks(spec, [np.array([line]) for line in lines])[0]
-
-
-def line_marginal_unnormalized(spec: HexagonSpec, t: int, xs: Sequence[float]) -> float:
-    """Unnormalized joint density of the beads on one line.
-
-    Equals the squared Vandermonde of ``xs`` times the product of
-    :func:`line_weight` values; ``xs`` must be strictly decreasing with the
-    right bead count and stay inside (0, 1).
-    """
-    _check_line(spec, t)
-    xs = tuple(float(x) for x in xs)
-    if len(xs) != particles_per_line(spec, t):
-        raise InterlacingShapeError(
-            f"line {t}: expected {particles_per_line(spec, t)} beads, got {len(xs)}"
-        )
-    for x in xs:
-        if not 0.0 < x < 1.0:
-            raise ValueError(f"position {x!r} not strictly inside (0, 1)")
-    for hi, lo in zip(xs, xs[1:]):
-        if not lo < hi:
-            raise ValueError(f"positions must strictly decrease, got {xs}")
-    vand = 1.0
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            vand *= (xs[i] - xs[j]) ** 2
-    weight = 1.0
-    for x in xs:
-        weight *= line_weight(spec, t, x)
-    return vand * weight
+    r = particles_per_line(spec, t)
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim not in (1, 2) or xs.shape[-1] != r:
+        raise InterlacingShapeError(f"line {t}: expected shape ({r},) or (count, {r}), got {xs.shape}")
+    if not np.all((0.0 < xs) & (xs < 1.0)):
+        raise ValueError(f"line {t}: positions must lie strictly inside (0, 1), got {xs}")
+    if not np.all(xs[..., 1:] < xs[..., :-1]):
+        raise ValueError(f"line {t}: positions must strictly decrease, got {xs}")
+    i, j = np.triu_indices(r, 1)
+    vand = np.prod((xs[..., i] - xs[..., j]) ** 2, axis=-1)
+    value = vand * np.prod(line_weight(spec, t, xs), axis=-1)
+    return float(value) if xs.ndim == 1 else value

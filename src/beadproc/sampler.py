@@ -20,8 +20,9 @@ child stream, which makes output byte-identical for a given seed no matter
 how many worker threads are used.
 
 Samples leave as those arrays: :func:`sample_positions` returns one
-``(count, r(t))`` array per line, and configuration ``b`` is
-``BeadConfiguration(tuple(tuple(line[b]) for line in lines))``.
+``(count, r(t))`` array per line, and configuration ``b`` is row ``b`` of
+every array, ``[line[b] for line in lines]``; the arrays are the package's
+one configuration type (see :mod:`beadproc.model`).
 """
 
 from __future__ import annotations

@@ -311,6 +311,7 @@ def bulk_convergence_probe(
         raise ValueError(f"q = p(1+k) = {q_real} is not an integer")
     ctx_s = scaling_context(k, S)
     spec = HexagonSpec(p, q)
+    p = spec.p  # a Python int, as the spec stores it, so every row holds floats
     center = round(p * S)
     s0s, t0s, Xs, Ys = (np.array([off[j] for off in offsets]) for j in range(4))
     line_s, line_t = center + s0s, center + t0s

@@ -39,7 +39,6 @@ class Histogram:
     counts: np.ndarray
     density: np.ndarray
     n_configs: int
-    normalization: str = "per-configuration density"
 
 
 def _n_configs(lines: Sequence[np.ndarray]) -> int:
@@ -61,19 +60,20 @@ def empirical_line_density(lines: Sequence[np.ndarray], t: int, bins: int) -> Hi
 
 
 def ks_statistic(samples, cdf: Callable) -> float:
-    """One-sample Kolmogorov-Smirnov sup distance to a reference CDF."""
+    """One-sample Kolmogorov-Smirnov sup distance to a reference CDF.
+
+    ``cdf`` must be vectorized: it is called once on the sorted samples and
+    must return one value per sample.
+    """
     xs = np.sort(np.asarray(samples, dtype=float))
     n = xs.size
     if n == 0:
         raise ValueError("need at least one sample")
     if np.isnan(xs[-1]):  # sort puts NaN last
         raise ValueError("samples must not contain NaN")
-    try:
-        F = np.asarray(cdf(xs), dtype=float)
-    except (TypeError, ValueError):  # callable rejects arrays outright
-        F = np.array([float(cdf(x)) for x in xs])
-    if F.shape != xs.shape:  # callable silently collapsed the array
-        F = np.array([float(cdf(x)) for x in xs])
+    F = np.asarray(cdf(xs), dtype=float)
+    if F.shape != xs.shape:
+        raise ValueError(f"the reference CDF must return shape {xs.shape} for {n} samples, got {F.shape}")
     if np.isnan(F).any():
         raise ValueError("the reference CDF returned NaN")
     i = np.arange(1, n + 1)

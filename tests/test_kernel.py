@@ -153,6 +153,25 @@ def test_non_integer_line_raises():
         npoint_correlation(ctx, [(1.7, 0.3)])
     with pytest.raises(TypeError, match="2.5"):
         kernel_eval(ctx, 1, 0.3, np.array([2.5, 3.0]), 0.5)
+    with pytest.raises(TypeError, match=r"lines must be integers, got s=1\.0, t=4"):
+        kernel_matrix(ctx, 1.0, [0.3], 4, [0.5])
+    with pytest.raises(TypeError, match=r"lines must be integers, got s=1, t=4\.0"):
+        kernel_matrix(ctx, 1, [0.3], 4.0, [0.5])
+
+
+def test_numpy_integer_lines_match_python_ints():
+    # numpy integers reach the exact s < t arithmetic as Python ints, where
+    # int64 would overflow
+    i64 = np.int64
+    ctx = kernel_context(HexagonSpec(2, 3))
+    got = kernel_matrix(ctx, i64(1), [0.3], i64(4), [0.5])
+    assert got.tobytes() == kernel_matrix(ctx, 1, [0.3], 4, [0.5]).tobytes()
+    spec = HexagonSpec(i64(16), i64(48))
+    assert spec == HexagonSpec(16, 48) and type(spec.p) is int and type(spec.q) is int
+    ys, xs = [0.3, 0.6], [0.5, 0.2]
+    for s, t in [(3, 40), (i64(10), i64(20)), (1, 63)]:
+        got = kernel_matrix(kernel_context(spec), s, ys, t, xs)
+        assert got.tobytes() == kernel_matrix(kernel_context(HexagonSpec(16, 48)), int(s), ys, int(t), xs).tobytes()
 
 
 def test_duplicate_points_give_zero_determinant():

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beadproc.model import (
-    BeadConfiguration,
     HexagonSpec,
     InterlacingShapeError,
-    interlace_indicator,
     interlacing_breaks,
     line_marginal_unnormalized,
     line_weight,
@@ -86,39 +84,76 @@ def test_line_weight_vectorized():
     assert np.allclose(w, (1 - xs) ** 2 * xs)
 
 
+def _one_row(*lines):
+    # one configuration as per-line (1, r(t)) arrays
+    return [np.array([line], dtype=float) for line in lines]
+
+
 def test_interlace_examples():
     s12 = HexagonSpec(1, 2)
-    assert interlace_indicator(s12, BeadConfiguration(((0.5,), (0.7,)))) is True
-    assert interlace_indicator(s12, BeadConfiguration(((0.5,), (0.3,)))) is False
+    assert interlacing_breaks(s12, _one_row((0.5,), (0.7,))).tolist() == [0]
+    assert interlacing_breaks(s12, _one_row((0.5,), (0.3,))).tolist() == [1]
     s22 = HexagonSpec(2, 2)
-    good = BeadConfiguration(((0.5,), (0.8, 0.2), (0.6,)))
-    assert interlace_indicator(s22, good) is True
-    # middle pair fails strict alternation
-    bad = BeadConfiguration(((0.5,), (0.8, 0.55), (0.6,)))
-    assert interlace_indicator(s22, bad) is False
+    good = _one_row((0.5,), (0.8, 0.2), (0.6,))
+    assert interlacing_breaks(s22, good).tolist() == [0]
+    # line 1 leaves the gap of line 2
+    bad = _one_row((0.5,), (0.8, 0.55), (0.6,))
+    assert interlacing_breaks(s22, bad).tolist() == [1]
+    # line 3 must sit between line 2's top bead and the anchor at 1
+    top = _one_row((0.5,), (0.8, 0.2), (0.9,))
+    assert interlacing_breaks(s22, top).tolist() == [2]
+    # rows are configurations: the three together give the three verdicts
+    rows = [np.vstack(arrs) for arrs in zip(good, bad, top)]
+    assert interlacing_breaks(s22, rows).tolist() == [0, 1, 2]
 
 
 def test_shape_error_is_not_false():
-    # wrong bead count is a structural error, not a "False"
+    # a wrong bead count is a structural error, not a failing row
     spec = HexagonSpec(2, 2)
     with pytest.raises(InterlacingShapeError):
-        interlace_indicator(spec, BeadConfiguration(((0.5,), (0.8,), (0.6,))))
-    with pytest.raises(InterlacingShapeError):
-        interlace_indicator(spec, BeadConfiguration(((0.5,), (0.8, 0.2))))
+        interlacing_breaks(spec, _one_row((0.5,), (0.8,), (0.6,)))
     assert issubclass(InterlacingShapeError, ValueError)
 
 
-def test_configuration_rejects_bad_tuples():
-    with pytest.raises(ValueError):
-        BeadConfiguration(((0.2, 0.5),))  # not decreasing
-    with pytest.raises(ValueError):
-        BeadConfiguration(((0.5, 0.5),))  # ties are not strict
-    with pytest.raises(ValueError):
-        BeadConfiguration(((0.0,),))  # anchors are not beads
-    with pytest.raises(ValueError):
-        BeadConfiguration(((1.0,),))
-    with pytest.raises(ValueError):
-        BeadConfiguration(())
+_GOOD_22 = _one_row((0.5,), (0.8, 0.2), (0.6,))
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (_GOOD_22 + [np.array([[0.3]])], "line 4: expected 3 lines"),
+        ([_GOOD_22[0], np.array([[0.8]]), _GOOD_22[2]], r"line 2: expected shape \(1, 2\), got \(1, 1\)"),
+        (_GOOD_22[:2], "line 3: expected 3 lines"),
+        ([_GOOD_22[0], np.array([[0.8, 0.5, 0.2]]), _GOOD_22[2]], r"line 2: expected shape \(1, 2\), got \(1, 3\)"),
+        ([line[0] for line in _GOOD_22], r"line 1: expected shape \(1, 1\), got \(1,\)"),
+        ([_GOOD_22[0], np.vstack([_GOOD_22[1]] * 2), _GOOD_22[2]], r"line 2: expected shape \(1, 2\), got \(2, 2\)"),
+    ],
+    ids=["extra-line", "missing-bead", "missing-line", "extra-bead", "1-d-rows", "unequal-rows"],
+)
+def test_interlacing_breaks_refuses_malformed_input(lines, message):
+    # the error names the line and the expected shape
+    with pytest.raises(InterlacingShapeError, match=message):
+        interlacing_breaks(HexagonSpec(2, 2), lines)
+
+
+def test_interlacing_breaks_rejects_bad_positions():
+    # rows that no configuration has (unsorted, tied, on an anchor, outside
+    # (0, 1) or not finite) fail the rule itself; there is no separate check
+    spec = HexagonSpec(2, 2)
+    bad = [
+        ((0.5,), (0.2, 0.8), (0.6,)),
+        ((0.5,), (0.5, 0.5), (0.6,)),
+        ((0.5,), (0.8, 0.5), (0.6,)),
+        ((0.5,), (0.8, 0.2), (1.0,)),
+        ((0.5,), (0.8, 0.0), (0.6,)),
+        ((0.5,), (0.8, -0.1), (0.6,)),
+        ((0.5,), (1.2, 0.2), (0.6,)),
+        ((np.nan,), (0.8, 0.2), (0.6,)),
+        ((0.5,), (0.8, 0.2), (np.inf,)),
+        ((0.5,), (0.8, -np.inf), (0.6,)),
+    ]
+    rows = [np.array(line, dtype=float) for line in zip(*bad)]
+    assert np.all(interlacing_breaks(spec, rows) > 0)
 
 
 def test_marginal_examples():
@@ -160,6 +195,25 @@ def test_marginal_wrong_cardinality_raises():
     spec = HexagonSpec(2, 2)
     with pytest.raises(InterlacingShapeError):
         line_marginal_unnormalized(spec, 2, (0.5,))
+    with pytest.raises(InterlacingShapeError):
+        line_marginal_unnormalized(spec, 2, np.full((2, 2, 2), 0.5))
+
+
+def test_marginal_takes_rows():
+    # rows (count, r) give one value per row, each equal to the one-row call
+    spec = HexagonSpec(3, 4)
+    rows = sample_positions(RandomStream(5), spec, 50)[2]
+    values = line_marginal_unnormalized(spec, 3, rows)
+    assert values.shape == (50,)
+    assert values.tolist() == [line_marginal_unnormalized(spec, 3, row) for row in rows]
+    for (a, b, c), value in zip(rows, values):
+        weights = line_weight(spec, 3, a) * line_weight(spec, 3, b) * line_weight(spec, 3, c)
+        want = ((a - b) * (a - c) * (b - c)) ** 2 * weights
+        assert value == pytest.approx(want, rel=1e-13)
+    with pytest.raises(ValueError, match="strictly decrease"):
+        line_marginal_unnormalized(spec, 3, rows[:, ::-1])
+    with pytest.raises(ValueError, match="inside"):
+        line_marginal_unnormalized(spec, 3, np.vstack([rows, [[0.9, 0.5, np.nan]]]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -169,12 +223,11 @@ def test_marginal_wrong_cardinality_raises():
     st.integers(0, 10_000),
 )
 def test_sampled_configurations_interlace(p, dq, seed):
-    # round-trip property: the sampler's output always satisfies the indicator
+    # round-trip property: the sampler's output always passes the rule
     spec = HexagonSpec(p, p + dq)
-    cfg = BeadConfiguration(tuple(tuple(line[0]) for line in sample_positions(RandomStream(seed), spec, 1)))
-    assert interlace_indicator(spec, cfg) is True
-    for t in spec.lines():
-        assert len(cfg.positions(t)) == particles_per_line(spec, t)
+    lines = sample_positions(RandomStream(seed), spec, 1)
+    assert interlacing_breaks(spec, lines).tolist() == [0]
+    assert [line.shape for line in lines] == [(1, particles_per_line(spec, t)) for t in spec.lines()]
 
 
 def test_interlacing_breaks_matches_the_cover_relations():

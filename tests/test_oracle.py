@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from beadproc.kernel import kernel_context, kernel_eval
-from beadproc.model import BeadConfiguration, HexagonSpec, interlace_indicator, particles_per_line
+from beadproc.model import HexagonSpec, interlacing_breaks, particles_per_line
 from beadproc.oracle import discrete_kernel, grid_points, moment_matrix, oracle_deviation
 from dense_oracle import dense_conditional_kernel, subset_weight
 
@@ -142,18 +142,10 @@ def test_subset_measure_is_uniform_and_normalized():
     support = {k for k, v in weights.items() if v > 1e-12}
     positive = np.array([v for v in vals if v > 1e-12])
     assert positive.max() - positive.min() < 1e-12  # exactly uniform
-    strict = set()
-    for key in weights:
-        i1, i2, i3 = key
-        cfg = BeadConfiguration(
-            (
-                tuple(sorted((g[i] for i in i1), reverse=True)),
-                tuple(sorted((g[i] for i in i2), reverse=True)),
-                tuple(sorted((g[i] for i in i3), reverse=True)),
-            )
-        )
-        if interlace_indicator(spec, cfg):
-            strict.add(key)
+    # every grid subset as one row of the per-line arrays, rows decreasing
+    keys = list(weights)
+    lines = [np.array([g[list(key[t])][::-1] for key in keys]) for t in range(spec.n_lines)]
+    strict = {key for key, b in zip(keys, interlacing_breaks(spec, lines)) if b == 0}
     assert strict <= support
     # frozen census for this shape and grid
     assert len(strict) == 6

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from beadproc.checks import bulk_offsets
 from beadproc.scaling import (
     boutillier_kernel,
     bulk_convergence_probe,
@@ -280,3 +281,11 @@ def test_probe_validation():
         bulk_convergence_probe(2.0, 2.0, 4, [(40, 0, 0.1, 0.0)])  # off the line range
     with pytest.raises(TypeError, match="lines must be integers"):
         bulk_convergence_probe(2.0, 2.0, 16, [(1.7, 0, 0.1, 0.0)])  # not truncated to offset 1
+
+
+def test_probe_takes_numpy_integer_p():
+    # the rows match the Python-int ones bit for bit (repr prints floats
+    # exactly, and names numpy scalar types)
+    offsets = bulk_offsets(2)
+    got = bulk_convergence_probe(2.0, 2.0, np.int64(16), offsets)
+    assert repr(got) == repr(bulk_convergence_probe(2.0, 2.0, 16, offsets))

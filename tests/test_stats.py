@@ -32,12 +32,16 @@ def test_ks_hand_values():
     assert abs(ks_statistic([0.5, 0.5, 0.5], lambda x: x) - 0.5) < 1e-15
 
 
-def test_ks_scalar_cdf_fallback():
+def test_ks_rejects_non_vectorized_cdf():
+    # the CDF is called once on the sorted samples and must keep their shape
     samples = [0.1, 0.9]
-    vectorized = ks_statistic(samples, lambda x: np.sqrt(x))
-    scalar_only = ks_statistic(samples, math.sqrt)
-    assert vectorized == scalar_only
-    assert abs(ks_statistic(samples, lambda x: 0.5) - 0.5) < 1e-15
+    assert ks_statistic(samples, np.sqrt) == ks_statistic(samples, lambda x: np.sqrt(x))
+    with pytest.raises(ValueError, match="shape"):
+        ks_statistic(samples, lambda x: 0.5)
+    with pytest.raises(ValueError, match="shape"):
+        ks_statistic(samples, lambda x: np.sqrt(x)[:1])
+    with pytest.raises(TypeError):
+        ks_statistic(samples, math.sqrt)
 
 
 def test_ks_rejects_empty():
