@@ -19,28 +19,13 @@ from .model import (
     HexagonSpec,
     InterlacingShapeError,
     interlacing_breaks,
-    line_marginal_unnormalized,
-    line_weight,
     particles_per_line,
 )
-from .oracle import discrete_kernel, grid_points, moment_matrix, oracle_deviation
-from .orthopoly import (
-    CIParams,
-    JacobiIndex,
-    ci_asymptotic,
-    ci_params,
-    darboux_coefficient,
-    darboux_data,
-    jacobi_shifted,
-    jacobi_tower,
-    szego_asymptotic,
-)
+from .oracle import discrete_kernel, grid_points, oracle_deviation
 from .sampler import (
     RandomStream,
-    SecularProblem,
     dirichlet_draw,
     sample_positions,
-    secular_zeros,
 )
 from .scaling import (
     ScalingContext,
@@ -54,65 +39,42 @@ from .scaling import (
     support_interval,
     tail_integral_real,
 )
-from .stats import (
-    Histogram,
-    beta_cdf,
-    empirical_line_density,
-    ks_statistic,
-    pair_correlation_estimate,
-)
+from .stats import beta_cdf, ks_statistic
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "CIParams",
     "DiscreteHexagon",
-    "Histogram",
     "HexagonSpec",
     "InterlacingShapeError",
-    "JacobiIndex",
     "KernelContext",
     "LatticeConfiguration",
     "RandomStream",
     "ScalingContext",
-    "SecularProblem",
     "beta_cdf",
     "boutillier_kernel",
     "bulk_convergence_probe",
     "bulk_kernel",
-    "ci_asymptotic",
-    "ci_params",
-    "darboux_coefficient",
-    "darboux_data",
     "dirichlet_draw",
     "discrete_kernel",
-    "empirical_line_density",
     "enumerate_configurations",
     "expected_count",
     "gamma_parameter",
     "global_density",
     "grid_points",
     "interlacing_breaks",
-    "jacobi_shifted",
-    "jacobi_tower",
     "kernel_context",
     "kernel_eval",
     "kernel_matrix",
     "ks_statistic",
     "line_density",
-    "line_marginal_unnormalized",
-    "line_weight",
-    "moment_matrix",
     "npoint_correlation",
     "oracle_deviation",
-    "pair_correlation_estimate",
     "particles_per_line",
     "region_parameters",
     "sample_positions",
     "scaling_context",
-    "secular_zeros",
     "support_interval",
-    "szego_asymptotic",
     "tail_integral_real",
 ]

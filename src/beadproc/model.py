@@ -11,7 +11,9 @@ makes every density in this package a ratio of polytope volumes.
 Configurations are arrays: one ``(count, r(t))`` array per line, row ``b`` of
 every array being configuration ``b``, as
 :func:`~beadproc.sampler.sample_positions` returns them.
-:func:`interlacing_breaks` checks their shape and applies the rule.
+:func:`interlacing_breaks` checks their shape and applies the rule.  Beside
+that rule, the module holds only the side parameters and the per-line bead
+counts.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ __all__ = [
     "HexagonSpec",
     "InterlacingShapeError",
     "particles_per_line",
-    "line_weight",
     "interlacing_breaks",
-    "line_marginal_unnormalized",
 ]
 
 
@@ -86,18 +86,6 @@ def particles_per_line(spec: HexagonSpec, t: int) -> int:
     return min(t, spec.p, spec.p + spec.q - t)
 
 
-def line_weight(spec, t, x):
-    """One-bead weight ``(1-x)^|q-t| * x^|p-t|`` entering the line marginal.
-
-    Vanishes at ``x=0`` iff ``t != p`` and at ``x=1`` iff ``t != q``.  Accepts
-    scalars or arrays.
-    """
-    _check_line(spec, t)
-    x = np.asarray(x, dtype=float)
-    w = (1.0 - x) ** abs(spec.q - t) * x ** abs(spec.p - t)
-    return float(w) if w.ndim == 0 else w
-
-
 def interlacing_breaks(spec: HexagonSpec, lines: Sequence[np.ndarray]) -> np.ndarray:
     """Per row, the first line ``t`` whose pair ``(t, t+1)`` fails to interlace.
 
@@ -134,25 +122,3 @@ def interlacing_breaks(spec: HexagonSpec, lines: Sequence[np.ndarray]) -> np.nda
         ok = np.all(aug[:, 1:] < cur, axis=1) & np.all(cur < aug[:, :-1], axis=1)
         breaks[~ok] = t
     return breaks
-
-
-def line_marginal_unnormalized(spec: HexagonSpec, t: int, xs):
-    """Unnormalized joint density of the beads on line ``t``.
-
-    Equals the squared Vandermonde of a row times the product of
-    :func:`line_weight` values.  ``xs`` is one row ``(r(t),)``, giving a
-    float, or rows ``(count, r(t))``, giving one value per row; every row
-    must be strictly decreasing and stay inside (0, 1).
-    """
-    r = particles_per_line(spec, t)
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim not in (1, 2) or xs.shape[-1] != r:
-        raise InterlacingShapeError(f"line {t}: expected shape ({r},) or (count, {r}), got {xs.shape}")
-    if not np.all((0.0 < xs) & (xs < 1.0)):
-        raise ValueError(f"line {t}: positions must lie strictly inside (0, 1), got {xs}")
-    if not np.all(xs[..., 1:] < xs[..., :-1]):
-        raise ValueError(f"line {t}: positions must strictly decrease, got {xs}")
-    i, j = np.triu_indices(r, 1)
-    vand = np.prod((xs[..., i] - xs[..., j]) ** 2, axis=-1)
-    value = vand * np.prod(line_weight(spec, t, xs), axis=-1)
-    return float(value) if xs.ndim == 1 else value

@@ -26,7 +26,7 @@ import numpy as np
 from .kernel import kernel_context, kernel_eval
 from .model import HexagonSpec
 
-__all__ = ["grid_points", "discrete_kernel", "moment_matrix", "oracle_deviation"]
+__all__ = ["grid_points", "discrete_kernel", "oracle_deviation"]
 
 _MAX_GRID_DIM = 6000  # (p+q-1)*m cap; dense O(dim^2) blocks
 
@@ -88,13 +88,6 @@ def _hat_blocks(spec: HexagonSpec, m: int):
     for n in range(1, p + 1):
         M[:, n - 1] = G[p + q - n].sum(axis=1) / m
     return paths, G, H, M
-
-
-def moment_matrix(spec: HexagonSpec, m: int) -> np.ndarray:
-    """The ``p x p`` source-to-sink contraction; entry ``(j, k)`` tends to
-    ``1/(p+q+1-j-k)!`` (1-indexed) as the grid refines."""
-    _check_size(spec, m)
-    return _hat_blocks(spec, m)[3]
 
 
 def discrete_kernel(spec: HexagonSpec, m: int) -> np.ndarray:

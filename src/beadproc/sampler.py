@@ -27,9 +27,8 @@ one configuration type (see :mod:`beadproc.model`).
 
 from __future__ import annotations
 
-import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,9 +38,7 @@ from .model import HexagonSpec, interlacing_breaks
 
 __all__ = [
     "RandomStream",
-    "SecularProblem",
     "dirichlet_draw",
-    "secular_zeros",
     "sample_positions",
 ]
 
@@ -67,9 +64,12 @@ class RandomStream:
 
 def _dirichlet_batch(rng: np.random.Generator, multiplicities: Sequence[int], batch: int) -> np.ndarray:
     """(batch, n) Dirichlet draws with integer shapes, via sums of exponentials."""
-    mult = [int(s) for s in multiplicities]
-    if any(s < 1 for s in mult):
-        raise ValueError(f"multiplicities must be positive integers, got {multiplicities}")
+    try:
+        mult = [operator.index(s) for s in multiplicities]
+    except TypeError:
+        raise TypeError(f"multiplicities must be positive integers, got {multiplicities}") from None
+    if not mult or any(s < 1 for s in mult):
+        raise ValueError(f"multiplicities must be one or more positive integers, got {multiplicities}")
     total = sum(mult)
     e = rng.standard_exponential((batch, total))
     offsets = np.cumsum([0] + mult[:-1])
@@ -80,29 +80,6 @@ def _dirichlet_batch(rng: np.random.Generator, multiplicities: Sequence[int], ba
 def dirichlet_draw(stream: RandomStream, multiplicities: Sequence[int]) -> np.ndarray:
     """One Dirichlet vector with the given positive-integer multiplicities."""
     return _dirichlet_batch(stream.generator, multiplicities, 1)[0]
-
-
-@dataclass(frozen=True)
-class SecularProblem:
-    """Weighted pole set of a resolvent sum; one zero lives in each pole gap."""
-
-    poles: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        poles = tuple(float(a) for a in self.poles)
-        weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "poles", poles)
-        object.__setattr__(self, "weights", weights)
-        if len(poles) != len(weights) or len(poles) < 2:
-            raise ValueError("need equally many poles and weights, at least two of each")
-        for j, (a, b) in enumerate(zip(poles, poles[1:]), start=1):
-            if not math.nextafter(a, math.inf) < b:
-                raise ValueError(f"gap {j} ({a!r}, {b!r}): poles must increase with a double strictly between")
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {sum(weights)!r}")
 
 
 def _eigen_start(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -223,13 +200,6 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
             f"[{float(lo[b, j])!r}, {float(hi[b, j])!r}]"
         )
     return zeros
-
-
-def secular_zeros(problem: SecularProblem) -> np.ndarray:
-    """Strictly increasing zeros, one per gap between consecutive poles."""
-    return _secular_zeros_batch(
-        np.asarray([problem.poles]), np.asarray([problem.weights])
-    )[0]
 
 
 def _sample_lines_batch(rng: np.random.Generator, spec: HexagonSpec, batch: int) -> list[np.ndarray]:

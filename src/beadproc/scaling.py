@@ -48,9 +48,15 @@ __all__ = [
 ]
 
 
+# Largest aspect ratio served.  The band width's relative error grows like
+# k * 1e-14 (3e-9 at k = 1e6 and 1e-5 at k = 1e9, against 50-digit values),
+# and from k ~ 1e103 the endpoint formulas overflow.
+_K_MAX = 1e6
+
+
 def _check_ks(k: float, S: float) -> None:
-    if k < 0:
-        raise ValueError(f"aspect ratio k must be >= 0, got {k}")
+    if not 0.0 <= k <= _K_MAX:
+        raise ValueError(f"aspect ratio k must lie in [0, {_K_MAX:g}], got {k}")
     if not 0.0 <= S <= 2.0 + k:
         raise ValueError(f"scaled label S must lie in [0, {2 + k}], got {S}")
 
@@ -127,6 +133,7 @@ class ScalingContext:
 def scaling_context(k: float, S: float) -> ScalingContext:
     """All midpoint constants, with ``A = e^{pi/nu}`` and ``B = pi u_S / nu``;
     needs ``k > 0`` and the plateau ``1 <= S <= k+1``."""
+    _check_ks(k, S)
     if k <= 0:
         raise ValueError("bulk constants need k > 0 (p = q makes nu infinite)")
     if not 1.0 <= S <= k + 1.0:
@@ -305,11 +312,11 @@ def bulk_convergence_probe(
     ``p``-power is the size part of the same gauge and, like ``B`` itself,
     cancels from every correlation determinant.
     """
+    ctx_s = scaling_context(k, S)
     q_real = p * (1.0 + k)
     q = round(q_real)
     if abs(q_real - q) > 1e-9:
         raise ValueError(f"q = p(1+k) = {q_real} is not an integer")
-    ctx_s = scaling_context(k, S)
     spec = HexagonSpec(p, q)
     p = spec.p  # a Python int, as the spec stores it, so every row holds floats
     center = round(p * S)

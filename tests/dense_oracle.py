@@ -4,7 +4,8 @@
 forms the L matrix.  Here it is built outright, with unweighted hops: ``p``
 virtual sources, ``p`` virtual sinks and ``m`` midpoint nodes per line wired
 by the strict one-step transfer ``[y < x]``.  Dense inversions; for tests
-only, at tiny sizes.
+only, at tiny sizes.  :func:`moment_matrix` exposes the oracle's ``p x p``
+source-to-sink contraction, whose limit tests know in closed form.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from beadproc import oracle
 from beadproc.model import HexagonSpec, particles_per_line
 
 
@@ -58,3 +60,10 @@ def subset_weight(spec: HexagonSpec, m: int, config_indices: Sequence[Sequence[i
     L, A = _dense_l_matrix(spec, m)
     idx = list(range(p)) + [p + (t - 1) * m + i for t in range(1, spec.n_lines + 1) for i in config_indices[t - 1]]
     return float(np.linalg.det(L[np.ix_(idx, idx)]) / np.linalg.det(A))
+
+
+def moment_matrix(spec: HexagonSpec, m: int) -> np.ndarray:
+    """The ``p x p`` source-to-sink contraction; entry ``(j, k)`` tends to
+    ``1/(p+q+1-j-k)!`` (1-indexed) as the grid refines."""
+    oracle._check_size(spec, m)
+    return oracle._hat_blocks(spec, m)[3]

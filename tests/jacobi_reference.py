@@ -1,11 +1,17 @@
-"""Jacobi polynomials shifted to (0, 1) and their uniform asymptotics.
+"""Jacobi polynomials shifted to (0, 1), their uniform asymptotics, and the
+Jacobi-ensemble line marginal.
 
-Everything downstream of the correlation kernel is built from the family
+The correlation kernel is a sum over the family
 ``P~_n^{(a,b)}(x) = P_n^{(a,b)}(1 - 2x)``, orthogonal on (0, 1) against
 ``x^a (1-x)^b``.  This module evaluates them by the three-term recurrence
 and provides two independent large-degree approximations (a trigonometric
 one with simultaneously growing parameters, and a Darboux-type
-generating-function coefficient) used to probe the bulk regime.
+generating-function coefficient) used to probe the bulk regime.  The beads
+of one line form a Jacobi ensemble: :func:`line_marginal_unnormalized` is
+their joint density, the truth for ``beadproc.kernel.line_density``.
+
+``beadproc.kernel`` runs its own orthonormal recurrence and exact integer
+families; nothing here is on a package path.  For tests only.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from beadproc.model import HexagonSpec, InterlacingShapeError, _check_line, particles_per_line
 
 __all__ = [
     "JacobiIndex",
@@ -27,6 +35,8 @@ __all__ = [
     "szego_asymptotic",
     "darboux_data",
     "darboux_coefficient",
+    "line_weight",
+    "line_marginal_unnormalized",
 ]
 
 
@@ -219,3 +229,40 @@ def darboux_coefficient(n: int, alpha: float, beta: float, a: float, b: float, z
     d = darboux_data(a, b, z, alpha, beta)
     val = 2.0 * (d.B_plus * d.t_plus ** (-n - 0.5)).real
     return n ** -0.5 / math.sqrt(math.pi) * val
+
+
+# --- Jacobi-ensemble line marginal ---------------------------------------------
+
+
+def line_weight(spec, t, x):
+    """One-bead weight ``(1-x)^|q-t| * x^|p-t|`` entering the line marginal.
+
+    Vanishes at ``x=0`` iff ``t != p`` and at ``x=1`` iff ``t != q``.  Accepts
+    scalars or arrays.
+    """
+    _check_line(spec, t)
+    x = np.asarray(x, dtype=float)
+    w = (1.0 - x) ** abs(spec.q - t) * x ** abs(spec.p - t)
+    return float(w) if w.ndim == 0 else w
+
+
+def line_marginal_unnormalized(spec: HexagonSpec, t: int, xs):
+    """Unnormalized joint density of the beads on line ``t``.
+
+    Equals the squared Vandermonde of a row times the product of
+    :func:`line_weight` values.  ``xs`` is one row ``(r(t),)``, giving a
+    float, or rows ``(count, r(t))``, giving one value per row; every row
+    must be strictly decreasing and stay inside (0, 1).
+    """
+    r = particles_per_line(spec, t)
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim not in (1, 2) or xs.shape[-1] != r:
+        raise InterlacingShapeError(f"line {t}: expected shape ({r},) or (count, {r}), got {xs.shape}")
+    if not np.all((0.0 < xs) & (xs < 1.0)):
+        raise ValueError(f"line {t}: positions must lie strictly inside (0, 1), got {xs}")
+    if not np.all(xs[..., 1:] < xs[..., :-1]):
+        raise ValueError(f"line {t}: positions must strictly decrease, got {xs}")
+    i, j = np.triu_indices(r, 1)
+    vand = np.prod((xs[..., i] - xs[..., j]) ** 2, axis=-1)
+    value = vand * np.prod(line_weight(spec, t, xs), axis=-1)
+    return float(value) if xs.ndim == 1 else value

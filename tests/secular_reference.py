@@ -9,11 +9,20 @@ unconditionally, to ``2^-60`` of the bracket width; the package starts from
 eigenvalues and polishes with safeguarded Newton, and must agree with this to
 a relative ``1e-14``.  About twenty times more ``f`` evaluations than the
 package's solver; for tests only.
+
+:class:`SecularProblem` and :func:`secular_zeros` are a validated one-row
+entry to the package's solver, ``beadproc.sampler._secular_zeros_batch``,
+for tests that probe it one pole set at a time.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from beadproc.sampler import _secular_zeros_batch
 
 _BISECT_ITERS = 60  # interval shrinks by 2^-60 < 1e-18 of the gap; tol 1e-13 easily met
 
@@ -58,3 +67,33 @@ def secular_zeros_bisect(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
         lo = np.where(positive, mid, lo)
         hi = np.where(positive, hi, mid)
     return 0.5 * (lo + hi)
+
+
+@dataclass(frozen=True)
+class SecularProblem:
+    """Weighted pole set of a resolvent sum; one zero lives in each pole gap."""
+
+    poles: tuple[float, ...]
+    weights: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        poles = tuple(float(a) for a in self.poles)
+        weights = tuple(float(w) for w in self.weights)
+        object.__setattr__(self, "poles", poles)
+        object.__setattr__(self, "weights", weights)
+        if len(poles) != len(weights) or len(poles) < 2:
+            raise ValueError("need equally many poles and weights, at least two of each")
+        for j, (a, b) in enumerate(zip(poles, poles[1:]), start=1):
+            if not math.nextafter(a, math.inf) < b:
+                raise ValueError(f"gap {j} ({a!r}, {b!r}): poles must increase with a double strictly between")
+        if any(w <= 0 for w in weights):
+            raise ValueError("weights must be positive")
+        if abs(sum(weights) - 1.0) > 1e-9:
+            raise ValueError(f"weights must sum to 1, got {sum(weights)!r}")
+
+
+def secular_zeros(problem: SecularProblem) -> np.ndarray:
+    """Strictly increasing zeros, one per gap between consecutive poles."""
+    return _secular_zeros_batch(
+        np.asarray([problem.poles]), np.asarray([problem.weights])
+    )[0]

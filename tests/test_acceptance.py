@@ -16,16 +16,16 @@ from beadproc.cli import run
 from beadproc.hexagon import DiscreteHexagon
 from beadproc.kernel import kernel_context, kernel_eval, kernel_matrix, line_density, npoint_correlation
 from beadproc.model import HexagonSpec
-from beadproc.orthopoly import (
+from beadproc.sampler import RandomStream, sample_positions
+from beadproc.scaling import bulk_convergence_probe
+from beadproc.stats import ks_statistic
+from jacobi_reference import (
     JacobiIndex,
     ci_asymptotic,
     darboux_data,
     jacobi_shifted,
     szego_asymptotic,
 )
-from beadproc.sampler import RandomStream, sample_positions
-from beadproc.scaling import bulk_convergence_probe
-from beadproc.stats import ks_statistic
 
 
 def _finish(num: int, label: str, ok: bool, detail: str, t0: float, budget: float) -> None:

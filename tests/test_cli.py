@@ -257,6 +257,10 @@ def test_domain_error_exits_two(capsys):
     _, err = _capture(capsys)
     assert code == 2
     assert "error: need 1 <= p <= q, got p=2, q=1" in err
+    code = run("limit-shape --k inf".split())
+    _, err = _capture(capsys)
+    assert code == 2
+    assert "error: aspect ratio k must lie in [0, 1e+06], got inf" in err
 
 
 def test_missing_subcommand_exits_two(capsys):

@@ -1,8 +1,11 @@
-"""Lint: every module-level import is used.
+"""Lint: every module-level import is used, and every public name is run.
 
 No external linter is a dependency, so this scans the package, the tests and
 the scripts with ``ast``: a name bound by a module-level ``import`` must be
-read somewhere in its module, or be listed in the module's ``__all__``.
+read somewhere in its module, or be listed in the module's ``__all__``.  And
+each name in ``beadproc.__all__`` must be read by the package itself or by a
+script, so the package does not export code that only tests run; such code
+lives next to the test references in ``tests/``.
 """
 
 import ast
@@ -38,3 +41,25 @@ def test_no_unused_module_level_imports():
     files = sorted(f for d in SCANNED for f in (ROOT / d).rglob("*.py"))
     assert files
     assert [entry for f in files for entry in unused_imports(f)] == []
+
+
+def _read_names(path: Path) -> set[str]:
+    """Names ``path`` reads, as a bare name or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_used_by_the_package_or_a_script():
+    init = ROOT / "src/beadproc/__init__.py"
+    public = _exported(ast.parse(init.read_text(encoding="utf-8"), filename=str(init)))
+    users = [f for f in sorted((ROOT / "src/beadproc").glob("*.py")) if f != init]
+    users += sorted((ROOT / "scripts").glob("*.py"))
+    assert public and users
+    read = set().union(*map(_read_names, users))
+    assert sorted(public - read) == []

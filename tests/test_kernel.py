@@ -19,13 +19,13 @@ from beadproc.kernel import (
     line_density,
     npoint_correlation,
 )
-from beadproc.model import HexagonSpec, line_marginal_unnormalized, particles_per_line
-from beadproc.orthopoly import JacobiIndex, jacobi_shifted
-from beadproc.scaling import bulk_convergence_probe, scaling_context
+from beadproc.model import HexagonSpec, particles_per_line
+from beadproc.scaling import bulk_convergence_probe, scaling_context, support_interval
 
 import bruteforce
 import fraction_kernel
 import mp_kernel
+from jacobi_reference import JacobiIndex, jacobi_shifted, line_marginal_unnormalized
 
 DBL_MAX = np.finfo(float).max
 
@@ -396,6 +396,37 @@ def _same_line_pairs(p, q):
     n = p + q - 1
     same = [(s, s) for s in (1, p // 2, p, p + 1, (p + q) // 2, q, q + 1, n - 3, n)]
     return same + [(p + 3, p), (q + 2, q - 1), (n, 1), (p, 1), ((p + q) // 2, p // 2), (n, q)]
+
+
+@pytest.mark.parametrize("p", [16, 64, 128])
+def test_reflection_symmetry(p):
+    # (t, x) -> (p+q-t, 1-x) maps the fan onto itself, line p onto line q and
+    # s < t entries onto s > t entries: a 2-point function and its mirror
+    # take each off-diagonal pair from the other branch (exact integer
+    # families or the float recurrence), at sizes no exact oracle reaches
+    q = 3 * p
+    ctx = kernel_context(HexagonSpec(p, q))
+
+    def reflect(points):
+        return [(p + q - t, 1.0 - x) for t, x in points]
+
+    pairs = [
+        [(p - 1, 0.3), (p + 1, 0.6)],
+        [(q - 2, 0.7), (q + 1, 0.4)],
+        [(p, 0.45), (p, 0.55)],
+        [(q + 1, 0.2), (q - 1, 0.8)],
+        [(2, 0.25), (5, 0.3)],
+    ]
+    for points in pairs:
+        rho, mirror = npoint_correlation(ctx, points), npoint_correlation(ctx, reflect(points))
+        assert rho > 0.0
+        assert abs(rho - mirror) <= 1e-11 * abs(rho), (points, rho, mirror)
+    for t in (2, p, q):
+        c, d = support_interval(2.0, t / p)  # inside the band, where no value underflows
+        xs = c + (d - c) * np.linspace(0.05, 0.95, 19)
+        dens, mirror = line_density(ctx, t, xs), line_density(ctx, p + q - t, 1.0 - xs)
+        assert np.all(dens > 0.0)
+        assert np.all(np.abs(dens - mirror) <= 1e-11 * dens), t
 
 
 @pytest.mark.parametrize("p,q", [(64, 192), (256, 768)])

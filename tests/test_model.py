@@ -9,13 +9,12 @@ from beadproc.model import (
     HexagonSpec,
     InterlacingShapeError,
     interlacing_breaks,
-    line_marginal_unnormalized,
-    line_weight,
     particles_per_line,
 )
 from beadproc.sampler import RandomStream, sample_positions
 
 import bruteforce
+from jacobi_reference import line_marginal_unnormalized, line_weight
 
 
 def test_spec_validation():

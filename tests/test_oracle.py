@@ -8,8 +8,8 @@ import pytest
 
 from beadproc.kernel import kernel_context, kernel_eval
 from beadproc.model import HexagonSpec, interlacing_breaks, particles_per_line
-from beadproc.oracle import discrete_kernel, grid_points, moment_matrix, oracle_deviation
-from dense_oracle import dense_conditional_kernel, subset_weight
+from beadproc.oracle import discrete_kernel, grid_points, oracle_deviation
+from dense_oracle import dense_conditional_kernel, moment_matrix, subset_weight
 
 
 def test_grid_points_midpoint_layout():

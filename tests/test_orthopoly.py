@@ -10,7 +10,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beadproc.orthopoly import (
+from jacobi_reference import (
     JacobiIndex,
     ci_asymptotic,
     ci_params,

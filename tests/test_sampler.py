@@ -10,15 +10,9 @@ from hypothesis import strategies as st
 from beadproc import checks, sampler
 from beadproc.cli import run
 from beadproc.model import HexagonSpec, interlacing_breaks, particles_per_line
-from beadproc.sampler import (
-    RandomStream,
-    SecularProblem,
-    dirichlet_draw,
-    sample_positions,
-    secular_zeros,
-)
+from beadproc.sampler import RandomStream, dirichlet_draw, sample_positions
 from beadproc.stats import ks_statistic
-from secular_reference import secular_brackets, secular_zeros_bisect
+from secular_reference import SecularProblem, secular_brackets, secular_zeros, secular_zeros_bisect
 
 
 # ---------------------------------------------------------------- dirichlet
@@ -52,6 +46,10 @@ def test_dirichlet_rejects_zero_multiplicity():
     stream = RandomStream(1)
     with pytest.raises(ValueError):
         dirichlet_draw(stream, (1, 0, 2))
+    with pytest.raises(ValueError, match="multiplicities must be one or more positive integers"):
+        dirichlet_draw(stream, ())
+    with pytest.raises(TypeError, match="multiplicities must be positive integers"):
+        dirichlet_draw(stream, (1.5, 2))  # not floored to Dirichlet(1, 2)
 
 
 # ------------------------------------------------------------ secular zeros

@@ -69,6 +69,19 @@ def test_parameter_validation():
         scaling_context(0.0, 1.0)
     with pytest.raises(ValueError):
         scaling_context(2.0, 0.5)  # off the plateau
+    # k must be finite and small enough for the band formulas: no nan or inf
+    # endpoints, no message blaming S, no bare OverflowError
+    for k in (math.inf, math.nan, 1e308):
+        for call in (
+            lambda: support_interval(k, 1.0),
+            lambda: global_density(k, 1.0, 0.3),
+            lambda: region_parameters(k, 1.0),
+            lambda: gamma_parameter(k, 1.0),
+            lambda: scaling_context(k, 1.0),
+            lambda: bulk_convergence_probe(k, 2.0, 16, [(0, 0, 0.1, 0.0)]),
+        ):
+            with pytest.raises(ValueError, match=r"aspect ratio k must lie in \[0, 1e\+06\]"):
+                call()
 
 
 # ------------------------------------------------------------------- density

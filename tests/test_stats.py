@@ -11,12 +11,8 @@ from hypothesis import strategies as st
 from beadproc.kernel import kernel_context, kernel_eval
 from beadproc.model import HexagonSpec, particles_per_line
 from beadproc.sampler import RandomStream, sample_positions
-from beadproc.stats import (
-    beta_cdf,
-    empirical_line_density,
-    ks_statistic,
-    pair_correlation_estimate,
-)
+from beadproc.stats import beta_cdf, ks_statistic
+from estimators import empirical_line_density, pair_correlation_estimate
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +140,9 @@ def test_histogram_validation(square_lines):
         empirical_line_density([a[:0] for a in square_lines], 1, bins=4)  # zero rows
     with pytest.raises(ValueError):
         empirical_line_density([a[:2] for a in square_lines], 1, bins=0)
+    for t in (0, 4, -1):  # lines are 1..3: no wraparound onto another line
+        with pytest.raises(ValueError, match=f"line {t} outside 1..3"):
+            empirical_line_density(square_lines, t, bins=4)
 
 
 # ----------------------------------------------------------- pair statistics
@@ -213,6 +212,11 @@ def test_pair_cell_validation(square_lines):
         pair_correlation_estimate(few, (2, (0.6, 0.2)), (2, (0.0, 0.1)))
     with pytest.raises(ValueError):
         pair_correlation_estimate(few, (2, (0.0, 1.5)), (2, (0.0, 0.1)))
+    for t in (0, 4):  # lines are 1..3
+        with pytest.raises(ValueError, match=f"line {t} outside 1..3"):
+            pair_correlation_estimate(few, (t, (0.0, 1.0)), (2, (0.0, 1.0)))
+        with pytest.raises(ValueError, match=f"line {t} outside 1..3"):
+            pair_correlation_estimate(few, (2, (0.0, 1.0)), (t, (0.0, 1.0)))
     # disjoint same-line cells and identical cells are both fine
     pair_correlation_estimate(few, (2, (0.0, 0.5)), (2, (0.5, 1.0)))
     pair_correlation_estimate(few, (2, (0.2, 0.6)), (2, (0.2, 0.6)))
