@@ -12,12 +12,14 @@ the bead counts and individual factors hit gamma-pole times zero), so that
 branch is evaluated from the underlying transfer-operator representation
 instead: a rank-``p`` sum of incoming/outgoing polynomial families, minus the
 one-sided propagator ``(x - y)^{t-s-1}/(t-s-1)!``.  Those polynomials are
-Jacobi polynomials with integer, possibly negative, parameters, and each
-family is kept as integer coefficient rows over one common denominator.
-Every float position is dyadic, ``m / 2^e``, so the families, their
-rank-``p`` sum and the propagator are evaluated in integer fixed point: still
-exact, hence free of cancellation between the ``p`` summands, with a single
-correctly rounded integer division at the end.
+Jacobi polynomials with integer, possibly negative, parameters ``(a, b)``,
+``a + b >= 0``; each family keeps one integer scale per degree over one
+common denominator.  Every float position is dyadic, ``m / 2^e``, and
+``2^(en) P~_n(m / 2^e)`` follows for all ``n`` from an exact integer
+three-term recurrence, so the families, their rank-``p`` sum and the
+propagator are evaluated in integer fixed point: still exact, hence free of
+cancellation between the ``p`` summands, with a single correctly rounded
+integer division at the end.
 """
 
 from __future__ import annotations
@@ -104,48 +106,49 @@ def _check_positions(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"{name} positions must lie strictly inside (0, 1)")
 
 
-def _jacobi_monomial_coeffs(n: int, a: int, b: int) -> tuple[int, ...]:
-    # Monomial coefficients of P~_n^{(a,b)}(x) = P_n^{(a,b)}(1 - 2x); index m
-    # holds (-1)^m C(n, m) (a+m+1)_{n-m} (a+b+n+1)_m / n!, an integer.  Being a
-    # polynomial in (a, b), the form holds for negative integer parameters too.
-    upper = [1] * (n + 1)  # upper[m] = (a+m+1)_{n-m}
-    for m in range(n - 1, -1, -1):
-        upper[m] = upper[m + 1] * (a + m + 1)
-    fact_n = math.factorial(n)
-    coeffs, rising = [], 1  # rising = (a+b+n+1)_m
-    for m in range(n + 1):
-        coeffs.append((-1) ** m * math.comb(n, m) * upper[m] * rising // fact_n)
-        rising *= a + b + n + 1 + m
-    return tuple(coeffs)
-
-
 def _norm_fraction(n: int, a: int, b: int) -> Fraction:
     # Squared norm N_n^{(a,b)} of the shifted Jacobi polynomial, exactly.
-    return Fraction(
-        math.factorial(n + a) * math.factorial(n + b),
-        (2 * n + a + b + 1) * math.factorial(n) * math.factorial(n + a + b),
-    )
+    f = math.factorial
+    return Fraction(f(n + a) * f(n + b), (2 * n + a + b + 1) * f(n) * f(n + a + b))
+
+
+def _jacobi_dyadic(a: int, b: int, deg: int, m: int, e: int) -> list[int]:
+    # Q_n = 2^(e n) P~_n^{(a,b)}(m / 2^e), n = 0..deg, by the recurrence of
+    # P_n^{(a,b)}(1 - 2z).  Q_n is an integer (P~_n has integer monomial
+    # coefficients, negative integer a, b included), so the division by
+    # 2n(n+a+b)(2n+a+b-2) is exact, and nonzero for n >= 2 when a + b >= 0.
+    if a + b < 0:
+        raise ValueError(f"Jacobi parameters ({a}, {b}): the recurrence needs a + b >= 0")
+    one = 1 << e
+    out = [1, (a + 1) * one - (a + b + 2) * m]
+    for n in range(2, deg + 1):
+        c = 2 * n + a + b
+        lin = (c - 1) * (c * (c - 2) * (one - 2 * m) + (a * a - b * b) * one)
+        num = lin * out[-1] - (2 * (n + a - 1) * (n + b - 1) * c * out[-2] << 2 * e)
+        out.append(num // (2 * n * (n + a + b) * (c - 2)))
+    return out[: deg + 1]
 
 
 @dataclass(frozen=True)
 class _IntFamily:
-    # Rows l = 1..len(rows) of a polynomial family, row l being
-    # factor(z) * rows[l-1](z) / den with integer monomial coefficients
-    # (index k holds z^k, degree at most deg).  The factor, common to every
-    # row, is (1 - y)^pre for the incoming family and x^pre for the outgoing.
-    rows: tuple[tuple[int, ...], ...]
+    # A polynomial family, one row per degree n = 0..deg: row l = deg + 1 - n
+    # of the rank-p sum is factor(z) * scales[n] * P~_n^{(a,b)}(z) * num / den,
+    # num being the scales' common divisor, kept out of the row products.  The
+    # factor, common to every row, is (1 - y)^pre (incoming) or x^pre (outgoing).
+    a: int
+    b: int
+    scales: tuple[int, ...]
+    num: int
     den: int
     deg: int
     pre: int
 
 
-def _int_family(scales: list[Fraction], polys: list[tuple[int, ...]], pre: int) -> _IntFamily:
+def _int_family(a: int, b: int, scales: list[Fraction], pre: int) -> _IntFamily:
     den = math.lcm(*(f.denominator for f in scales))
-    rows = tuple(
-        tuple(c * (f.numerator * (den // f.denominator)) for c in poly)
-        for f, poly in zip(scales, polys)
-    )
-    return _IntFamily(rows, den, max(len(poly) for poly in polys) - 1, pre)
+    ints = [f.numerator * (den // f.denominator) for f in scales]
+    g = math.gcd(*ints)
+    return _IntFamily(a, b, tuple(c // g for c in ints), g, den, len(ints) - 1, pre)
 
 
 @lru_cache(maxsize=16)
@@ -153,19 +156,16 @@ def _psi_family(p: int, q: int, s: int) -> _IntFamily:
     # Incoming family on line s, in y.  Above q the rows run out where the
     # degree p+q-s-l turns negative; up to q they share (1 - y)^(q-s).
     if s > q:
-        degs = range(p + q - s - 1, -1, -1)  # l = 1 .. p+q-s
         scales = [
-            Fraction(math.factorial(n + s - p), math.factorial(n))
-            / _norm_fraction(n, s - p, s - q)
-            for n in degs
+            Fraction(math.factorial(n + s - p), math.factorial(n)) / _norm_fraction(n, s - p, s - q)
+            for n in range(p + q - s)
         ]
-        return _int_family(scales, [_jacobi_monomial_coeffs(n, s - p, s - q) for n in degs], 0)
-    ls = range(1, p + 1)
+        return _int_family(s - p, s - q, scales, 0)
     scales = [
-        Fraction(math.factorial(q - l), math.factorial(p + q - s - l)) / _norm_fraction(p - l, q - p, 0)
-        for l in ls
+        Fraction(math.factorial(q - p + n), math.factorial(q - s + n)) / _norm_fraction(n, q - p, 0)
+        for n in range(p)  # l = p - n
     ]
-    return _int_family(scales, [_jacobi_monomial_coeffs(p - l, s - p, q - s) for l in ls], q - s)
+    return _int_family(s - p, q - s, scales, q - s)
 
 
 @lru_cache(maxsize=16)
@@ -173,34 +173,22 @@ def _phi_family(p: int, q: int, t: int) -> _IntFamily:
     # Outgoing family on line t, in x.  Up to p the rows stop at l = t;
     # above p they share x^(t-p).
     if t <= p:
-        ls = range(1, t + 1)
         scales = [
-            Fraction((-1) ** (p + t) * math.factorial(p + q - t - l), math.factorial(q - l))
-            for l in ls
+            Fraction((-1) ** (p + t) * math.factorial(p + q - 2 * t + n), math.factorial(q - t + n))
+            for n in range(t)  # l = t - n
         ]
-        return _int_family(scales, [_jacobi_monomial_coeffs(t - l, p - t, q - t) for l in ls], 0)
-    ls = range(1, p + 1)
-    scales = [Fraction(math.factorial(p - l), math.factorial(t - l)) for l in ls]
-    return _int_family(scales, [_jacobi_monomial_coeffs(p - l, t - p, q - t) for l in ls], t - p)
+        return _int_family(p - t, q - t, scales, 0)
+    scales = [Fraction(math.factorial(n), math.factorial(t - p + n)) for n in range(p)]  # l = p - n
+    return _int_family(t - p, q - t, scales, t - p)
 
 
-def _dyadic(v: float) -> tuple[int, int]:
-    # v = m / 2^e exactly (every finite float is dyadic)
+def _rows(fam: _IntFamily, v: float, L: int) -> tuple[int, int, list[int]]:
+    # (m, e, rows): v = m / 2^e exactly (every finite float is dyadic), and
+    # rows holds scales[n] * 2^(e n) P~_n(v) for the top L degrees n, lowest
+    # first, so rows[0] is row l = L
     m, d = v.as_integer_ratio()
-    return m, d.bit_length() - 1
-
-
-def _horner_rows(fam: _IntFamily, m: int, e: int) -> list[int]:
-    # 2^(e*deg) * row(m / 2^e) for every row: Horner on the integer numerator,
-    # the coefficient of z^k entering scaled by 2^(e*(deg-k)).
-    out = []
-    for row in fam.rows:
-        acc, shift = 0, e * (fam.deg + 1 - len(row))
-        for c in reversed(row):
-            acc = acc * m + (c << shift)
-            shift += e
-        out.append(acc)
-    return out
+    e, lo = d.bit_length() - 1, fam.deg + 1 - L
+    return m, e, list(map(operator.mul, fam.scales[lo:], _jacobi_dyadic(fam.a, fam.b, fam.deg, m, e)[lo:]))
 
 
 def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarray) -> np.ndarray:
@@ -208,22 +196,27 @@ def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarr
     # is one integer fraction over a common dyadic denominator, rounded once.
     p, q = spec.p, spec.q
     psi, phi = _psi_family(p, q, s), _phi_family(p, q, t)
+    L = min(len(psi.scales), len(phi.scales))
     g = t - s - 1
     fact_g = math.factorial(g)
     den0 = psi.den * phi.den
     cols = []
     for x in map(float, xs):
-        m, e = _dyadic(x)
-        cols.append((x, m, e, _horner_rows(phi, m, e), m**phi.pre, e * (phi.deg + phi.pre)))
+        mx, ex, hx = _rows(phi, x, L)
+        cols.append((x, mx, ex, hx, phi.num * mx**phi.pre, ex * (phi.deg + phi.pre)))
     out = np.empty((len(ys), len(xs)), dtype=float)
     for i, y in enumerate(map(float, ys)):
-        my, ey = _dyadic(y)
-        hy = _horner_rows(psi, my, ey)
-        pre_y = ((1 << ey) - my) ** psi.pre
+        my, ey, hy = _rows(psi, y, L)
+        pre_y = psi.num * ((1 << ey) - my) ** psi.pre
         shift_y = ey * (psi.deg + psi.pre)
         for j, (x, mx, ex, hx, pre_x, shift_x) in enumerate(cols):
-            # sum_l psi_l(y) phi_l(x) = num / (den0 * 2^shift)
-            num = sum(map(operator.mul, hy, hx)) * pre_y * pre_x
+            # sum_l psi_l(y) phi_l(x) = num / (den0 * 2^shift): row l of each
+            # side lacks the factor 2^(e (l-1)) of the common 2^(e deg), so
+            # the products nest Horner-style over l, from l = L down to 1
+            E, num = ey + ex, 0
+            for u, v in zip(hy, hx):
+                num = (num << E) + u * v
+            num *= pre_y * pre_x
             shift = shift_y + shift_x
             den = den0
             if y < x:
@@ -371,6 +364,10 @@ def kernel_eval(ctx: KernelContext, s, y, t, x):
 def line_density(ctx: KernelContext, t: int, xs):
     """Diagonal values ``K(t, x; t, x)`` — the one-bead density on line ``t``."""
     spec = ctx.spec
+    try:
+        t = operator.index(t)
+    except TypeError:
+        raise TypeError(f"lines must be integers, got t={t!r}") from None
     if not 1 <= t <= spec.n_lines:
         raise ValueError(f"line {t} outside 1..{spec.n_lines}")
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -396,6 +393,8 @@ def expected_count(ctx: KernelContext, t: int, nodes: int | None = None) -> floa
     """
     if nodes is None:
         nodes = (ctx.spec.p + ctx.spec.q) // 2 + 1
+    elif not isinstance(nodes, (int, np.integer)) or nodes < 1:
+        raise ValueError(f"nodes must be an integer >= 1, got {nodes}")
     x, w = _gauss_legendre_unit(nodes)
     return float(np.dot(w, line_density(ctx, t, x)))
 

@@ -65,12 +65,14 @@ def support_interval(k: float, S: float) -> tuple[float, float]:
     """Endpoints ``(c_S, d_S)`` of the macroscopic band on line label ``S``.
 
     Degenerates to the single point ``1/(k+2)`` at ``S = 0`` and to
-    ``(k+1)/(k+2)`` at ``S = 2+k``.
+    ``(k+1)/(k+2)`` at ``S = 2+k``.  The band touches 0 at ``S = 1`` and 1
+    at ``S = k+1``; both ends are clamped to [0, 1], so rounding there
+    cannot step outside the unit interval.
     """
     _check_ks(k, S)
     mid = S * k / (k + 2.0) ** 2 + 1.0 / (k + 2.0)
     half = 2.0 * math.sqrt(S * (k + 1.0) * (k + 2.0 - S)) / (k + 2.0) ** 2
-    return mid - half, mid + half
+    return max(mid - half, 0.0), min(mid + half, 1.0)
 
 
 def region_parameters(k: float, S: float) -> tuple[float, float]:

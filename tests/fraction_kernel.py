@@ -6,7 +6,7 @@ the exact rational value of each float position; the rank-``p`` sum and the
 one-sided propagator ``(x - y)^{t-s-1}/(t-s-1)!`` are accumulated as
 ``Fraction`` and rounded once by ``float()``.  The Jacobi monomial
 coefficients come from the binomial double sum, independently of the
-Pochhammer form the package uses.  ``beadproc.kernel`` computes
+three-term recurrence the package uses.  ``beadproc.kernel`` computes
 the same rationals in integer fixed point, so the two must agree bit for
 bit.  Slow (``math.gcd`` on every add and multiply); for tests only.
 """

@@ -1,6 +1,7 @@
 """Exact correlation kernel: closed forms, projection identities, oracle checks."""
 
 import math
+import sys
 from math import factorial
 
 import mpmath as mp
@@ -10,7 +11,9 @@ import pytest
 from beadproc import kernel as kernel_module
 from beadproc.checks import bulk_offsets, count_identity_error
 from beadproc.kernel import (
-    _jacobi_monomial_coeffs,
+    _jacobi_dyadic,
+    _phi_family,
+    _psi_family,
     _tower,
     expected_count,
     kernel_context,
@@ -159,6 +162,21 @@ def test_non_integer_line_raises():
         kernel_matrix(ctx, 1, [0.3], 4.0, [0.5])
 
 
+def test_line_density_and_expected_count_name_the_valid_range():
+    # a float line raised "tuple indices must be integers" and nodes = 0
+    # numpy's "deg must be a positive integer"; each call now names its rule
+    ctx = kernel_context(HexagonSpec(2, 3))
+    with pytest.raises(TypeError, match=r"lines must be integers, got t=2\.0"):
+        line_density(ctx, 2.0, [0.3, 0.6])
+    with pytest.raises(TypeError, match=r"lines must be integers, got t=2\.5"):
+        expected_count(ctx, 2.5)
+    for nodes in (0, -3, 1.5):
+        with pytest.raises(ValueError, match=f"nodes must be an integer >= 1, got {nodes}"):
+            expected_count(ctx, 2, nodes=nodes)
+    assert line_density(ctx, np.int64(2), 0.3) == line_density(ctx, 2, 0.3)
+    assert abs(expected_count(ctx, 2, nodes=np.int32(3)) - 2.0) < 1e-12
+
+
 def test_numpy_integer_lines_match_python_ints():
     # numpy integers reach the exact s < t arithmetic as Python ints, where
     # int64 would overflow
@@ -285,12 +303,33 @@ def test_one_sided_power_expansion_converges():
         assert dists[-1] < 0.2 * dists[0]
 
 
-def test_jacobi_monomial_coeffs_match_binomial_sum():
-    # the Pochhammer form against the binomial double sum, negative parameters included
-    for n in range(12):
-        for a in range(-15, 16):
-            for b in range(-15, 16):
-                assert _jacobi_monomial_coeffs(n, a, b) == fraction_kernel.jacobi_monomial_coeffs(n, a, b)
+def test_jacobi_dyadic_recurrence_matches_binomial_sum():
+    # the integer recurrence against the binomial double sum at dyadic points,
+    # negative parameters included: Q_n = sum_k c_k m^k 2^(e(n-k))
+    points = [(1, 1), (1, 2), (3, 2), (5, 3), (-3, 2), (7, 4), (1023, 10), (12345, 17)]
+    for a in range(-15, 16):
+        for b in range(-a, 16):
+            for m, e in points:
+                got = _jacobi_dyadic(a, b, 11, m, e)
+                for n in range(12):
+                    coeffs = fraction_kernel.jacobi_monomial_coeffs(n, a, b)
+                    assert got[n] == sum(c * m**k << e * (n - k) for k, c in enumerate(coeffs)), (n, a, b, m, e)
+    assert _jacobi_dyadic(2, -2, 0, 1, 1) == [1]
+    for a, b in [(-1, 0), (3, -4), (-15, -15)]:
+        with pytest.raises(ValueError, match="a \\+ b >= 0"):
+            _jacobi_dyadic(a, b, 5, 1, 1)
+
+
+def test_cross_families_hold_one_scale_per_degree():
+    # the ints cached for one family at (256, 768) stay under 1 MB (~31 KB
+    # measured), where integer monomial coefficient tables held up to 23 MB;
+    # every family's parameters satisfy the recurrence's a + b >= 0
+    p, q = 256, 768
+    psis = [_psi_family(p, q, s) for s in (1, p, 2 * p, q, q + 1, p + q - 2)]
+    phis = [_phi_family(p, q, t) for t in (2, p, p + 1, 2 * p, q, q + 1, p + q - 1)]
+    for fam in psis + phis:
+        assert fam.a + fam.b >= 0
+        assert sum(map(sys.getsizeof, (*fam.scales, fam.num, fam.den))) < 2**20
 
 
 def _cross_line_pairs(p, q):
@@ -308,7 +347,7 @@ def _cross_case(p, q, s, t):
     return (s > q, "t<=p" if t <= p else "t<=q" if t <= q else "t>q", min(t - s - 1, 2))
 
 
-@pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (2, 3), (3, 7), (4, 4), (5, 9), (20, 60)])
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (2, 3), (3, 7), (4, 4), (5, 9), (12, 12), (20, 60)])
 def test_cross_block_bit_identical_to_fraction_reference(p, q):
     # the integer fixed-point branch must round the same rationals as the
     # Fraction route: equality, not closeness
@@ -398,7 +437,7 @@ def _same_line_pairs(p, q):
     return same + [(p + 3, p), (q + 2, q - 1), (n, 1), (p, 1), ((p + q) // 2, p // 2), (n, q)]
 
 
-@pytest.mark.parametrize("p", [16, 64, 128])
+@pytest.mark.parametrize("p", [16, 64, 128, 256])
 def test_reflection_symmetry(p):
     # (t, x) -> (p+q-t, 1-x) maps the fan onto itself, line p onto line q and
     # s < t entries onto s > t entries: a 2-point function and its mirror

@@ -36,6 +36,18 @@ def test_support_degenerate_endpoints():
         assert abs(support_interval(k, 1.0 + k)[1] - 1.0) < 1e-15  # touches 1
 
 
+def test_touching_band_edges_stay_in_unit_interval():
+    # at S = 1 the exact lower edge is 0 and at S = k + 1 the exact upper
+    # edge is 1; unclamped, rounding put 332 lower and 108 upper edges of
+    # this grid outside [0, 1] (support_interval(0.04, 1.0)[0] = -5.6e-17)
+    for k in np.arange(1, 2000) / 100.0:
+        for S in (1.0, k + 1.0):
+            c, d = support_interval(k, S)
+            assert 0.0 <= c <= d <= 1.0, (k, S, c, d)
+    assert support_interval(0.04, 1.0)[0] == 0.0
+    assert support_interval(0.09, 1.09)[1] == 1.0
+
+
 @pytest.mark.parametrize("k,S", REGION_CASES)
 def test_band_width_matches_region_parameters(k, S):
     # one formula through the effective exponents, one direct — all regions
