@@ -1,21 +1,21 @@
 """Closed-form determinantal correlation kernel of the bead process.
 
 Correlation functions of the uniform interlacing measure are minors of a
-single two-line kernel ``K(s, y; t, x)``.  For ``s >= t`` it is a biorthogonal
-sum of shifted Jacobi polynomials attached to the two lines.  Each line's
-family is evaluated orthonormal, by the three-term recurrence of its Jacobi
-matrix, in one per-point gauge that keeps every value inside the range of a
-double; an entry is then a sign times one ``exp`` of its summed exponent, so
-it is accurate, or raises where its true size is beyond a double.  For
-``s < t`` the factored tables degenerate (the natural summation range exceeds
-the bead counts and individual factors hit gamma-pole times zero), so that
-branch is evaluated from the underlying transfer-operator representation
-instead: a rank-``p`` sum of incoming/outgoing polynomial families, minus the
-one-sided propagator ``(x - y)^{t-s-1}/(t-s-1)!``.  Those polynomials are
-Jacobi polynomials with integer, possibly negative, parameters ``(a, b)``,
-``a + b >= 0``; each family keeps one integer scale per degree over one
-common denominator.  Every float position is dyadic, ``m / 2^e``, and
-``2^(en) P~_n(m / 2^e)`` follows for all ``n`` from an exact integer
+single two-line kernel ``K(s, y; t, x)``, computed on one of two paths.
+
+*Same line* (``s = t``): a sum of orthonormal shifted Jacobi polynomials of
+the line, evaluated by the three-term recurrence of its Jacobi matrix in one
+per-point gauge that keeps every value inside the range of a double; an
+entry is then a sign times one ``exp`` of its summed exponent, so it is
+accurate, or raises where its true size is beyond a double.
+
+*Cross line* (``s != t``), exact: the transfer-operator representation, a
+rank-``p`` sum of incoming/outgoing polynomial families, minus the one-sided
+propagator ``(x - y)^{t-s-1}/(t-s-1)!`` when ``s < t``.  Those polynomials
+are Jacobi polynomials with integer, possibly negative, parameters
+``(a, b)``, ``a + b >= 0``; each family keeps one integer scale per degree
+over one common denominator.  Every float position is dyadic, ``m / 2^e``,
+and ``2^(en) P~_n(m / 2^e)`` follows for all ``n`` from an exact integer
 three-term recurrence, so the families, their rank-``p`` sum and the
 propagator are evaluated in integer fixed point: still exact, hence free of
 cancellation between the ``p`` summands, with a single correctly rounded
@@ -67,7 +67,6 @@ class KernelContext:
     """Precomputed per-line data; build once per (p, q) via :func:`kernel_context`."""
 
     spec: HexagonSpec
-    logfact: np.ndarray  # log k!, k = 0..p+q
     lines: tuple[_LineData, ...]
 
 
@@ -95,10 +94,8 @@ def _line_data(spec: HexagonSpec, t: int, logfact: np.ndarray) -> _LineData:
 @lru_cache(maxsize=8)
 def kernel_context(spec: HexagonSpec) -> KernelContext:
     """Per-line data for ``spec``; memoized, so repeated calls share one context."""
-    logfact = np.array([math.lgamma(k + 1) for k in range(spec.p + spec.q + 1)])
-    logfact.setflags(write=False)
-    lines = tuple(_line_data(spec, t, logfact) for t in spec.lines())
-    return KernelContext(spec=spec, logfact=logfact, lines=lines)
+    logfact = np.array([math.lgamma(k + 1) for k in range(spec.p + spec.q + 1)])  # log k!
+    return KernelContext(spec=spec, lines=tuple(_line_data(spec, t, logfact) for t in spec.lines()))
 
 
 def _check_positions(name: str, arr: np.ndarray) -> None:
@@ -191,14 +188,21 @@ def _rows(fam: _IntFamily, v: float, L: int) -> tuple[int, int, list[int]]:
     return m, e, list(map(operator.mul, fam.scales[lo:], _jacobi_dyadic(fam.a, fam.b, fam.deg, m, e)[lo:]))
 
 
+def _overflow(s: int, t: int, y: float, x: float, log10: float) -> OverflowError:
+    return OverflowError(
+        f"K({s}, y; {t}, x) at (y, x) = ({y!r}, {x!r}) is beyond the range of a double: log10|K| = {log10:.1f}"
+    )
+
+
 def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarray) -> np.ndarray:
-    # s < t branch: rank-p transfer sum minus propagator, exactly.  Every entry
-    # is one integer fraction over a common dyadic denominator, rounded once.
+    # s != t: rank-p transfer sum, minus the propagator when s < t, exactly.
+    # Every entry is one integer fraction over a common dyadic denominator,
+    # rounded once.
     p, q = spec.p, spec.q
     psi, phi = _psi_family(p, q, s), _phi_family(p, q, t)
     L = min(len(psi.scales), len(phi.scales))
     g = t - s - 1
-    fact_g = math.factorial(g)
+    fact_g = math.factorial(g) if s < t else 1
     den0 = psi.den * phi.den
     cols = []
     for x in map(float, xs):
@@ -219,14 +223,17 @@ def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarr
             num *= pre_y * pre_x
             shift = shift_y + shift_x
             den = den0
-            if y < x:
+            if s < t and y < x:
                 # minus (x - y)^g / g! = d^g / (g! * 2^(e*g))
                 e = max(ex, ey)
                 d = (mx << (e - ex)) - (my << (e - ey))
                 top = max(shift, e * g)
                 num = (num * fact_g << (top - shift)) - (d**g * den0 << (top - e * g))
                 den, shift = den0 * fact_g, top
-            out[i, j] = num / (den << shift)
+            try:
+                out[i, j] = num / (den << shift)
+            except OverflowError:
+                raise _overflow(s, t, y, x, math.log10(abs(num)) - math.log10(den) - shift * math.log10(2)) from None
     return out
 
 
@@ -261,27 +268,16 @@ def _tower(d: _LineData, x: np.ndarray, ea: float, eb: float):
     return ea * lx + eb * l1x + (np.log(top) - c), psi
 
 
-def _log_weights(ctx: KernelContext, t: int, L: int) -> np.ndarray:
-    # log C_l + ½ log N_{r-l} on line t for l = L..1, so degree n = r - l
-    # ascends from r - L; C_l = (c0 - l)! / (c1 - l)!
-    p, q, d, lf = ctx.spec.p, ctx.spec.q, ctx.lines[t - 1], ctx.logfact
-    c0, c1 = (q, p + q - t) if p < t <= q else (t, p)
-    lo, hi, s = d.r - L, d.r, d.pa + d.pb
-    log_norm = (
-        lf[lo + d.pa : hi + d.pa] + lf[lo + d.pb : hi + d.pb] - lf[lo:hi] - lf[lo + s : hi + s]
-        - np.log(2.0 * np.arange(lo, hi) + s + 1)
-    )
-    return lf[c0 - L : c0] - lf[c1 - L : c1] + 0.5 * log_norm
-
-
 def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
     """Kernel block ``K(s, y_i; t, x_j)`` for arrays of positions.
 
-    Rows carry line ``s``, columns line ``t``.  The coincident-point
-    convention of the propagator term is strict: it vanishes when ``y >= x``.
-    Raises ``OverflowError`` when an entry lies beyond the range of a double.
-    Lines must be integers; numpy integers are taken as Python ints, which
-    the exact ``s < t`` arithmetic needs.
+    Rows carry line ``s``, columns line ``t``.  A same-line block (``s = t``)
+    comes from the orthonormal float recurrence; a cross-line block
+    (``s != t``) is exact, each entry one correctly rounded integer fraction.
+    The coincident-point convention of the ``s < t`` propagator term is
+    strict: it vanishes when ``y >= x``.  Raises ``OverflowError`` when an
+    entry lies beyond the range of a double.  Lines must be integers; numpy
+    integers are taken as Python ints, which the exact arithmetic needs.
     """
     spec = ctx.spec
     try:
@@ -295,38 +291,25 @@ def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
     _check_positions("row", ys)
     _check_positions("column", xs)
 
-    if s < t:
+    if s != t:
         return _cross_block(spec, s, ys, t, xs)
 
-    # K = a_s(y) b_t(x) sum_l kappa_l p_{s,r_s-l}(y) p_{t,r_t-l}(x), with
-    # kappa_l = (C_{s,l} / C_{t,l}) sqrt(N_{s,r_s-l} / N_{t,r_t-l}); 1 if s = t
-    ds, dt = ctx.lines[s - 1], ctx.lines[t - 1]
-    row_log, rows = _tower(ds, ys, ds.ea, ds.eb)
-    col_log, cols = _tower(dt, xs, dt.pa - dt.ea, dt.pb - dt.eb)
-    if s == t:
-        shift, S = 0.0, rows.T @ cols
-    else:
-        L = min(ds.r, dt.r)
-        logkappa = _log_weights(ctx, s, L) - _log_weights(ctx, t, L)
-        shift = logkappa.max()
-        S = np.einsum("li,l,lj->ij", rows[ds.r - L :], np.exp(logkappa - shift), cols[dt.r - L :])
-    # The per-line constants are summed apart from the per-point terms: on a
+    # K = a_t(y) b_t(x) sum_n p_n(y) p_n(x), where the signs (-1)^ea of a_t
+    # and b_t cancel
+    d = ctx.lines[t - 1]
+    row_log, rows = _tower(d, ys, d.ea, d.eb)
+    col_log, cols = _tower(d, xs, d.pa - d.ea, d.pb - d.eb)
+    S = rows.T @ cols
+    # The per-line constant is summed apart from the per-point terms: on a
     # single-term line such as K(1, y; 1, x) = 2(1 - y) at (1, 2) the exponent
     # then takes one rounding, and K(1, 0.25; 1, 0.25) comes out as 1.5.
     with np.errstate(divide="ignore", over="ignore"):
-        expo = (
-            row_log[:, None] + col_log[None, :]
-            + (shift - ds.half_log_n0 - dt.half_log_n0)
-            + np.log(np.abs(S))
-        )
-        K = (-1.0) ** (ds.ea + dt.ea) * np.sign(S) * np.exp(expo)
+        expo = row_log[:, None] + col_log[None, :] - 2.0 * d.half_log_n0 + np.log(np.abs(S))
+        K = np.sign(S) * np.exp(expo)
     bad = ~np.isfinite(K)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise OverflowError(
-            f"K({s}, y; {t}, x) at (y, x) = ({float(ys[i])!r}, {float(xs[j])!r}) is beyond "
-            f"the range of a double: log10|K| = {expo[i, j] / math.log(10):.1f}"
-        )
+        raise _overflow(s, t, float(ys[i]), float(xs[j]), expo[i, j] / math.log(10))
     return K
 
 

@@ -50,25 +50,24 @@ def _check_size(spec: HexagonSpec, m: int) -> None:
 def _hat_blocks(spec: HexagonSpec, m: int):
     """Weighted path blocks and contracted source/sink tables.
 
-    Returns ``(paths, G, H, M)`` where ``paths[(i, j)]`` is the weighted
-    ``i -> j`` transfer product (one 1/m per interior hop), ``G[t]`` is the
+    Returns ``(paths, G, H, M)`` where ``paths[j - i]`` is the weighted
+    ``i -> j`` transfer product (one 1/m per interior hop), which depends on
+    the gap ``j - i`` alone, ``G[t]`` is the
     ``p x m`` source-to-line table, ``H[s]`` the ``m x p`` line-to-sink table
     and ``M`` the ``p x p`` source-to-sink contraction.
     """
     p, q = spec.p, spec.q
     nl = spec.n_lines
     step = np.triu(np.ones((m, m)), k=1)
-    paths: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(1, nl):
-        paths[(i, i + 1)] = step
-        for j in range(i + 2, nl + 1):
-            paths[(i, j)] = paths[(i, j - 1)] @ step / m
+    paths = [None, step]  # no path has gap 0
+    for _ in range(2, nl):
+        paths.append(paths[-1] @ step / m)
 
     G = {}
     for t in range(1, nl + 1):
         block = np.zeros((p, m))
         for l in range(1, min(t - 1, p) + 1):
-            block[l - 1] = paths[(l, t)].sum(axis=0) / m
+            block[l - 1] = paths[t - l].sum(axis=0) / m
         if t <= p:
             block[t - 1] += 1.0
         G[t] = block
@@ -81,7 +80,7 @@ def _hat_blocks(spec: HexagonSpec, m: int):
             if s == sink_line:
                 block[:, n - 1] += 1.0
             elif s < sink_line:
-                block[:, n - 1] = paths[(s, sink_line)].sum(axis=1) / m
+                block[:, n - 1] = paths[sink_line - s].sum(axis=1) / m
         H[s] = block
 
     M = np.empty((p, p))
@@ -110,7 +109,7 @@ def discrete_kernel(spec: HexagonSpec, m: int) -> np.ndarray:
         for t in range(1, nl + 1):
             block = H[s] @ solved[t]
             if s < t:
-                block = block - paths[(s, t)]
+                block = block - paths[t - s]
             out[(s - 1) * m : s * m, (t - 1) * m : t * m] = block / m
     return out
 

@@ -251,8 +251,11 @@ def sample_positions(stream: RandomStream, spec: HexagonSpec, count: int, thread
     """Raw sample arrays: one (count, r(t)) array per line, rows decreasing.
 
     Row ``b`` of every array is configuration ``b``; interlacing is checked
-    on the whole arrays at once.
+    on the whole arrays at once.  ``threads`` (an integer >= 1) caps the
+    workers; each takes whole 1024-configuration chunks.
     """
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     chunks = _run_chunks(stream, spec, count, threads)
     lines = [np.vstack([chunk[t] for chunk in chunks])[:, ::-1] for t in range(spec.n_lines)]
     _check_interlacing(spec, lines)

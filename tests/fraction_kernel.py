@@ -1,14 +1,16 @@
-"""Reference cross-line kernel (``s < t``) in ``fractions.Fraction`` arithmetic.
+"""Reference cross-line kernel (``s != t``) in ``fractions.Fraction`` arithmetic.
 
 The straightforward exact route: every incoming/outgoing polynomial is a
 tuple of ``Fraction`` monomial coefficients, evaluated by Horner's rule at
-the exact rational value of each float position; the rank-``p`` sum and the
-one-sided propagator ``(x - y)^{t-s-1}/(t-s-1)!`` are accumulated as
-``Fraction`` and rounded once by ``float()``.  The Jacobi monomial
-coefficients come from the binomial double sum, independently of the
-three-term recurrence the package uses.  ``beadproc.kernel`` computes
-the same rationals in integer fixed point, so the two must agree bit for
-bit.  Slow (``math.gcd`` on every add and multiply); for tests only.
+the exact rational value of each float position; the rank-``p`` sum and,
+for ``s < t``, the one-sided propagator ``(x - y)^{t-s-1}/(t-s-1)!`` are
+accumulated as ``Fraction`` and rounded once by ``float()``.  For ``s > t``
+the same families apply and the propagator is absent (``s = t`` works too
+and gives the exact same-line kernel).  The Jacobi monomial coefficients
+come from the binomial double sum, independently of the three-term
+recurrence the package uses.  ``beadproc.kernel`` computes the same
+rationals for ``s != t`` in integer fixed point, so the two must agree bit
+for bit.  Slow (``math.gcd`` on every add and multiply); for tests only.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ def _horner(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
 
 
 def cross_block(p: int, q: int, s: int, ys, t: int, xs) -> np.ndarray:
-    """``K(s, y_i; t, x_j)`` for ``s < t``: rank-p transfer sum minus propagator."""
+    """``K(s, y_i; t, x_j)`` for any lines ``s``, ``t``: the rank-p transfer
+    sum, minus the propagator when ``s < t``."""
     yf = [Fraction(float(v)) for v in ys]
     xf = [Fraction(float(v)) for v in xs]
     psis, phis = [], []
@@ -102,12 +105,12 @@ def cross_block(p: int, q: int, s: int, ys, t: int, xs) -> np.ndarray:
             continue
         psis.append([_horner(cp, y) for y in yf])
         phis.append([_horner(cq, x) for x in xf])
-    fact = math.factorial(t - s - 1)
+    fact = math.factorial(t - s - 1) if s < t else 1
     out = np.empty((len(yf), len(xf)), dtype=float)
     for i, y in enumerate(yf):
         for j, x in enumerate(xf):
             tot = sum((pv[i] * qv[j] for pv, qv in zip(psis, phis)), Fraction(0))
-            if y < x:
+            if s < t and y < x:
                 tot -= (x - y) ** (t - s - 1) / fact
             out[i, j] = float(tot)
     return out

@@ -1,9 +1,12 @@
-"""Reference same-line kernel (``s >= t``) in mpmath, 60 significant digits.
+"""Reference kernel for ``s >= t`` in mpmath, 60 significant digits.
 
-The route the package took before its orthonormal recurrence: shifted Jacobi
+The biorthogonal route, which the package no longer takes: shifted Jacobi
 polynomials ``P~_n`` from the classical unnormalized three-term recurrence,
 squared norms and weights ``C_l`` from exact factorials, and the kernel as
 ``a_s(y) b_t(x) sum_l C_{s,l} / (C_{t,l} N_{t,r_t-l}) P~_{r_s-l}(y) P~_{r_t-l}(x)``.
+The package computes ``s = t`` by an orthonormal float recurrence and
+``s > t`` exactly from incoming/outgoing families, so this checks both
+through a different representation.
 At 60 digits neither range nor cancellation is a concern at the sizes the
 tests use, so this is the reference for values a double cannot hold too.
 Slow; for tests only.

@@ -178,7 +178,7 @@ def test_line_density_and_expected_count_name_the_valid_range():
 
 
 def test_numpy_integer_lines_match_python_ints():
-    # numpy integers reach the exact s < t arithmetic as Python ints, where
+    # numpy integers reach the exact s != t arithmetic as Python ints, where
     # int64 would overflow
     i64 = np.int64
     ctx = kernel_context(HexagonSpec(2, 3))
@@ -343,19 +343,23 @@ def _cross_line_pairs(p, q):
 
 
 def _cross_case(p, q, s, t):
-    # which branch each family takes, and the propagator gap capped at 2
-    return (s > q, "t<=p" if t <= p else "t<=q" if t <= q else "t>q", min(t - s - 1, 2))
+    # which branch each family takes, the direction, and the line gap
+    # |t - s| - 1 capped at 2
+    return (s > q, "t<=p" if t <= p else "t<=q" if t <= q else "t>q", s < t, min(abs(t - s) - 1, 2))
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (2, 3), (3, 7), (4, 4), (5, 9), (12, 12), (20, 60)])
 def test_cross_block_bit_identical_to_fraction_reference(p, q):
-    # the integer fixed-point branch must round the same rationals as the
-    # Fraction route: equality, not closeness
+    # the integer fixed-point path must round the same rationals as the
+    # Fraction route, s < t and the mirrored s > t: equality, not closeness
     spec = HexagonSpec(p, q)
     ctx = kernel_context(spec)
     rng = np.random.default_rng(97 * p + q)
+    n = spec.n_lines
+    pairs = _cross_line_pairs(p, q)
+    # s > t: every pair mirrored, and the widest gap, from the top line to line 1
     covered = set()
-    for s, t in _cross_line_pairs(p, q):
+    for s, t in dict.fromkeys(pairs + [(t, s) for s, t in pairs] + [(n, 1)]):
         shared = float(rng.uniform(0.05, 0.95))
         ys = np.array([shared, *rng.uniform(0.05, 0.95, 2)])
         xs = np.array([shared, *rng.uniform(0.05, 0.95, 2), ys[1] / 2, (1 + ys[1]) / 2])
@@ -363,8 +367,7 @@ def test_cross_block_bit_identical_to_fraction_reference(p, q):
         want = fraction_kernel.cross_block(p, q, s, ys, t, xs)
         assert np.array_equal(got, want), (p, q, s, t)
         covered.add(_cross_case(p, q, s, t))
-    n = spec.n_lines
-    assert covered == {_cross_case(p, q, s, t) for s in range(1, n) for t in range(s + 1, n + 1)}
+    assert covered == {_cross_case(p, q, s, t) for s in range(1, n + 1) for t in range(1, n + 1) if s != t}
 
 
 def test_bulk_probe_cross_entry_bit_identical():
@@ -397,7 +400,7 @@ def test_kernel_eval_takes_one_block_per_line_pair(monkeypatch):
 
 @pytest.mark.parametrize("p", [16, 32])
 def test_bulk_probe_matches_entrywise_blocks(p):
-    # s < t entries are exact, so batching cannot move them; s >= t entries
+    # s != t entries are exact, so batching cannot move them; s = t entries
     # may move through the summation order, within 1e-14 of their pair's size
     bulk = scaling_context(2.0, 2.0)
     ctx = kernel_context(HexagonSpec(p, 3 * p))
@@ -410,7 +413,7 @@ def test_bulk_probe_matches_entrywise_blocks(p):
         by_pair.setdefault((s, t), []).append((row.scaled, want))
     for (s, t), pairs in by_pair.items():
         got, want = np.array(pairs).T
-        if s < t:
+        if s != t:
             assert np.array_equal(got, want), (s, t)
         else:
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (s, t)
@@ -421,8 +424,6 @@ def test_kernel_context_is_shared_and_read_only():
     assert kernel_context(HexagonSpec(3, 5)) is ctx
     with pytest.raises(ValueError):
         ctx.lines[2].a[1] = 0.0
-    with pytest.raises(ValueError):
-        ctx.logfact[0] = 1.0
 
 
 # Probe positions for the mpmath comparisons: three seeded ones plus points
@@ -441,8 +442,8 @@ def _same_line_pairs(p, q):
 def test_reflection_symmetry(p):
     # (t, x) -> (p+q-t, 1-x) maps the fan onto itself, line p onto line q and
     # s < t entries onto s > t entries: a 2-point function and its mirror
-    # take each off-diagonal pair from the other branch (exact integer
-    # families or the float recurrence), at sizes no exact oracle reaches
+    # take each off-diagonal pair from the other direction, exact through
+    # different incoming/outgoing families, at sizes no Fraction oracle reaches
     q = 3 * p
     ctx = kernel_context(HexagonSpec(p, q))
 
@@ -488,8 +489,9 @@ def test_tower_matches_mpmath(p, q):
 def test_same_line_entries_match_mpmath(p, q):
     # Every s >= t entry against the 60-digit reference, out-of-band points
     # included.  Within the range of a double: s = t entries to a relative
-    # 1e-10; s > t sums cancel (by 1e4 here), so their error is held to 1e-10
-    # of the sum of the absolute values of their terms.  Beyond the range the
+    # 1e-10; the terms of the reference's s > t sums cancel (by 1e4 here), so
+    # their error is held to 1e-10 of the sum of the absolute values of those
+    # terms (the test below holds them to one ulp).  Beyond the range the
     # entry must raise; below 1e-290 it must come out as tiny.
     ctx = kernel_context(HexagonSpec(p, q))
     rng = np.random.default_rng(5 + p)
@@ -517,6 +519,40 @@ def test_same_line_entries_match_mpmath(p, q):
                 assert abs(got - want) <= bound, (s, y, t, x, got, want)
                 counts["checked"] += 1
     assert counts["checked"] > 400 and counts["raised"] > 50
+
+
+def test_cross_entries_below_the_diagonal_match_mpmath_to_one_ulp():
+    # every s > t entry of _same_line_pairs at (256, 768) within the normal
+    # range of a double is correctly rounded: the exact path loses no digits
+    # where the terms of the 60-digit sum cancel
+    p, q = 256, 768
+    ctx = kernel_context(HexagonSpec(p, q))
+    rng = np.random.default_rng(5 + p)
+    checked = 0
+    for s, t in _same_line_pairs(p, q):
+        pts = np.concatenate([rng.random(3), _FAR])  # the points of the test above
+        if s == t:
+            continue
+        for y in map(float, pts):
+            for x in map(float, pts):
+                want = mp_kernel.entry(p, q, s, y, t, x)[0]
+                if not np.finfo(float).tiny <= abs(want) <= DBL_MAX:
+                    continue
+                got = kernel_matrix(ctx, s, [y], t, [x])[0, 0]
+                assert abs(got - want) <= 2.3e-16 * abs(want), (s, y, t, x, got, want)
+                checked += 1
+    assert checked > 90
+
+
+def test_cross_overflow_names_its_place():
+    # K(256, 0.5; 1, 0.5) at (256, 768): log10|K| = 675.769 by the 60-digit
+    # reference; the exact path raises the same message as the float path
+    want = mp_kernel.entry(256, 768, 256, 0.5, 1, 0.5)[0]
+    assert abs(float(mp.log10(abs(want))) - 675.769) < 5e-4
+    ctx = kernel_context(HexagonSpec(256, 768))
+    msg = r"^K\(256, y; 1, x\) at \(y, x\) = \(0\.5, 0\.5\) is beyond the range of a double: log10\|K\| = 675\.8$"
+    with pytest.raises(OverflowError, match=msg):
+        kernel_matrix(ctx, 256, [0.5], 1, [0.5])
 
 
 def test_overflowing_entry_raises_with_its_place():

@@ -342,3 +342,17 @@ def test_first_line_law_is_beta():
 def test_count_must_be_positive():
     with pytest.raises(ValueError):
         sample_positions(RandomStream(1), HexagonSpec(p=1, q=1), count=0)
+
+
+@pytest.mark.parametrize("threads", [0, -3, 1.5, 2.0, "2"])
+def test_threads_must_be_a_positive_integer(threads):
+    # 0 and -3 ran serially without a word; a float or a string is refused too
+    with pytest.raises(ValueError, match=r"threads must be an integer >= 1, got"):
+        sample_positions(RandomStream(1), HexagonSpec(p=1, q=1), count=4, threads=threads)
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_threads_below_one_exits_two(threads, capsys):
+    assert run(["sample", "--p", "1", "--q", "2", "--count", "4", "--seed", "1", "--threads", threads]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "threads must be an integer >= 1" in err
