@@ -4,10 +4,11 @@ Correlation functions of the uniform interlacing measure are minors of a
 single two-line kernel ``K(s, y; t, x)``, computed on one of two paths.
 
 *Same line* (``s = t``): a sum of orthonormal shifted Jacobi polynomials of
-the line, evaluated by the three-term recurrence of its Jacobi matrix in one
-per-point gauge that keeps every value inside the range of a double; an
-entry is then a sign times one ``exp`` of its summed exponent, so it is
-accurate, or raises where its true size is beyond a double.
+the line, evaluated by the three-term recurrence of its Jacobi matrix, run
+once over the distinct union of a block's positions in one per-point gauge
+that keeps every value inside the range of a double; an entry is then a sign
+times one ``exp`` of its summed exponent, so it is accurate, or raises where
+its true size is beyond a double.
 
 *Cross line* (``s != t``), exact: the transfer-operator representation, a
 rank-``p`` sum of incoming/outgoing polynomial families, minus the one-sided
@@ -237,15 +238,16 @@ def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarr
     return out
 
 
-def _tower(d: _LineData, x: np.ndarray, ea: float, eb: float):
-    """``(E, psi)`` with ``x^ea (1-x)^eb p_n(x) = exp(E - ½ log N_0) psi[n]``, n < r.
+def _tower(d: _LineData, x: np.ndarray):
+    """``(log x, log(1-x), G, psi)`` with ``p_n(x) = exp(G - ½ log N_0) psi[n]``, n < r.
 
     One gauge per point: the recurrence starts from ``psi[0] = exp(c)``,
     ``c = log phi_0 - max(log phi_0, -300)`` with ``phi_n = sqrt(w) p_n``, so
     the O(1) functions ``phi_n`` give ``|psi| <~ e^300``.  Where ``phi_0 <
     e^-1000``, ``c`` stops at -700, so ``psi[0]`` cannot underflow while the
     growth ``p_n / p_0`` (up to ``e^973`` at p = 512) still fits.  The result
-    is scaled to ``max_n |psi[n]| = 1``.
+    is scaled to ``max_n |psi[n]| = 1``.  Every step is elementwise, so a
+    point's values do not depend on the other points passed with it.
     """
     lx, l1x = np.log(x), np.log1p(-x)
     c = (0.5 * d.pa) * lx + (0.5 * d.pb) * l1x + (300.0 - d.half_log_n0)
@@ -255,33 +257,41 @@ def _tower(d: _LineData, x: np.ndarray, ea: float, eb: float):
     if d.r > 1:
         step = (1.0 - 2.0 * x - d.b[:, None]) / d.a[:, None]
         ratio = (d.a[:-1] / d.a[1:]).tolist()
-        np.multiply(step[0], psi[0], out=psi[1])
+        rows, tmp = list(psi), np.empty_like(x)
+        np.multiply(step[0], rows[0], out=rows[1])
         with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(1, d.r - 1):
-                row = np.multiply(step[n], psi[n], out=psi[n + 1])
-                row -= ratio[n - 1] * psi[n - 1]
+            for lo, mid, hi, st, rho in zip(rows, rows[1:], rows[2:], step[1:], ratio):
+                np.multiply(st, mid, out=hi)
+                np.multiply(rho, lo, out=tmp)
+                np.subtract(hi, tmp, out=hi)
     top = np.maximum(psi.max(axis=0), -psi.min(axis=0))
     if not np.all(np.isfinite(top)):
         bad = float(x[~np.isfinite(top)][0])
         raise OverflowError(f"Jacobi tower ({d.pa}, {d.pb}) of degree {d.r - 1} outgrows a double at x = {bad!r}")
     psi /= top
-    return ea * lx + eb * l1x + (np.log(top) - c), psi
+    return lx, l1x, np.log(top) - c, psi
+
+
+def _line_index(v) -> int:
+    # operator.index, refusing the bools it would take as lines 1 and 0
+    return operator.index(None if isinstance(v, (bool, np.bool_)) else v)
 
 
 def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
     """Kernel block ``K(s, y_i; t, x_j)`` for arrays of positions.
 
     Rows carry line ``s``, columns line ``t``.  A same-line block (``s = t``)
-    comes from the orthonormal float recurrence; a cross-line block
-    (``s != t``) is exact, each entry one correctly rounded integer fraction.
-    The coincident-point convention of the ``s < t`` propagator term is
-    strict: it vanishes when ``y >= x``.  Raises ``OverflowError`` when an
-    entry lies beyond the range of a double.  Lines must be integers; numpy
-    integers are taken as Python ints, which the exact arithmetic needs.
+    comes from the orthonormal float recurrence, run once over the distinct
+    union of ``ys`` and ``xs``; a cross-line block (``s != t``) is exact, each
+    entry one correctly rounded integer fraction.  The coincident-point
+    convention of the ``s < t`` propagator term is strict: it vanishes when
+    ``y >= x``.  Raises ``OverflowError`` when an entry lies beyond the range
+    of a double.  Lines must be integers, not bools; numpy integers are taken
+    as Python ints, which the exact arithmetic needs.
     """
     spec = ctx.spec
     try:
-        s, t = operator.index(s), operator.index(t)
+        s, t = _line_index(s), _line_index(t)
     except TypeError:
         raise TypeError(f"lines must be integers, got s={s!r}, t={t!r}") from None
     if not 1 <= s <= spec.n_lines or not 1 <= t <= spec.n_lines:
@@ -295,11 +305,15 @@ def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
         return _cross_block(spec, s, ys, t, xs)
 
     # K = a_t(y) b_t(x) sum_n p_n(y) p_n(x), where the signs (-1)^ea of a_t
-    # and b_t cancel
+    # and b_t cancel.  One tower serves both sides; take() keeps the gathered
+    # blocks C-contiguous, so the product matches two towers' bit for bit.
     d = ctx.lines[t - 1]
-    row_log, rows = _tower(d, ys, d.ea, d.eb)
-    col_log, cols = _tower(d, xs, d.pa - d.ea, d.pb - d.eb)
-    S = rows.T @ cols
+    u = _distinct(np.concatenate((ys, xs)))
+    iy, ix = np.searchsorted(u, ys), np.searchsorted(u, xs)
+    lx, l1x, G, psi = _tower(d, u)
+    row_log = (d.ea * lx + d.eb * l1x + G)[iy]
+    col_log = ((d.pa - d.ea) * lx + (d.pb - d.eb) * l1x + G)[ix]
+    S = psi.take(iy, axis=1).T @ psi.take(ix, axis=1)
     # The per-line constant is summed apart from the per-point terms: on a
     # single-term line such as K(1, y; 1, x) = 2(1 - y) at (1, 2) the exponent
     # then takes one rounding, and K(1, 0.25; 1, 0.25) comes out as 1.5.
@@ -317,7 +331,7 @@ def _distinct(v: np.ndarray) -> np.ndarray:
     # sorted distinct values; np.unique would import numpy.ma on first use,
     # which costs 20 ms and 1 MB of memory
     v = np.sort(v)
-    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+    return np.concatenate((v[:1], v[1:][v[1:] != v[:-1]]))
 
 
 def kernel_eval(ctx: KernelContext, s, y, t, x):
@@ -348,7 +362,7 @@ def line_density(ctx: KernelContext, t: int, xs):
     """Diagonal values ``K(t, x; t, x)`` — the one-bead density on line ``t``."""
     spec = ctx.spec
     try:
-        t = operator.index(t)
+        t = _line_index(t)
     except TypeError:
         raise TypeError(f"lines must be integers, got t={t!r}") from None
     if not 1 <= t <= spec.n_lines:
@@ -357,7 +371,8 @@ def line_density(ctx: KernelContext, t: int, xs):
     _check_positions("line", xs_arr)
     d = ctx.lines[t - 1]
     # K(t, x; t, x) = w_t(x) sum_n p_n(x)^2
-    half_log, psi = _tower(d, xs_arr, 0.5 * d.pa, 0.5 * d.pb)
+    lx, l1x, G, psi = _tower(d, xs_arr)
+    half_log = (0.5 * d.pa) * lx + (0.5 * d.pb) * l1x + G
     out = np.exp(2.0 * (half_log - d.half_log_n0) + np.log(np.einsum("ni,ni->i", psi, psi)))
     return float(out[0]) if np.ndim(xs) == 0 else out
 
@@ -376,7 +391,7 @@ def expected_count(ctx: KernelContext, t: int, nodes: int | None = None) -> floa
     """
     if nodes is None:
         nodes = (ctx.spec.p + ctx.spec.q) // 2 + 1
-    elif not isinstance(nodes, (int, np.integer)) or nodes < 1:
+    elif isinstance(nodes, bool) or not isinstance(nodes, (int, np.integer)) or nodes < 1:
         raise ValueError(f"nodes must be an integer >= 1, got {nodes}")
     x, w = _gauss_legendre_unit(nodes)
     return float(np.dot(w, line_density(ctx, t, x)))

@@ -162,6 +162,27 @@ def test_non_integer_line_raises():
         kernel_matrix(ctx, 1, [0.3], 4.0, [0.5])
 
 
+@pytest.mark.parametrize("true", [True, np.True_])
+def test_bool_lines_and_node_counts_are_refused(true):
+    # True used to be taken as line 1 by kernel_matrix and line_density, and
+    # as a 1-node rule by expected_count (1.5000000000000009 on line 1)
+    ctx = kernel_context(HexagonSpec(2, 3))
+    with pytest.raises(TypeError, match=r"lines must be integers, got s=(np\.)?True_?, t=1"):
+        kernel_matrix(ctx, true, [0.3], 1, [0.5])
+    with pytest.raises(TypeError, match=r"lines must be integers, got s=2, t=(np\.)?True_?$"):
+        kernel_matrix(ctx, 2, [0.3], true, [0.5])
+    with pytest.raises(TypeError, match=r"lines must be integers, got t=(np\.)?True_?$"):
+        line_density(ctx, true, [0.3])
+    with pytest.raises(TypeError, match=r"lines must be integers, got t=(np\.)?True_?$"):
+        expected_count(ctx, true)
+    with pytest.raises(TypeError, match=r"lines must be integers, got True"):
+        kernel_eval(ctx, true, 0.3, 1, 0.5)
+    with pytest.raises(TypeError, match=r"lines must be integers, got True"):
+        npoint_correlation(ctx, [(true, 0.3)])
+    with pytest.raises(ValueError, match=r"nodes must be an integer >= 1, got True"):
+        expected_count(ctx, 1, nodes=true)
+
+
 def test_line_density_and_expected_count_name_the_valid_range():
     # a float line raised "tuple indices must be integers" and nodes = 0
     # numpy's "deg must be a positive integer"; each call now names its rule
@@ -477,12 +498,56 @@ def test_tower_matches_mpmath(p, q):
     xs = np.concatenate([np.random.default_rng(p).random(3), _FAR])
     for t in sorted({s for pair in _same_line_pairs(p, q) for s in pair}):
         d = ctx.lines[t - 1]
-        expo, psi = _tower(d, xs, d.ea, d.eb)
+        lx, l1x, G, psi = _tower(d, xs)
+        assert lx.tobytes() == np.log(xs).tobytes() and l1x.tobytes() == np.log1p(-xs).tobytes()
         assert np.all(np.abs(psi).max(axis=0) == 1.0)
         for j, x in enumerate(xs):
-            scale = mp.mpf(x) ** d.ea * (1 - mp.mpf(x)) ** d.eb / mp.exp(mp.mpf(expo[j]) - d.half_log_n0)
+            scale = 1 / mp.exp(mp.mpf(G[j]) - d.half_log_n0)
             want = [float(v * scale) for v in mp_kernel.orthonormal(p, q, t, float(x))]
             assert np.max(np.abs(psi[:, j] - want)) <= 1e-10, (t, x)
+
+
+def test_tower_columns_do_not_depend_on_the_other_points():
+    # the premise of running one tower over the union of a block's rows and
+    # columns: column j of a many-point tower is the one-point tower of u[j],
+    # bit for bit, out-of-band points included
+    p, q = 256, 768
+    ctx = kernel_context(HexagonSpec(p, q))
+    u = np.sort(np.concatenate([np.random.default_rng(p).random(5), _FAR]))
+    for t in sorted({s for pair in _same_line_pairs(p, q) for s in pair}):
+        d = ctx.lines[t - 1]
+        full = _tower(d, u)
+        for j in range(u.size):
+            for whole, alone in zip(full, _tower(d, u[[j]])):
+                assert whole[..., j].tobytes() == alone[..., 0].tobytes(), (t, u[j])
+
+
+def test_same_line_block_runs_one_tower(monkeypatch):
+    calls = []
+
+    def counted(d, x):
+        calls.append(x.size)
+        return _tower(d, x)
+
+    monkeypatch.setattr(kernel_module, "_tower", counted)
+    ctx = kernel_context(HexagonSpec(4, 12))
+    xs = np.array([0.2, 0.45, 0.7])
+    kernel_matrix(ctx, 5, xs, 5, xs)
+    assert calls == [3]
+    calls.clear()
+    kernel_matrix(ctx, 5, [0.1, 0.45], 5, xs)
+    assert calls == [4]  # the distinct union of both sides
+    calls.clear()
+    npoint_correlation(ctx, [(5, 0.2), (5, 0.45), (9, 0.3), (5, 0.7), (9, 0.6)])
+    assert sorted(calls) == [2, 3]  # one tower per same-line block; s != t takes none
+
+
+def test_empty_sides_give_empty_blocks():
+    ctx = kernel_context(HexagonSpec(4, 12))
+    for s, t in [(5, 5), (3, 9), (9, 3)]:
+        assert kernel_matrix(ctx, s, [], t, []).shape == (0, 0)
+        assert kernel_matrix(ctx, s, [0.2, 0.6], t, []).shape == (2, 0)
+        assert kernel_matrix(ctx, s, [], t, [0.3, 0.5, 0.9]).shape == (0, 3)
 
 
 @pytest.mark.parametrize("p,q", [(64, 192), (256, 768)])
