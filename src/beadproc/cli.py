@@ -45,14 +45,15 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _emit_rows(args, cols: Sequence[str], rows, spec_fields: dict, seed=None) -> None:
+    """Write ``rows`` (tuples, one type per column) as CSV or a JSON envelope."""
     if getattr(args, "format", "csv") == "json":
         payload = {"spec": spec_fields, "seed": seed, "rows": [dict(zip(cols, r)) for r in rows]}
         _write_text(args.out, json.dumps(payload) + "\n")
     else:
-        lines = [",".join(cols)]
-        for r in rows:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in r))
-        _write_text(args.out, "\n".join(lines) + "\n")
+        # One %-template for the whole table, typed by its first row:
+        # '%.17g' % v == format(v, '.17g') for every float.
+        row = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n" if rows else ""
+        _write_text(args.out, ",".join(cols) + "\n" + "".join([row % r for r in rows]))
 
 
 def _make_stream(args) -> RandomStream:
@@ -199,9 +200,22 @@ def _cmd_limit_shape(args) -> int:
     return 0
 
 
+def _parse_probe_ps(values: Sequence[str]) -> list[int]:
+    ps = []
+    for item in (s for value in values for s in value.split(",")):
+        try:
+            p = int(item)
+        except ValueError:
+            p = 0
+        if p < 1:
+            raise ValueError(f"--probe-p takes integers >= 1, got {item!r}")
+        ps.append(p)
+    return ps
+
+
 def _cmd_bulk(args) -> int:
     if args.probe_p:
-        ps = [int(s) for value in args.probe_p for s in value.split(",")]
+        ps = _parse_probe_ps(args.probe_p)
         offsets = [(args.s0, args.t0, args.X, args.Y)]
         rows = []
         for p in ps:
@@ -376,7 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--svg", default=None, help="also write an SVG rendering to this path")
     _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_sample)
 
     sp = sub.add_parser("kernel", help="evaluate the exact kernel at one point pair")
     sp.add_argument("--p", type=int, required=True)
@@ -386,7 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y", type=float, required=True)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_kernel)
 
     sp = sub.add_parser("density", help="one-line density on a midpoint grid")
     sp.add_argument("--p", type=int, required=True)
@@ -394,7 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--points", type=int, default=101)
     _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_density)
 
     sp = sub.add_parser("correlate", help="n-point correlation determinant")
     sp.add_argument("--p", type=int, required=True)
@@ -403,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--point", action="append", required=True, help="LINE:POSITION, repeatable"
     )
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_correlate)
 
     sp = sub.add_parser("enumerate", help="enumerate the small lattice model")
     sp.add_argument("--n", type=int, required=True)
@@ -411,13 +421,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--total-only", action="store_true")
     _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_enumerate)
 
     sp = sub.add_parser("limit-shape", help="support band endpoints over the fan")
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--points", type=int, default=257)
     _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_limit_shape)
 
     sp = sub.add_parser("bulk", help="bulk kernel values and convergence probes")
     sp.add_argument("--k", type=float, required=True)
@@ -434,25 +442,31 @@ def _build_parser() -> argparse.ArgumentParser:
         help="p values for the probe; repeat the flag or give a comma list",
     )
     _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_bulk)
 
     sp = sub.add_parser("validate", help="run built-in cross-module validation suites")
     sp.add_argument("--suite", choices=("all", *_SUITES), default="all")
     sp.add_argument("--level", choices=("quick", "full"), default="quick")
     _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_validate)
 
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command line; the parser is built on the first call and reused."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code) if exc.code else 0
+    # Looked up per call, so a replaced ``_cmd_*`` function is the one that runs.
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import beadproc
+from beadproc import cli
 from beadproc.cli import run
 
 
@@ -204,6 +205,13 @@ def test_bulk_non_finite_position_is_usage_error(argv, capsys):
     assert err.startswith("error:") and "finite" in err
 
 
+@pytest.mark.parametrize("value,bad", [("16,,32", ""), ("16,32,", ""), ("0", "0"), ("-3", "-3"), ("x", "x")])
+def test_bulk_probe_bad_item_names_the_flag(value, bad, capsys):
+    code = run(["bulk", "--k", "2", "--S", "2", "--probe-p", value])
+    assert code == 2
+    assert _capture(capsys) == ("", f"error: --probe-p takes integers >= 1, got {bad!r}\n")
+
+
 def test_bulk_gamma_form_and_probe_exclude_each_other(capsys):
     # the probe has no gamma form; asking for both is refused, not half-honoured
     code = run("bulk --k 2 --S 2 --probe-p 16 --gamma-form".split())
@@ -211,6 +219,40 @@ def test_bulk_gamma_form_and_probe_exclude_each_other(capsys):
     assert code == 2
     assert out == ""
     assert "not allowed with argument" in err
+
+
+# ------------------------------------------------------------ table format
+
+# Each tabular command with its column types; the writer formats a whole table
+# from one template typed by the first row, so every row must keep these.
+_TABLES = [
+    ("sample --p 2 --q 3 --count 3 --seed 1", (int, int, int, float)),
+    ("density --p 2 --q 3 --t 2 --points 5", (int, float, int, float, float)),
+    ("enumerate --n 1 --p 1 --q 2", (int, int, int, int)),
+    ("limit-shape --k 2 --points 5", (float, float, float)),
+    ("bulk --k 2 --S 2 --probe-p 8 --probe-p 16", (int, int, int, float, float, float, float, float)),
+    ("validate --suite discrete", (str, str, str, float, float)),
+]
+
+
+@pytest.mark.parametrize("argv,types", _TABLES, ids=[a.split()[0] for a, _ in _TABLES])
+def test_tables_are_written_in_the_documented_format(argv, types, capsys):
+    assert run(argv.split()) == 0
+    csv_rows = [ln.split(",") for ln in _capture(capsys)[0].splitlines()[1:]]
+    assert run(argv.split() + ["--format", "json"]) == 0
+    json_rows = [list(r.values()) for r in json.loads(_capture(capsys)[0])["rows"]]
+    assert csv_rows and len(json_rows) == len(csv_rows)
+    for fields, values in zip(csv_rows, json_rows):
+        assert len(fields) == len(values) == len(types)
+        for field, value, kind in zip(fields, values, types):
+            # ".17g" prints 1.0 as "1", so a field's type shows in JSON only
+            assert type(value) is kind
+            if kind is float:
+                assert field == format(float(field), ".17g") and float(field) == value
+            elif kind is int:
+                assert field == str(int(field)) and int(field) == value
+            else:
+                assert field == value
 
 
 # ---------------------------------------------------------------- validate
@@ -266,6 +308,36 @@ def test_domain_error_exits_two(capsys):
 def test_missing_subcommand_exits_two(capsys):
     assert run([]) == 2
     _capture(capsys)
+
+
+def test_reused_parser_carries_no_state_between_runs(monkeypatch, capsys):
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    assert run(["sample", "--p"]) == 2
+    assert run(["--help"]) == 0
+    _capture(capsys)
+    for argv in ("correlate --p 1 --q 2 --point 1:0.25 --point 2:0.75",
+                 "bulk --k 2 --S 2 --probe-p 16 --probe-p 32"):
+        assert run(argv.split()) == 0
+        first = _capture(capsys)
+        assert run(argv.split()) == 0
+        assert _capture(capsys) == first  # append flags do not pile up
+    assert len(first[0].splitlines()) == 3
+    assert run("sample --p 1 --q 1 --seed 4".split()) == 0
+    assert "seed:" not in _capture(capsys)[1]
+    assert run("sample --p 1 --q 1".split()) == 0
+    assert re.search(r"^seed: \d+$", _capture(capsys)[1], re.M)
+    assert builds == [1]
+
+
+def test_a_replaced_command_handler_is_the_one_that_runs(monkeypatch, capsys):
+    argv = "kernel --p 1 --q 2 --s 1 --t 1 --y 0.25 --x 0.25".split()
+    assert run(argv) == 0  # the parser exists before the handler is replaced
+    monkeypatch.setattr(cli, "_cmd_kernel", lambda args: 7)
+    assert run(argv) == 7
+    assert _capture(capsys) == ("1.5\n", "")
 
 
 def test_module_entry_point():

@@ -310,6 +310,31 @@ def test_thread_count_does_not_change_the_draw():
         assert all(x.tobytes() == y.tobytes() for x, y in zip(serial, pooled))
 
 
+def test_newton_cap_has_headroom(monkeypatch):
+    # the eigenvalue starts leave at most 2 polish passes per zero at these sizes
+    cases = [((4, 12), 60, 7), ((32, 96), 4, 3)]
+    want = [sample_positions(RandomStream(seed), HexagonSpec(*pq), count) for pq, count, seed in cases]
+    monkeypatch.setattr(sampler, "_NEWTON_ITERS", 4)
+    for (pq, count, seed), lines in zip(cases, want):
+        got = sample_positions(RandomStream(seed), HexagonSpec(*pq), count)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, lines))
+
+
+def test_sampler_respects_the_fan_reflection():
+    # (t, x) <-> (p+q-t, 1-x): the top bead of line t has the law of one minus
+    # the bottom bead of line p+q-t.  Even configurations give one sample, odd
+    # ones the other, so the two are independent.
+    p, q = 4, 12
+    lines = sample_positions(RandomStream(2024), HexagonSpec(p=p, q=q), count=2000)
+    band = math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2 / 1000)  # KS two-sample, level 1e-3
+    for t in (2, 5, 8):
+        top = np.sort(lines[t - 1][0::2, 0])
+        mirrored = np.sort(1.0 - lines[p + q - t - 1][1::2, -1])
+        grid = np.concatenate([top, mirrored])
+        gap = np.searchsorted(top, grid, side="right") - np.searchsorted(mirrored, grid, side="right")
+        assert np.max(np.abs(gap)) / 1000 < band, t
+
+
 def test_entropy_echo_reproduces_os_seeded_run():
     first = RandomStream()
     entropy = first.entropy
