@@ -116,8 +116,9 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     and an entry freezes once its step is at most 4 ulps or its bracket has
     closed, so every zero depends on its own row alone.  Raises
     ``RuntimeError`` naming the row and the gap if a gap holds no double
-    strictly between its poles, or if a zero comes out non-finite or outside
-    its bracket.
+    strictly between its poles, if a zero comes out non-finite or outside
+    its bracket, or if one is still moving when the ``_NEWTON_ITERS`` cap runs
+    out.
     """
 
     def f(x):
@@ -198,6 +199,12 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
             f"secular solve failed — gap {j + 1} ({float(poles[b, j])!r}, {float(poles[b, j + 1])!r}) "
             f"of row {b}: zero {float(zeros[b, j])!r} is non-finite or outside "
             f"[{float(lo[b, j])!r}, {float(hi[b, j])!r}]"
+        )
+    if act.size:
+        b, j = np.divmod(int(act[0]), gap.shape[1])
+        raise RuntimeError(
+            f"secular solve failed — gap {j + 1} ({float(poles[b, j])!r}, {float(poles[b, j + 1])!r}) "
+            f"of row {b}: zero {float(zeros[b, j])!r} still moving after {_NEWTON_ITERS} Newton steps"
         )
     return zeros
 

@@ -1,10 +1,12 @@
 """Lattice model: enumeration, left-count closed form, single-line marginals."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
+from beadproc import hexagon
 from beadproc.hexagon import (
     BudgetExceededError,
     DiscreteHexagon,
@@ -83,6 +85,18 @@ def test_frozen_configuration_counts(n, p, q, total):
     assert len(set(configs)) == total  # each exactly once
     assert all(isinstance(c, LatticeConfiguration) for c in configs)
     assert all(len(c.lines) == p + q + 1 for c in configs)
+
+
+def test_counts_equal_macmahon_box_formula():
+    # every hexagon inside the budget: the configurations are the plane
+    # partitions in an n x p x q box, counted by prod (i+j+k-1)/(i+j+k-2)
+    sizes = range(1, hexagon._BUDGET + 1)
+    for n, p, q in itertools.product(sizes, sizes, sizes):
+        if n * p * q > hexagon._BUDGET:
+            continue
+        boxes = itertools.product(range(1, n + 1), range(1, p + 1), range(1, q + 1))
+        want = math.prod((Fraction(i + j + k - 1, i + j + k - 2) for i, j, k in boxes), start=Fraction(1))
+        assert len(enumerate_configurations(DiscreteHexagon(n, p, q))) == want, (n, p, q)
 
 
 def test_reflection_symmetry_of_counts():

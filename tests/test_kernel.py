@@ -15,6 +15,7 @@ from beadproc.kernel import (
     _phi_family,
     _psi_family,
     _tower,
+    _unit_gauge,
     expected_count,
     kernel_context,
     kernel_eval,
@@ -505,6 +506,20 @@ def test_tower_matches_mpmath(p, q):
             scale = 1 / mp.exp(mp.mpf(G[j]) - d.half_log_n0)
             want = [float(v * scale) for v in mp_kernel.orthonormal(p, q, t, float(x))]
             assert np.max(np.abs(psi[:, j] - want)) <= 1e-10, (t, x)
+
+
+def test_unit_gauge_stays_near_one():
+    # chi_n = p_n / g_n runs in the e^300 headroom of _tower only while the
+    # gauge factors stay near 1; every line up to (512, 1536) keeps them
+    # within two decades, and no line density at (512, 1536) raises
+    for p, q in [(64, 192), (256, 768), (512, 1536)]:
+        for t, d in enumerate(kernel_context(HexagonSpec(p, q)).lines, start=1):
+            g = _unit_gauge(d.a)[0]
+            assert np.all((1e-2 <= g) & (g <= 1e2)), (p, q, t, g.min(), g.max())
+    ctx = kernel_context(HexagonSpec(512, 1536))
+    xs = np.concatenate([np.random.default_rng(512).random(3), _FAR])
+    for t in ctx.spec.lines():
+        assert np.all(np.isfinite(line_density(ctx, t, xs))), t
 
 
 def test_tower_columns_do_not_depend_on_the_other_points():

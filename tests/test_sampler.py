@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from beadproc import checks, sampler
 from beadproc.cli import run
+from beadproc.kernel import kernel_context, line_density
 from beadproc.model import HexagonSpec, interlacing_breaks, particles_per_line
 from beadproc.sampler import RandomStream, dirichlet_draw, sample_positions
 from beadproc.stats import ks_statistic
@@ -235,6 +236,14 @@ def test_unconverged_zero_names_line_and_gap(monkeypatch):
     assert "np.float64" not in str(err.value)  # plain floats under numpy 2 too
 
 
+def test_zero_still_moving_at_the_cap_names_line_and_gap(monkeypatch):
+    # one polish pass leaves about 12% of the zeros at (4, 12) still moving:
+    # the solve must say so instead of returning them
+    monkeypatch.setattr(sampler, "_NEWTON_ITERS", 1)
+    with pytest.raises(RuntimeError, match=r"^line \d+: .*gap \d+ .*still moving after 1 Newton steps$"):
+        sample_positions(RandomStream(7), HexagonSpec(p=4, q=12), count=60)
+
+
 # ----------------------------------------------------------------- sampling
 
 
@@ -333,6 +342,32 @@ def test_sampler_respects_the_fan_reflection():
         grid = np.concatenate([top, mirrored])
         gap = np.searchsorted(top, grid, side="right") - np.searchsorted(mirrored, grid, side="right")
         assert np.max(np.abs(gap)) / 1000 < band, t
+
+
+def test_one_bead_law_matches_the_kernel_on_every_line():
+    # One bead per configuration, chosen uniformly, is a draw of the one-bead
+    # law rho_t / r(t).  Its CDF comes from the kernel's line density by
+    # 8-point Gauss-Legendre on 1500 cells; the kernel's Jacobi recurrences
+    # share no code with the sampler's secular solve.  KS band at family
+    # level 1e-3, Bonferroni over the lines.
+    p, q, n = 8, 24, 3000
+    spec = HexagonSpec(p=p, q=q)
+    ctx = kernel_context(spec)
+    lines = sample_positions(RandomStream(17), spec, count=n)
+    pick = np.random.default_rng(18)
+    edges = np.linspace(0.0, 1.0, 1501)
+    u, w = np.polynomial.legendre.leggauss(8)
+    nodes = edges[:-1, None] + np.diff(edges)[:, None] * (0.5 * (u + 1.0))
+    weights = np.diff(edges)[:, None] * (0.5 * w)
+    band = math.sqrt(-math.log(1e-3 / spec.n_lines / 2) / 2)
+    for t, beads in enumerate(lines, start=1):
+        r = beads.shape[1]
+        cells = (line_density(ctx, t, nodes.ravel()).reshape(nodes.shape) * weights).sum(axis=1)
+        F = np.concatenate([[0.0], np.cumsum(cells)]) / r
+        assert abs(F[-1] - 1.0) < 1e-10, t
+        one = beads[np.arange(n), pick.integers(r, size=n)]
+        stat = math.sqrt(n) * ks_statistic(one, lambda x: np.interp(x, edges, F))
+        assert stat < band, (t, stat)
 
 
 def test_entropy_echo_reproduces_os_seeded_run():
