@@ -21,12 +21,8 @@ from .model import (
     interlacing_breaks,
     particles_per_line,
 )
-from .oracle import discrete_kernel, grid_points, oracle_deviation
-from .sampler import (
-    RandomStream,
-    dirichlet_draw,
-    sample_positions,
-)
+from .oracle import grid_points, oracle_deviation
+from .sampler import RandomStream, sample_positions
 from .scaling import (
     ScalingContext,
     boutillier_kernel,
@@ -56,8 +52,6 @@ __all__ = [
     "boutillier_kernel",
     "bulk_convergence_probe",
     "bulk_kernel",
-    "dirichlet_draw",
-    "discrete_kernel",
     "enumerate_configurations",
     "expected_count",
     "gamma_parameter",

@@ -17,15 +17,13 @@ import numpy as np
 from . import hexagon as hx
 from .kernel import expected_count, kernel_context, line_density
 from .model import HexagonSpec, interlacing_breaks, particles_per_line
-from .oracle import oracle_deviation
 from .sampler import RandomStream, sample_positions
 from .scaling import boutillier_kernel, bulk_kernel, gamma_parameter, scaling_context, support_interval
 from .stats import beta_cdf, ks_statistic
 
 __all__ = [
     "REFINEMENT_PROBES", "bulk_offsets", "count_identity_error", "first_line_ks", "form_identity_gap",
-    "in_band_fractions", "interlacing_rejections", "lattice_identities", "oracle_refinement",
-    "two_line_form_error",
+    "in_band_fractions", "interlacing_rejections", "lattice_identities", "two_line_form_error",
 ]
 
 
@@ -64,13 +62,6 @@ REFINEMENT_PROBES = (
     (4, 0.20, 3, 0.20),
     (4, 0.20, 4, 0.65),
 )
-
-
-def oracle_refinement(
-    spec: HexagonSpec, ms: Sequence[int], probes: Sequence[tuple[int, float, int, float]]
-) -> list[float]:
-    """Grid-oracle deviation from the exact kernel at each resolution in ``ms``."""
-    return [oracle_deviation(spec, m, probes) for m in ms]
 
 
 def first_line_ks(spec: HexagonSpec, n: int, seed: int) -> float:

@@ -26,7 +26,8 @@ from . import checks, scaling
 from . import hexagon as hx
 from .kernel import kernel_context, kernel_eval, line_density, npoint_correlation
 from .model import HexagonSpec
-from .sampler import RandomStream, dirichlet_draw, sample_positions
+from .oracle import oracle_deviation
+from .sampler import RandomStream, _dirichlet_batch, sample_positions
 from .stats import ks_statistic
 
 __all__ = ["main", "run"]
@@ -260,12 +261,12 @@ def _suite_kernel(level: str, rows: list) -> None:
     _check(rows, "kernel", "count_identity", worst, 1e-8, worst < 1e-8)
 
     if level == "full":
-        devs = checks.oracle_refinement(HexagonSpec(2, 3), (50, 100, 200), checks.REFINEMENT_PROBES)
+        devs = [oracle_deviation(HexagonSpec(2, 3), m, checks.REFINEMENT_PROBES) for m in (50, 100, 200)]
         ok = devs[0] > devs[1] > devs[2] and devs[2] < 0.02
         _check(rows, "kernel", "oracle_refinement", devs[2], 0.02, ok)
     else:
         probes = [(1, 0.3, 1, 0.7), (1, 0.4, 2, 0.6), (2, 0.6, 1, 0.2)]
-        deva, devb = checks.oracle_refinement(HexagonSpec(1, 2), (40, 80), probes)
+        deva, devb = [oracle_deviation(HexagonSpec(1, 2), m, probes) for m in (40, 80)]
         _check(rows, "kernel", "oracle_refinement", devb, deva, devb < deva)
 
 
@@ -290,7 +291,7 @@ def _suite_sampler(level: str, rows: list) -> None:
     same = all(np.array_equal(x, y) for x, y in zip(a, b))
     _check(rows, "sampler", "seed_determinism", 0.0 if same else 1.0, 0.0, same)
 
-    draws = np.array([dirichlet_draw(RandomStream(5 + i), (1, 1))[0] for i in range(400)])
+    draws = _dirichlet_batch(RandomStream(5).generator, (1, 1), 400)[:, 0]
     ksu = ks_statistic(draws, lambda x: np.clip(x, 0.0, 1.0))
     bandu = 1.63 / math.sqrt(draws.size)
     _check(rows, "sampler", "dirichlet_uniform_component", ksu, bandu, ksu < bandu)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .model import _index
+
 __all__ = [
     "DiscreteHexagon",
     "LatticeConfiguration",
@@ -53,8 +55,12 @@ class DiscreteHexagon:
     q: int
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.p < 1 or self.q < 1:
-            raise ValueError(f"need n, p, q >= 1, got ({self.n}, {self.p}, {self.q})")
+        try:
+            ok = min(map(_index, (self.n, self.p, self.q))) >= 1
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"need integers n, p, q >= 1, got ({self.n!r}, {self.p!r}, {self.q!r})")
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,7 @@ def line_sites(hexa: DiscreteHexagon, t: int) -> range:
 
 
 def _validate_line(hexa: DiscreteHexagon, t: int, xs: Sequence[int]) -> tuple[int, ...]:
+    """``xs`` as a tuple, once it is a full line-``t`` configuration."""
     xs = tuple(int(x) for x in xs)
     a, b = boundary_positions(hexa, t)
     for x in xs:
@@ -96,6 +103,9 @@ def _validate_line(hexa: DiscreteHexagon, t: int, xs: Sequence[int]) -> tuple[in
     for hi, lo in zip(xs, xs[1:]):
         if not lo < hi:
             raise ValueError(f"positions must strictly decrease, got {xs}")
+    r = lattice_particles_per_line(hexa, t)
+    if len(xs) != r:
+        raise ValueError(f"line {t} needs {r} beads")
     return xs
 
 
@@ -174,8 +184,6 @@ def left_count(hexa: DiscreteHexagon, t: int, xs: Sequence[int]) -> int:
     if not 1 <= t <= min(hexa.p, hexa.q):
         raise ValueError(f"left counts need 1 <= t <= {min(hexa.p, hexa.q)}, got {t}")
     xs = _validate_line(hexa, t, xs)
-    if len(xs) != lattice_particles_per_line(hexa, t):
-        raise ValueError(f"line {t} needs {lattice_particles_per_line(hexa, t)} beads")
     return len(_enumerate(hexa, pinned={t: xs}, stop=t))
 
 
@@ -196,11 +204,7 @@ def left_count_closed_form(t: int, xs: Sequence[int]) -> Fraction:
 
 def hahn_marginal_unnormalized(hexa: DiscreteHexagon, t: int, xs: Sequence[int]) -> int:
     """Squared Vandermonde times the product one-bead lattice weight, exactly."""
-    if not 0 <= t <= hexa.p + hexa.q:
-        raise ValueError(f"line {t} outside 0..{hexa.p + hexa.q}")
     xs = _validate_line(hexa, t, xs)
-    if len(xs) != lattice_particles_per_line(hexa, t):
-        raise ValueError(f"line {t} needs {lattice_particles_per_line(hexa, t)} beads")
     a, b = boundary_positions(hexa, t)
     vand2 = 1
     for i in range(len(xs)):
@@ -218,9 +222,5 @@ def hahn_marginal_unnormalized(hexa: DiscreteHexagon, t: int, xs: Sequence[int])
 def bruteforce_marginal(hexa: DiscreteHexagon, t: int, xs: Sequence[int]) -> int:
     """Exact count of configurations whose line ``t`` equals ``xs``."""
     _check_budget(hexa)
-    if not 0 <= t <= hexa.p + hexa.q:
-        raise ValueError(f"line {t} outside 0..{hexa.p + hexa.q}")
     xs = _validate_line(hexa, t, xs)
-    if len(xs) != lattice_particles_per_line(hexa, t):
-        raise ValueError(f"line {t} needs {lattice_particles_per_line(hexa, t)} beads")
     return len(_enumerate(hexa, pinned={t: xs}))

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import HexagonSpec, particles_per_line
+from .model import HexagonSpec, _index, particles_per_line
 
 __all__ = [
     "KernelContext",
@@ -295,11 +295,6 @@ def _tower(d: _LineData, x: np.ndarray):
     return lx, l1x, np.log(top) - c, psi
 
 
-def _line_index(v) -> int:
-    # operator.index, refusing the bools it would take as lines 1 and 0
-    return operator.index(None if isinstance(v, (bool, np.bool_)) else v)
-
-
 def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
     """Kernel block ``K(s, y_i; t, x_j)`` for arrays of positions.
 
@@ -314,7 +309,7 @@ def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
     """
     spec = ctx.spec
     try:
-        s, t = _line_index(s), _line_index(t)
+        s, t = _index(s), _index(t)
     except TypeError:
         raise TypeError(f"lines must be integers, got s={s!r}, t={t!r}") from None
     if not 1 <= s <= spec.n_lines or not 1 <= t <= spec.n_lines:
@@ -385,7 +380,7 @@ def line_density(ctx: KernelContext, t: int, xs):
     """Diagonal values ``K(t, x; t, x)`` — the one-bead density on line ``t``."""
     spec = ctx.spec
     try:
-        t = _line_index(t)
+        t = _index(t)
     except TypeError:
         raise TypeError(f"lines must be integers, got t={t!r}") from None
     if not 1 <= t <= spec.n_lines:

@@ -42,6 +42,11 @@ class InterlacingShapeError(ValueError):
     """
 
 
+def _index(v) -> int:
+    """``operator.index``, refusing the bools it would take as 1 and 0."""
+    return operator.index(None if isinstance(v, (bool, np.bool_)) else v)
+
+
 @dataclass(frozen=True)
 class HexagonSpec:
     """Side parameters of the continuum model, with ``1 <= p <= q``.
@@ -57,8 +62,8 @@ class HexagonSpec:
         # stored as Python ints: the exact kernel's big-integer arithmetic
         # would overflow in a numpy integer type
         try:
-            object.__setattr__(self, "p", operator.index(self.p))
-            object.__setattr__(self, "q", operator.index(self.q))
+            object.__setattr__(self, "p", _index(self.p))
+            object.__setattr__(self, "q", _index(self.q))
         except TypeError:
             raise TypeError(f"p and q must be integers, got p={self.p!r}, q={self.q!r}") from None
         if not 1 <= self.p <= self.q:
@@ -74,7 +79,7 @@ class HexagonSpec:
 
 
 def _check_line(spec: HexagonSpec, t: int) -> None:
-    if not isinstance(t, (int, np.integer)):
+    if isinstance(t, (bool, np.bool_)) or not isinstance(t, (int, np.integer)):
         raise TypeError(f"line index must be an integer, got {t!r}")
     if not 1 <= t <= spec.n_lines:
         raise ValueError(f"line {t} outside 1..{spec.n_lines}")

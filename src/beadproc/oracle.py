@@ -11,7 +11,9 @@ single ``p x p`` solve:
     K = H . M^{-1} . G  -  (path block when s < t),
 
 with ``G = (source rows) . (weighted path sums)``, ``H`` its sink-side mirror
-and ``M = G`` contracted against the sinks.  No dense ``L`` matrix is formed.
+and ``M = G`` contracted against the sinks.  No dense ``L`` matrix is formed,
+and no whole kernel matrix either: :func:`oracle_deviation` evaluates only
+the entries it probes.
 
 Everything here converges O(1/m) to the continuum kernel; it is an oracle,
 not a production path, and sizes are capped accordingly.
@@ -26,21 +28,24 @@ import numpy as np
 from .kernel import kernel_context, kernel_eval
 from .model import HexagonSpec
 
-__all__ = ["grid_points", "discrete_kernel", "oracle_deviation"]
+__all__ = ["grid_points", "oracle_deviation"]
 
-_MAX_GRID_DIM = 6000  # (p+q-1)*m cap; dense O(dim^2) blocks
+_MAX_GRID_DIM = 6000  # (p+q-1)*m cap; the path blocks hold (p+q-1)*m^2 doubles
+
+
+def _check_grid(m: int) -> None:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 2:
+        raise ValueError(f"need an integer m >= 2 grid points per line, got {m!r}")
 
 
 def grid_points(m: int) -> np.ndarray:
     """Midpoint grid on (0,1): ``(i + 1/2)/m`` — never touches the endpoints."""
-    if m < 2:
-        raise ValueError("need at least 2 grid points per line")
+    _check_grid(m)
     return (np.arange(m) + 0.5) / m
 
 
 def _check_size(spec: HexagonSpec, m: int) -> None:
-    if m < 2:
-        raise ValueError("need at least 2 grid points per line")
+    _check_grid(m)
     if spec.n_lines * m > _MAX_GRID_DIM:
         raise ValueError(
             f"grid dimension {spec.n_lines * m} exceeds the oracle cap {_MAX_GRID_DIM}"
@@ -89,11 +94,14 @@ def _hat_blocks(spec: HexagonSpec, m: int):
     return paths, G, H, M
 
 
-def discrete_kernel(spec: HexagonSpec, m: int) -> np.ndarray:
-    """Full kernel matrix over (line, grid node) pairs, point weight included.
+def oracle_deviation(spec: HexagonSpec, m: int, probes: Sequence[tuple[int, float, int, float]]) -> float:
+    """Max over probes of ``|m * K_discrete - K_exact|`` at snapped positions.
 
-    Block ``(s, t)`` sits at rows ``(s-1)m:(s)m``, columns ``(t-1)m:(t)m``;
-    diagonal entries approximate (continuum density)/m.
+    Probe positions are moved to the nearest grid node before either side is
+    evaluated, so the comparison carries no interpolation error — only the
+    genuine O(1/m) discretization gap.  Only the probed entries of the grid
+    kernel are formed: one solve per distinct column line and one gathered
+    product per line pair.
     """
     _check_size(spec, m)
     paths, G, H, M = _hat_blocks(spec, m)
@@ -102,29 +110,18 @@ def discrete_kernel(spec: HexagonSpec, m: int) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"source-sink contraction is numerically singular (condition ~{cond:.3g})"
         )
-    nl = spec.n_lines
-    solved = {t: np.linalg.solve(M, G[t]) for t in range(1, nl + 1)}
-    out = np.zeros((nl * m, nl * m))
-    for s in range(1, nl + 1):
-        for t in range(1, nl + 1):
-            block = H[s] @ solved[t]
-            if s < t:
-                block = block - paths[t - s]
-            out[(s - 1) * m : s * m, (t - 1) * m : t * m] = block / m
-    return out
-
-
-def oracle_deviation(spec: HexagonSpec, m: int, probes: Sequence[tuple[int, float, int, float]]) -> float:
-    """Max over probes of ``|m * K_discrete - K_exact|`` at snapped positions.
-
-    Probe positions are moved to the nearest grid node before either side is
-    evaluated, so the comparison carries no interpolation error — only the
-    genuine O(1/m) discretization gap.
-    """
-    K = discrete_kernel(spec, m)
     s, y, t, x = map(np.asarray, zip(*probes))
     i = np.clip(np.round(y * m - 0.5), 0, m - 1).astype(int)
     j = np.clip(np.round(x * m - 0.5), 0, m - 1).astype(int)
+    solved = {b: np.linalg.solve(M, G[b]) for b in dict.fromkeys(t.tolist())}
+    disc = np.empty(len(probes))
+    for a, b in dict.fromkeys(zip(s.tolist(), t.tolist())):
+        at = np.flatnonzero((s == a) & (t == b))
+        # the gathered product keeps the whole block's summation order
+        block = np.diagonal(H[a][i[at]] @ solved[b][:, j[at]])
+        if a < b:
+            block = block - paths[b - a][i[at], j[at]]
+        disc[at] = m * (block / m)  # as the whole matrix held it, with its 1/m weight
     g = grid_points(m)
     exact = kernel_eval(kernel_context(spec), s, g[i], t, g[j])
-    return float(np.max(np.abs(m * K[(s - 1) * m + i, (t - 1) * m + j] - exact)))
+    return float(np.max(np.abs(disc - exact)))

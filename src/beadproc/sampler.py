@@ -36,11 +36,7 @@ from numpy.linalg import eigvalsh
 
 from .model import HexagonSpec, interlacing_breaks
 
-__all__ = [
-    "RandomStream",
-    "dirichlet_draw",
-    "sample_positions",
-]
+__all__ = ["RandomStream", "sample_positions"]
 
 _CHUNK = 1024  # configurations per substream; part of the determinism contract
 _NEWTON_ITERS = 60  # cap on polishing steps; a step that leaves its bracket bisects it
@@ -75,11 +71,6 @@ def _dirichlet_batch(rng: np.random.Generator, multiplicities: Sequence[int], ba
     offsets = np.cumsum([0] + mult[:-1])
     g = np.add.reduceat(e, offsets, axis=1)
     return g / g.sum(axis=1, keepdims=True)
-
-
-def dirichlet_draw(stream: RandomStream, multiplicities: Sequence[int]) -> np.ndarray:
-    """One Dirichlet vector with the given positive-integer multiplicities."""
-    return _dirichlet_batch(stream.generator, multiplicities, 1)[0]
 
 
 def _eigen_start(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -261,7 +252,7 @@ def sample_positions(stream: RandomStream, spec: HexagonSpec, count: int, thread
     on the whole arrays at once.  ``threads`` (an integer >= 1) caps the
     workers; each takes whole 1024-configuration chunks.
     """
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     chunks = _run_chunks(stream, spec, count, threads)
     lines = [np.vstack([chunk[t] for chunk in chunks])[:, ::-1] for t in range(spec.n_lines)]

@@ -16,8 +16,9 @@ line label ``S = t/p``:
   in determinants, so no correlation depends on it.
 
 The tail integrals reduce exactly to the scaled complex exponential integral
-``e^z E_1(z)`` (series near the origin, modified-Lentz continued fraction
-farther out) plus a short upward recurrence; no truncation is involved.
+``e^z E_1(z)`` (series near the origin and near the negative real axis,
+modified-Lentz continued fraction elsewhere) plus a short upward recurrence;
+no truncation is involved.
 """
 
 from __future__ import annotations
@@ -165,43 +166,52 @@ def gamma_parameter(k: float, S: float) -> float:
 # --- tail integrals ----------------------------------------------------------
 
 _EULER_GAMMA = 0.5772156649015328606
+_E1_TERMS = 200  # series cap; the series converges within it for every |z| <= 70
 
 
 def _e1_scaled(z: complex) -> complex:
-    """``e^z E_1(z)`` off the branch cut (-inf, 0]."""
+    """``e^z E_1(z)`` off the branch cut (-inf, 0].
+
+    The continued fraction serves ``|z| > 4`` and the series the rest, but
+    within about 0.4 rad of the negative real axis, out to ``|z| ~ 42``, the
+    fraction does not converge in its 500 steps.  There the series terms
+    nearly share one sign, so the series loses few digits and takes over.
+    """
     if z == 0:
         raise ValueError("E_1 diverges at z = 0")
-    if abs(z) <= 4.0:
-        total = complex(0.0)
-        term = complex(1.0)
-        for n in range(1, 200):
-            term *= -z / n
-            piece = -term / n
-            total += piece
-            if abs(piece) < 1e-18 * (1.0 + abs(total)):
-                break
-        return cmath.exp(z) * (-_EULER_GAMMA - cmath.log(z) + total)
-    # modified Lentz on the even continued fraction 1/(z+1- 1/(z+3- 4/(z+5- ...)))
-    tiny = 1e-290
-    f = z + 1.0
-    if f == 0:
-        f = tiny
-    c, d = f, complex(0.0)
-    for n in range(1, 500):
-        a = -float(n * n)
-        b = z + 2.0 * n + 1.0
-        d = b + a * d
-        if d == 0:
-            d = tiny
-        c = b + a / c
-        if c == 0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return 1.0 / f
-    raise RuntimeError(f"continued fraction failed to converge at z = {z}")
+    if abs(z) > 4.0:
+        # modified Lentz on the even continued fraction 1/(z+1- 1/(z+3- 4/(z+5- ...)))
+        tiny = 1e-290
+        f = z + 1.0
+        if f == 0:
+            f = tiny
+        c, d = f, complex(0.0)
+        for n in range(1, 500):
+            a = -float(n * n)
+            b = z + 2.0 * n + 1.0
+            d = b + a * d
+            if d == 0:
+                d = tiny
+            c = b + a / c
+            if c == 0:
+                c = tiny
+            d = 1.0 / d
+            delta = c * d
+            f *= delta
+            if abs(delta - 1.0) < 1e-16:
+                return 1.0 / f
+    total = complex(0.0)
+    term = complex(1.0)
+    for n in range(1, _E1_TERMS):
+        term *= -z / n
+        piece = -term / n
+        total += piece
+        if abs(piece) < 1e-18 * (1.0 + abs(total)):
+            return cmath.exp(z) * (-_EULER_GAMMA - cmath.log(z) + total)
+    raise ValueError(
+        f"e^z E_1(z) is out of reach at z = {z}: the continued fraction does not converge "
+        "and the power series serves |z| <= 70 only"
+    )
 
 
 def tail_integral_real(tau: float, nu: float, d: int) -> float:

@@ -1,11 +1,13 @@
-"""Literal dense L-ensemble on the oracle's grid, to cross-check its assembly.
+"""Whole grid-kernel matrices on the oracle's grid, to cross-check its assembly.
 
-``beadproc.oracle`` reads the grid kernel off a ``p x p`` solve and never
-forms the L matrix.  Here it is built outright, with unweighted hops: ``p``
-virtual sources, ``p`` virtual sinks and ``m`` midpoint nodes per line wired
-by the strict one-step transfer ``[y < x]``.  Dense inversions; for tests
-only, at tiny sizes.  :func:`moment_matrix` exposes the oracle's ``p x p``
-source-to-sink contraction, whose limit tests know in closed form.
+``beadproc.oracle`` reads only probed grid-kernel entries off a ``p x p``
+solve and never forms the L matrix.  :func:`discrete_kernel` assembles the
+whole kernel matrix from the same blocks, and :func:`dense_conditional_kernel`
+builds the L matrix outright, with unweighted hops: ``p`` virtual sources,
+``p`` virtual sinks and ``m`` midpoint nodes per line wired by the strict
+one-step transfer ``[y < x]``.  Dense inversions; for tests only, at tiny
+sizes.  :func:`moment_matrix` exposes the oracle's ``p x p`` source-to-sink
+contraction, whose limit tests know in closed form.
 """
 
 from __future__ import annotations
@@ -16,6 +18,26 @@ import numpy as np
 
 from beadproc import oracle
 from beadproc.model import HexagonSpec, particles_per_line
+
+
+def discrete_kernel(spec: HexagonSpec, m: int) -> np.ndarray:
+    """Full kernel matrix over (line, grid node) pairs, point weight included.
+
+    Block ``(s, t)`` sits at rows ``(s-1)m:(s)m``, columns ``(t-1)m:(t)m``;
+    diagonal entries approximate (continuum density)/m.
+    """
+    oracle._check_size(spec, m)
+    paths, G, H, M = oracle._hat_blocks(spec, m)
+    nl = spec.n_lines
+    solved = {t: np.linalg.solve(M, G[t]) for t in range(1, nl + 1)}
+    out = np.zeros((nl * m, nl * m))
+    for s in range(1, nl + 1):
+        for t in range(1, nl + 1):
+            block = H[s] @ solved[t]
+            if s < t:
+                block = block - paths[t - s]
+            out[(s - 1) * m : s * m, (t - 1) * m : t * m] = block / m
+    return out
 
 
 def _dense_l_matrix(spec: HexagonSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -42,7 +64,7 @@ def dense_conditional_kernel(spec: HexagonSpec, m: int) -> np.ndarray:
 
     Unweighted hops and the conditional-inverse route leave this in a
     different gauge: block ``(s, t)`` equals ``(-m)^{t-s}`` times the
-    corresponding block of :func:`beadproc.oracle.discrete_kernel`.
+    corresponding block of :func:`discrete_kernel`.
     Correlation minors agree exactly (the gauge cancels over any set).
     """
     p = spec.p

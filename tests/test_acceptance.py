@@ -16,6 +16,7 @@ from beadproc.cli import run
 from beadproc.hexagon import DiscreteHexagon
 from beadproc.kernel import kernel_context, kernel_eval, kernel_matrix, line_density, npoint_correlation
 from beadproc.model import HexagonSpec
+from beadproc.oracle import oracle_deviation
 from beadproc.sampler import RandomStream, sample_positions
 from beadproc.scaling import bulk_convergence_probe
 from beadproc.stats import ks_statistic
@@ -157,7 +158,7 @@ def test_criterion_08_matrix_formalism_refinement():
         cover["inside"] |= p <= lo and hi <= q
         cover["straddle_q"] |= lo <= q < hi
         cover["above_q"] |= lo >= q
-    devs = checks.oracle_refinement(spec, (50, 100, 200), checks.REFINEMENT_PROBES)
+    devs = [oracle_deviation(spec, m, checks.REFINEMENT_PROBES) for m in (50, 100, 200)]
     ok = all(cover.values()) and devs[0] > devs[1] > devs[2] and devs[2] < 0.02
     _finish(
         8,

@@ -168,6 +168,14 @@ def test_bulk_point_values(capsys):
     assert float(out) == pytest.approx(1.0 / math.pi, abs=1e-12)
 
 
+def test_bulk_tail_at_large_k(capsys):
+    # nu = 0.286: the tail's continued fraction does not converge here, so the
+    # series takes over; the figure is mpmath quadosc at 40 digits
+    assert run("bulk --k 50 --S 26 --s0 0 --t0 1 --X 0.35".split()) == 0
+    out, _ = _capture(capsys)
+    assert float(out) == pytest.approx(0.64724817053755433, abs=1e-12)
+
+
 def test_bulk_probe_table(capsys):
     argv = "bulk --k 2 --S 2 --s0 0 --t0 0 --X 0.5 --Y -0.25 --probe-p 8,16".split()
     assert run(argv) == 0

@@ -106,6 +106,27 @@ def test_reflection_symmetry_of_counts():
         assert straight == mirrored
 
 
+@pytest.mark.parametrize("sides", [(1.5, 1, 1), (1, 2.0, 2), (True, 1, 1), (1, 1, "2"), (1, 0, 2)])
+def test_hexagon_sides_must_be_positive_integers(sides):
+    # DiscreteHexagon(1.5, 1, 1) used to build
+    with pytest.raises(ValueError, match=r"need integers n, p, q >= 1, got"):
+        DiscreteHexagon(*sides)
+
+
+def test_line_checks_name_the_bead_count():
+    hexa = DiscreteHexagon(2, 2, 2)
+    with pytest.raises(ValueError, match=r"^line 2 needs 2 beads$"):
+        left_count(hexa, 2, (0,))
+    with pytest.raises(ValueError, match=r"^line 1 needs 1 beads$"):
+        hahn_marginal_unnormalized(hexa, 1, (3, 1))
+    with pytest.raises(ValueError, match=r"^line 3 needs 1 beads$"):
+        bruteforce_marginal(hexa, 3, (3, 1))
+    with pytest.raises(ValueError, match=r"^need 2 positions, got 3$"):
+        left_count_closed_form(2, (3, 1, -1))
+    with pytest.raises(ValueError, match=r"^line 5 outside 0\.\.4$"):
+        hahn_marginal_unnormalized(hexa, 5, ())
+
+
 def test_enumeration_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_configurations(DiscreteHexagon(3, 3, 3))

@@ -28,6 +28,20 @@ def test_spec_validation():
         HexagonSpec(1.5, 3)
 
 
+@pytest.mark.parametrize("p,q", [(True, 2), (1, True), (np.bool_(True), 2), (1.0, 2), (1, "2")])
+def test_spec_sides_must_be_integers(p, q):
+    # HexagonSpec(True, 2) used to build HexagonSpec(p=1, q=2)
+    with pytest.raises(TypeError, match=r"p and q must be integers, got"):
+        HexagonSpec(p, q)
+
+
+@pytest.mark.parametrize("t", [True, False, np.bool_(True), 1.0, 2.5, "1"])
+def test_line_index_must_be_an_integer(t):
+    # particles_per_line(spec, True) used to return True
+    with pytest.raises(TypeError, match=r"line index must be an integer, got"):
+        particles_per_line(HexagonSpec(2, 3), t)
+
+
 def test_particles_per_line_examples():
     spec = HexagonSpec(4, 12)
     assert particles_per_line(spec, 3) == 3

@@ -8,8 +8,9 @@ import pytest
 
 from beadproc.kernel import kernel_context, kernel_eval
 from beadproc.model import HexagonSpec, interlacing_breaks, particles_per_line
-from beadproc.oracle import discrete_kernel, grid_points, oracle_deviation
-from dense_oracle import dense_conditional_kernel, moment_matrix, subset_weight
+from beadproc import checks
+from beadproc.oracle import grid_points, oracle_deviation
+from dense_oracle import dense_conditional_kernel, discrete_kernel, moment_matrix, subset_weight
 
 
 def test_grid_points_midpoint_layout():
@@ -18,6 +19,15 @@ def test_grid_points_midpoint_layout():
     assert g.min() > 0.0 and g.max() < 1.0
     with pytest.raises(ValueError):
         grid_points(1)
+
+
+@pytest.mark.parametrize("m", [2.5, 4.0, True, np.bool_(True), "4"])
+def test_grid_size_must_be_an_integer(m):
+    # 2.5 used to give the nodes of m = 3, the last one on the endpoint 1
+    with pytest.raises(ValueError, match=r"need an integer m >= 2 grid points per line, got"):
+        grid_points(m)
+    with pytest.raises(ValueError, match=r"need an integer m >= 2 grid points per line, got"):
+        oracle_deviation(HexagonSpec(1, 2), m, [(1, 0.3, 1, 0.7)])
 
 
 def test_unit_case_diagonal_is_weight():
@@ -61,23 +71,38 @@ def test_line_sums_approximate_counts():
         assert float(np.sum(block)) == pytest.approx(particles_per_line(spec, t), abs=5.0 / m)
 
 
+# The probe sets and sizes of ``beadproc validate`` (quick, then full and
+# acceptance criterion 08) and of test_refinement_all_regimes_2_3.
+_VALIDATE_PROBES = [
+    (HexagonSpec(1, 2), (40, 80), [(1, 0.3, 1, 0.7), (1, 0.4, 2, 0.6), (2, 0.6, 1, 0.2)]),
+    (HexagonSpec(2, 3), (50, 100, 200), checks.REFINEMENT_PROBES),
+    (
+        HexagonSpec(2, 3),
+        (40, 80, 160),
+        [(1, 0.35, 1, 0.35), (1, 0.65, 2, 0.20), (2, 0.20, 3, 0.80), (3, 0.80, 4, 0.35), (4, 0.20, 4, 0.65)],
+    ),
+]
+
+
 def test_oracle_deviation_definition():
-    spec = HexagonSpec(1, 2)
-    m = 50
-    probes = [(1, 0.25, 1, 0.25), (1, 0.3, 2, 0.8)]
-    dev = oracle_deviation(spec, m, probes)
-    assert isinstance(dev, float)
-    K = discrete_kernel(spec, m)
-    g = grid_points(m)
-    ctx = kernel_context(spec)
-    by_hand = 0.0
-    for s, y, t, x in probes:
-        i = int(np.clip(round(y * m - 0.5), 0, m - 1))
-        j = int(np.clip(round(x * m - 0.5), 0, m - 1))
-        disc = m * K[(s - 1) * m + i, (t - 1) * m + j]
-        exact = kernel_eval(ctx, s, float(g[i]), t, float(g[j]))
-        by_hand = max(by_hand, abs(disc - exact))
-    assert dev == pytest.approx(by_hand, rel=1e-12)
+    # the deviation reads its entries off gathered blocks, not the whole
+    # matrix; both keep each entry's summation order, so they agree bit for bit
+    cases = [(HexagonSpec(1, 2), (50,), [(1, 0.25, 1, 0.25), (1, 0.3, 2, 0.8)])] + _VALIDATE_PROBES
+    for spec, ms, probes in cases:
+        ctx = kernel_context(spec)
+        for m in ms:
+            dev = oracle_deviation(spec, m, probes)
+            assert isinstance(dev, float)
+            K = discrete_kernel(spec, m)
+            g = grid_points(m)
+            by_hand = 0.0
+            for s, y, t, x in probes:
+                i = int(np.clip(round(y * m - 0.5), 0, m - 1))
+                j = int(np.clip(round(x * m - 0.5), 0, m - 1))
+                disc = m * K[(s - 1) * m + i, (t - 1) * m + j]
+                exact = kernel_eval(ctx, s, float(g[i]), t, float(g[j]))
+                by_hand = max(by_hand, abs(disc - exact))
+            assert dev == by_hand
 
 
 def test_refinement_two_lines():
@@ -158,5 +183,5 @@ def test_wrong_bead_count_rejected():
 
 
 def test_grid_dimension_guard():
-    with pytest.raises(ValueError):
-        discrete_kernel(HexagonSpec(2, 3), 20_000)
+    with pytest.raises(ValueError, match="exceeds the oracle cap 6000"):
+        oracle_deviation(HexagonSpec(2, 3), 20_000, [(1, 0.5, 1, 0.5)])

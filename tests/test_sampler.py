@@ -11,7 +11,7 @@ from beadproc import checks, sampler
 from beadproc.cli import run
 from beadproc.kernel import kernel_context, line_density
 from beadproc.model import HexagonSpec, interlacing_breaks, particles_per_line
-from beadproc.sampler import RandomStream, dirichlet_draw, sample_positions
+from beadproc.sampler import RandomStream, _dirichlet_batch, sample_positions
 from beadproc.stats import ks_statistic
 from secular_reference import SecularProblem, secular_brackets, secular_zeros, secular_zeros_bisect
 
@@ -22,15 +22,17 @@ from secular_reference import SecularProblem, secular_brackets, secular_zeros, s
 def test_dirichlet_component_sum_is_one():
     stream = RandomStream(7)
     for mult in [(1, 1), (4, 12), (2, 1, 1, 3)]:
-        v = dirichlet_draw(stream, mult)
-        assert v.shape == (len(mult),)
+        v = _dirichlet_batch(stream.generator, mult, 1)
+        assert v.shape == (1, len(mult))
         assert np.all(v > 0.0)
         assert abs(v.sum() - 1.0) < 1e-13
 
 
 def test_dirichlet_unit_multiplicities_first_component_uniform():
     stream = RandomStream(11)
-    draws = np.array([dirichlet_draw(stream, (1, 1))[0] for _ in range(10_000)])
+    # one batch takes the stream's exponentials in the order 10_000 single
+    # draws would, so these are the same draws
+    draws = _dirichlet_batch(stream.generator, (1, 1), 10_000)[:, 0]
     assert ks_statistic(draws, lambda x: x) < 0.02
 
 
@@ -38,19 +40,19 @@ def test_dirichlet_first_component_mean():
     # mean of component 1 is s_1 / sum(s); for (4, 12) that is 1/4
     stream = RandomStream(13)
     n = 20_000
-    draws = np.array([dirichlet_draw(stream, (4, 12))[0] for _ in range(n)])
+    draws = _dirichlet_batch(stream.generator, (4, 12), n)[:, 0]
     var = 4 * 12 / (16.0**2 * 17.0)  # Beta(4,12) variance
     assert abs(draws.mean() - 0.25) < 3.0 * math.sqrt(var / n)
 
 
 def test_dirichlet_rejects_zero_multiplicity():
-    stream = RandomStream(1)
+    rng = RandomStream(1).generator
     with pytest.raises(ValueError):
-        dirichlet_draw(stream, (1, 0, 2))
+        _dirichlet_batch(rng, (1, 0, 2), 1)
     with pytest.raises(ValueError, match="multiplicities must be one or more positive integers"):
-        dirichlet_draw(stream, ())
+        _dirichlet_batch(rng, (), 1)
     with pytest.raises(TypeError, match="multiplicities must be positive integers"):
-        dirichlet_draw(stream, (1.5, 2))  # not floored to Dirichlet(1, 2)
+        _dirichlet_batch(rng, (1.5, 2), 1)  # not floored to Dirichlet(1, 2)
 
 
 # ------------------------------------------------------------ secular zeros
@@ -404,9 +406,10 @@ def test_count_must_be_positive():
         sample_positions(RandomStream(1), HexagonSpec(p=1, q=1), count=0)
 
 
-@pytest.mark.parametrize("threads", [0, -3, 1.5, 2.0, "2"])
+@pytest.mark.parametrize("threads", [0, -3, 1.5, 2.0, "2", True, np.bool_(True)])
 def test_threads_must_be_a_positive_integer(threads):
-    # 0 and -3 ran serially without a word; a float or a string is refused too
+    # 0 and -3 ran serially without a word; a float, a string or a bool is
+    # refused too
     with pytest.raises(ValueError, match=r"threads must be an integer >= 1, got"):
         sample_positions(RandomStream(1), HexagonSpec(p=1, q=1), count=4, threads=threads)
 

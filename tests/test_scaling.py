@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from beadproc import scaling
 from beadproc.checks import bulk_offsets
 from beadproc.kernel import kernel_context, line_density
 from beadproc.model import HexagonSpec, particles_per_line
@@ -124,6 +125,18 @@ def test_density_vanishes_off_band_and_at_edges():
     assert global_density(k, S, c + 4 * eps) > 1.9 * inside
 
 
+@pytest.mark.parametrize("k", [0.0, 0.5, 2.0])
+def test_density_is_zero_on_the_degenerate_lines(k):
+    # at S = 0 and S = 2 + k the band is a single point
+    for S in (0.0, 2.0 + k):
+        value = global_density(k, S, 0.3)
+        assert type(value) is float and value == 0.0
+        grid = np.array([[0.1, 0.5], [0.7, 0.9]])
+        out = global_density(k, S, grid)
+        assert out.shape == grid.shape and not out.any()
+        assert global_density(k, S, [0.2, 1.0 / (k + 2.0)]).shape == (2,)
+
+
 def test_density_reflection_symmetry():
     # mirroring the hexagon: S -> 2+k-S sends the density to its reflection
     k = 1.5
@@ -191,7 +204,19 @@ def test_gamma_parameter_values():
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("tau,nu", [(0.0, 0.8), (0.7, 0.8), (-1.3, 1.7320508075688772)])
+@pytest.mark.parametrize(
+    "tau,nu",
+    [
+        (0.0, 0.8),
+        (0.7, 0.8),
+        (-1.3, 1.7320508075688772),
+        # nu at mid-plateau, S = 1 + k/2, for k = 20, 50 and 100; at the last
+        # two the continued fraction does not converge and the series serves
+        (1.5, 0.45825756949558405),
+        (1.5, 0.285657137141714),
+        (1.5, 0.2009975124224178),
+    ],
+)
 def test_tail_integral_against_quadrature(d, tau, nu):
     def f(t):
         return mp.re(mp.e ** (1j * tau * t) * (1 + 1j * nu * t) ** (-d))
@@ -202,6 +227,23 @@ def test_tail_integral_against_quadrature(d, tau, nu):
         expected = mp.quadosc(f, [1, mp.inf], omega=abs(tau))
     got = tail_integral_real(tau, nu, d)
     assert abs(got - float(expected)) < 1e-12
+
+
+# Near the negative real axis, with 4 < |z| < 42, the continued fraction runs
+# out of steps and the series takes over.
+_SLOW_FRACTION = [complex(-3.85, -1.1), complex(-7.5, -1.5), complex(-27.0, -1.0)]
+
+
+def test_e1_falls_back_to_the_series_near_the_negative_axis():
+    for z in _SLOW_FRACTION:
+        want = complex(mp.exp(z) * mp.e1(z))
+        assert abs(scaling._e1_scaled(z) - want) <= 2e-15 * abs(want)
+
+
+def test_e1_names_the_range_where_neither_form_converges(monkeypatch):
+    monkeypatch.setattr(scaling, "_E1_TERMS", 10)
+    with pytest.raises(ValueError, match=r"power series serves \|z\| <= 70 only"):
+        scaling._e1_scaled(_SLOW_FRACTION[1])
 
 
 def test_tail_integral_validation():
