@@ -3,7 +3,6 @@
 from .hexagon import (
     BudgetExceededError,
     DiscreteHexagon,
-    LatticeConfiguration,
     enumerate_configurations,
 )
 from .kernel import (
@@ -45,7 +44,6 @@ __all__ = [
     "HexagonSpec",
     "InterlacingShapeError",
     "KernelContext",
-    "LatticeConfiguration",
     "RandomStream",
     "ScalingContext",
     "beta_cdf",

@@ -171,10 +171,10 @@ def _cmd_enumerate(args) -> int:
         _write_text(args.out, f"{len(configs)}\n")
         return 0
     rows = [
-        (s, t, i, int(x))
+        (s, t, i, x)
         for s, cfg in enumerate(configs)
         for t in range(1, args.p + args.q)
-        for i, x in enumerate(cfg.lines[t], start=1)
+        for i, x in enumerate(cfg[t], start=1)
     ]
     _emit_rows(
         args,

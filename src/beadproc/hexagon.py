@@ -25,7 +25,6 @@ from .model import _index
 
 __all__ = [
     "DiscreteHexagon",
-    "LatticeConfiguration",
     "BudgetExceededError",
     "boundary_positions",
     "lattice_particles_per_line",
@@ -55,33 +54,20 @@ class DiscreteHexagon:
     q: int
 
     def __post_init__(self) -> None:
-        try:
-            ok = min(map(_index, (self.n, self.p, self.q))) >= 1
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValueError(f"need integers n, p, q >= 1, got ({self.n!r}, {self.p!r}, {self.q!r})")
-
-
-@dataclass(frozen=True)
-class LatticeConfiguration:
-    """Real (non-virtual) bead positions per line ``t = 0..p+q``, decreasing ints."""
-
-    lines: tuple[tuple[int, ...], ...]
+        for side in ("n", "p", "q"):
+            object.__setattr__(self, side, _index(getattr(self, side), side, 1))
 
 
 def boundary_positions(hexa: DiscreteHexagon, t: int) -> tuple[int, int]:
     """Ceiling ``a(t)`` and floor ``b(t)`` of line ``t``; kinks at q and p."""
-    if not 0 <= t <= hexa.p + hexa.q:
-        raise ValueError(f"line {t} outside 0..{hexa.p + hexa.q}")
+    t = _index(t, "line t", 0, hexa.p + hexa.q)
     a = 2 * (hexa.n - 1) + t if t <= hexa.q else 2 * (hexa.n + hexa.q - 1) - t
     b = -t if t <= hexa.p else -2 * hexa.p + t
     return a, b
 
 
 def lattice_particles_per_line(hexa: DiscreteHexagon, t: int) -> int:
-    if not 0 <= t <= hexa.p + hexa.q:
-        raise ValueError(f"line {t} outside 0..{hexa.p + hexa.q}")
+    t = _index(t, "line t", 0, hexa.p + hexa.q)
     return min(t, hexa.p, hexa.q, hexa.p + hexa.q - t)
 
 
@@ -93,11 +79,9 @@ def line_sites(hexa: DiscreteHexagon, t: int) -> range:
 
 def _validate_line(hexa: DiscreteHexagon, t: int, xs: Sequence[int]) -> tuple[int, ...]:
     """``xs`` as a tuple, once it is a full line-``t`` configuration."""
-    xs = tuple(int(x) for x in xs)
     a, b = boundary_positions(hexa, t)
+    xs = tuple(_index(x, f"line-{t} position", b, a) for x in xs)
     for x in xs:
-        if not b <= x <= a:
-            raise ValueError(f"position {x} outside line-{t} bounds [{b}, {a}]")
         if (x - b) % 2 != 0:
             raise ValueError(f"position {x} off the line-{t} parity lattice")
     for hi, lo in zip(xs, xs[1:]):
@@ -148,7 +132,7 @@ def _enumerate(
 
     def walk(t: int) -> None:
         if t == nl:
-            out.append(LatticeConfiguration(tuple(partial)))
+            out.append(tuple(partial))
             return
         for cand in _next_lines(hexa, t, partial[-1]):
             if pinned is not None and t + 1 in pinned and cand != pinned[t + 1]:
@@ -168,8 +152,12 @@ def _check_budget(hexa: DiscreteHexagon) -> None:
         )
 
 
-def enumerate_configurations(hexa: DiscreteHexagon) -> list[LatticeConfiguration]:
-    """Every configuration of the lattice model, each exactly once."""
+def enumerate_configurations(hexa: DiscreteHexagon) -> list[tuple[tuple[int, ...], ...]]:
+    """Every configuration of the lattice model, each exactly once.
+
+    A configuration is a tuple of lines ``t = 0..p+q``, each the tuple of its
+    real (non-virtual) bead positions, decreasing.
+    """
     _check_budget(hexa)
     return _enumerate(hexa)
 
@@ -181,15 +169,15 @@ def left_count(hexa: DiscreteHexagon, t: int, xs: Sequence[int]) -> int:
     closed form :func:`left_count_closed_form` must match this exactly.
     """
     _check_budget(hexa)
-    if not 1 <= t <= min(hexa.p, hexa.q):
-        raise ValueError(f"left counts need 1 <= t <= {min(hexa.p, hexa.q)}, got {t}")
+    t = _index(t, "line t", 1, min(hexa.p, hexa.q))
     xs = _validate_line(hexa, t, xs)
     return len(_enumerate(hexa, pinned={t: xs}, stop=t))
 
 
 def left_count_closed_form(t: int, xs: Sequence[int]) -> Fraction:
     """``c_t * Vandermonde(xs)`` with ``c_t = 1/(2^{t(t-1)/2} prod_{k<t} k!)``."""
-    xs = tuple(int(x) for x in xs)
+    t = _index(t, "line t", 1)
+    xs = tuple(_index(x, "position", None) for x in xs)
     if len(xs) != t:
         raise ValueError(f"need {t} positions, got {len(xs)}")
     vand = 1

@@ -304,16 +304,11 @@ def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
     entry one correctly rounded integer fraction.  The coincident-point
     convention of the ``s < t`` propagator term is strict: it vanishes when
     ``y >= x``.  Raises ``OverflowError`` when an entry lies beyond the range
-    of a double.  Lines must be integers, not bools; numpy integers are taken
-    as Python ints, which the exact arithmetic needs.
+    of a double.  Lines go through :func:`~beadproc.model._index`, so numpy
+    integers are taken as Python ints, which the exact arithmetic needs.
     """
     spec = ctx.spec
-    try:
-        s, t = _index(s), _index(t)
-    except TypeError:
-        raise TypeError(f"lines must be integers, got s={s!r}, t={t!r}") from None
-    if not 1 <= s <= spec.n_lines or not 1 <= t <= spec.n_lines:
-        raise ValueError(f"lines ({s}, {t}) outside 1..{spec.n_lines}")
+    s, t = _index(s, "line s", 1, spec.n_lines), _index(t, "line t", 1, spec.n_lines)
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     _check_positions("row", ys)
@@ -358,12 +353,9 @@ def kernel_eval(ctx: KernelContext, s, y, t, x):
     The points are grouped by line pair ``(s, t)``, and each pair takes one
     :func:`kernel_matrix` block over its distinct ``y`` by its distinct ``x``,
     from which the requested entries are gathered; scattered points of one
-    pair therefore evaluate the full cross product.  Lines must be integers.
-    Scalar input returns a float.
+    pair therefore evaluate the full cross product.  :func:`kernel_matrix`
+    checks each pair's lines.  Scalar input returns a float.
     """
-    for line in (np.asarray(s), np.asarray(t)):
-        if line.size and line.dtype.kind not in "iu":
-            raise TypeError(f"lines must be integers, got {line.ravel()[0].item()!r}")
     s, y, t, x = np.broadcast_arrays(s, np.asarray(y, dtype=float), t, np.asarray(x, dtype=float))
     shape = s.shape
     s, y, t, x = (v.ravel() for v in (s, y, t, x))
@@ -378,13 +370,7 @@ def kernel_eval(ctx: KernelContext, s, y, t, x):
 
 def line_density(ctx: KernelContext, t: int, xs):
     """Diagonal values ``K(t, x; t, x)`` — the one-bead density on line ``t``."""
-    spec = ctx.spec
-    try:
-        t = _index(t)
-    except TypeError:
-        raise TypeError(f"lines must be integers, got t={t!r}") from None
-    if not 1 <= t <= spec.n_lines:
-        raise ValueError(f"line {t} outside 1..{spec.n_lines}")
+    t = _index(t, "line t", 1, ctx.spec.n_lines)
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
     _check_positions("line", xs_arr)
     d = ctx.lines[t - 1]
@@ -407,10 +393,7 @@ def expected_count(ctx: KernelContext, t: int, nodes: int | None = None) -> floa
     The integrand is a polynomial of degree ``p + q - 2``, so the default
     ``(p + q) // 2 + 1`` Gauss–Legendre nodes integrate it exactly.
     """
-    if nodes is None:
-        nodes = (ctx.spec.p + ctx.spec.q) // 2 + 1
-    elif isinstance(nodes, bool) or not isinstance(nodes, (int, np.integer)) or nodes < 1:
-        raise ValueError(f"nodes must be an integer >= 1, got {nodes}")
+    nodes = (ctx.spec.p + ctx.spec.q) // 2 + 1 if nodes is None else _index(nodes, "nodes", 1)
     x, w = _gauss_legendre_unit(nodes)
     return float(np.dot(w, line_density(ctx, t, x)))
 

@@ -12,8 +12,8 @@ Configurations are arrays: one ``(count, r(t))`` array per line, row ``b`` of
 every array being configuration ``b``, as
 :func:`~beadproc.sampler.sample_positions` returns them.
 :func:`interlacing_breaks` checks their shape and applies the rule.  Beside
-that rule, the module holds only the side parameters and the per-line bead
-counts.
+that rule, the module holds only the side parameters, the per-line bead
+counts and :func:`_index`, the integer check every module uses.
 """
 
 from __future__ import annotations
@@ -42,9 +42,24 @@ class InterlacingShapeError(ValueError):
     """
 
 
-def _index(v) -> int:
-    """``operator.index``, refusing the bools it would take as 1 and 0."""
-    return operator.index(None if isinstance(v, (bool, np.bool_)) else v)
+def _index(v, name: str, lo: int | None, hi: int | None = None) -> int:
+    """``v`` as a Python int in ``lo..hi``: the package's one integer check.
+
+    ``operator.index`` decides what an integer is, so floats (integral ones
+    too) and strings are refused, and so are the bools it would take as 1
+    and 0.  A non-integer raises ``TypeError``, an integer outside the range
+    ``ValueError``, both with one message naming ``name``, the value and the
+    range.  ``lo = None`` (with ``hi = None``) takes any integer.
+    """
+    try:
+        i = operator.index(None if isinstance(v, (bool, np.bool_)) else v)
+        if (lo is None or lo <= i) and (hi is None or i <= hi):
+            return i
+        error = ValueError
+    except TypeError:
+        error = TypeError
+    rule = "an integer" if lo is None else f"an integer >= {lo}" if hi is None else f"an integer in {lo}..{hi}"
+    raise error(f"{name} must be {rule}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -61,12 +76,9 @@ class HexagonSpec:
     def __post_init__(self) -> None:
         # stored as Python ints: the exact kernel's big-integer arithmetic
         # would overflow in a numpy integer type
-        try:
-            object.__setattr__(self, "p", _index(self.p))
-            object.__setattr__(self, "q", _index(self.q))
-        except TypeError:
-            raise TypeError(f"p and q must be integers, got p={self.p!r}, q={self.q!r}") from None
-        if not 1 <= self.p <= self.q:
+        for side in ("p", "q"):
+            object.__setattr__(self, side, _index(getattr(self, side), side, 1))
+        if self.p > self.q:
             raise ValueError(f"need 1 <= p <= q, got p={self.p}, q={self.q}")
 
     @property
@@ -78,16 +90,9 @@ class HexagonSpec:
         return range(1, self.p + self.q)
 
 
-def _check_line(spec: HexagonSpec, t: int) -> None:
-    if isinstance(t, (bool, np.bool_)) or not isinstance(t, (int, np.integer)):
-        raise TypeError(f"line index must be an integer, got {t!r}")
-    if not 1 <= t <= spec.n_lines:
-        raise ValueError(f"line {t} outside 1..{spec.n_lines}")
-
-
 def particles_per_line(spec: HexagonSpec, t: int) -> int:
     """Number of beads on line ``t``: ramps up to ``p``, plateaus, ramps down."""
-    _check_line(spec, t)
+    t = _index(t, "line t", 1, spec.n_lines)
     return min(t, spec.p, spec.p + spec.q - t)
 
 

@@ -25,31 +25,27 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import kernel_context, kernel_eval
-from .model import HexagonSpec
+from .kernel import _check_positions, kernel_context, kernel_eval
+from .model import HexagonSpec, _index
 
 __all__ = ["grid_points", "oracle_deviation"]
 
 _MAX_GRID_DIM = 6000  # (p+q-1)*m cap; the path blocks hold (p+q-1)*m^2 doubles
 
 
-def _check_grid(m: int) -> None:
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 2:
-        raise ValueError(f"need an integer m >= 2 grid points per line, got {m!r}")
-
-
 def grid_points(m: int) -> np.ndarray:
     """Midpoint grid on (0,1): ``(i + 1/2)/m`` — never touches the endpoints."""
-    _check_grid(m)
+    m = _index(m, "grid size m", 2)
     return (np.arange(m) + 0.5) / m
 
 
-def _check_size(spec: HexagonSpec, m: int) -> None:
-    _check_grid(m)
+def _check_size(spec: HexagonSpec, m: int) -> int:
+    m = _index(m, "grid size m", 2)
     if spec.n_lines * m > _MAX_GRID_DIM:
         raise ValueError(
             f"grid dimension {spec.n_lines * m} exceeds the oracle cap {_MAX_GRID_DIM}"
         )
+    return m
 
 
 def _hat_blocks(spec: HexagonSpec, m: int):
@@ -101,16 +97,24 @@ def oracle_deviation(spec: HexagonSpec, m: int, probes: Sequence[tuple[int, floa
     evaluated, so the comparison carries no interpolation error — only the
     genuine O(1/m) discretization gap.  Only the probed entries of the grid
     kernel are formed: one solve per distinct column line and one gathered
-    product per line pair.
+    product per line pair.  Probe lines must be integers in ``1..p+q-1``
+    and positions lie inside (0, 1); an empty probe list raises.
     """
-    _check_size(spec, m)
+    m = _check_size(spec, m)
+    if len(probes) == 0:
+        raise ValueError("oracle_deviation needs at least one probe")
+    s, y, t, x = zip(*probes)
+    s = np.array([_index(v, "probe line s", 1, spec.n_lines) for v in s])
+    t = np.array([_index(v, "probe line t", 1, spec.n_lines) for v in t])
+    y, x = np.array(y, dtype=float), np.array(x, dtype=float)
+    _check_positions("probe row", y)
+    _check_positions("probe column", x)
     paths, G, H, M = _hat_blocks(spec, m)
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1e12:
         raise np.linalg.LinAlgError(
             f"source-sink contraction is numerically singular (condition ~{cond:.3g})"
         )
-    s, y, t, x = map(np.asarray, zip(*probes))
     i = np.clip(np.round(y * m - 0.5), 0, m - 1).astype(int)
     j = np.clip(np.round(x * m - 0.5), 0, m - 1).astype(int)
     solved = {b: np.linalg.solve(M, G[b]) for b in dict.fromkeys(t.tolist())}

@@ -27,14 +27,13 @@ one configuration type (see :mod:`beadproc.model`).
 
 from __future__ import annotations
 
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
 from numpy.linalg import eigvalsh
 
-from .model import HexagonSpec, interlacing_breaks
+from .model import HexagonSpec, _index, interlacing_breaks
 
 __all__ = ["RandomStream", "sample_positions"]
 
@@ -60,11 +59,8 @@ class RandomStream:
 
 def _dirichlet_batch(rng: np.random.Generator, multiplicities: Sequence[int], batch: int) -> np.ndarray:
     """(batch, n) Dirichlet draws with integer shapes, via sums of exponentials."""
-    try:
-        mult = [operator.index(s) for s in multiplicities]
-    except TypeError:
-        raise TypeError(f"multiplicities must be positive integers, got {multiplicities}") from None
-    if not mult or any(s < 1 for s in mult):
+    mult = [_index(s, "multiplicity", 1) for s in multiplicities]
+    if not mult:
         raise ValueError(f"multiplicities must be one or more positive integers, got {multiplicities}")
     total = sum(mult)
     e = rng.standard_exponential((batch, total))
@@ -224,8 +220,6 @@ def _sample_lines_batch(rng: np.random.Generator, spec: HexagonSpec, batch: int)
 
 
 def _run_chunks(stream: RandomStream, spec: HexagonSpec, count: int, threads: int) -> list[list[np.ndarray]]:
-    if count < 1:
-        raise ValueError("count must be >= 1")
     sizes = [_CHUNK] * (count // _CHUNK)
     if count % _CHUNK:
         sizes.append(count % _CHUNK)
@@ -249,11 +243,10 @@ def sample_positions(stream: RandomStream, spec: HexagonSpec, count: int, thread
     """Raw sample arrays: one (count, r(t)) array per line, rows decreasing.
 
     Row ``b`` of every array is configuration ``b``; interlacing is checked
-    on the whole arrays at once.  ``threads`` (an integer >= 1) caps the
-    workers; each takes whole 1024-configuration chunks.
+    on the whole arrays at once.  ``count`` and ``threads`` (the cap on
+    workers, each taking whole 1024-configuration chunks) are integers >= 1.
     """
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    count, threads = _index(count, "count", 1), _index(threads, "threads", 1)
     chunks = _run_chunks(stream, spec, count, threads)
     lines = [np.vstack([chunk[t] for chunk in chunks])[:, ::-1] for t in range(spec.n_lines)]
     _check_interlacing(spec, lines)

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernel import _gauss_legendre_unit, kernel_context, kernel_eval
-from .model import HexagonSpec
+from .model import HexagonSpec, _index
 
 __all__ = [
     "ScalingContext",
@@ -221,8 +221,7 @@ def tail_integral_real(tau: float, nu: float, d: int) -> float:
     integration-by-parts recurrence, and close with the scaled exponential
     integral.  No truncation anywhere, hence no truncation tolerance.
     """
-    if d < 1:
-        raise ValueError("tail power must be a positive integer")
+    d = _index(d, "tail power d", 1)
     if not (math.isfinite(tau) and math.isfinite(nu)) or nu == 0.0:
         raise ValueError(f"tail integrals need finite tau and finite nu != 0, got tau = {tau}, nu = {nu}")
     if tau == 0.0:
@@ -263,7 +262,7 @@ def bulk_kernel(nu: float, s0: int, Y: float, t0: int, X: float) -> float:
     if not 0.0 < nu < math.inf:
         raise ValueError(f"bulk kernel needs finite nu > 0, got {nu}")
     _check_bulk_positions(Y, X)
-    d = int(s0) - int(t0)
+    d = _index(s0, "s0", None) - _index(t0, "t0", None)
     tau = math.pi * (X - Y)
     if d >= 0 or tau == 0.0:
         t, w = _gauss_legendre_unit(_BULK_NODES)
@@ -279,7 +278,7 @@ def boutillier_kernel(gamma: float, s0: int, Y: float, t0: int, X: float) -> flo
     if not -1.0 < gamma < 1.0 or gamma == 0.0:
         raise ValueError(f"gamma must lie in (-1, 1) and be nonzero, got {gamma}")
     _check_bulk_positions(Y, X)
-    d = int(s0) - int(t0)
+    d = _index(s0, "s0", None) - _index(t0, "t0", None)
     root = math.sqrt(1.0 - gamma * gamma)
     tau = X - Y
     if d >= 0 or tau == 0.0:
@@ -325,32 +324,31 @@ def bulk_convergence_probe(
     cancels from every correlation determinant.
     """
     ctx_s = scaling_context(k, S)
+    p = _index(p, "p", 1)  # a Python int, so every row holds floats
     q_real = p * (1.0 + k)
     q = round(q_real)
     if abs(q_real - q) > 1e-9:
         raise ValueError(f"q = p(1+k) = {q_real} is not an integer")
     spec = HexagonSpec(p, q)
-    p = spec.p  # a Python int, as the spec stores it, so every row holds floats
     center = round(p * S)
-    s0s, t0s, Xs, Ys = (np.array([off[j] for off in offsets]) for j in range(4))
-    line_s, line_t = center + s0s, center + t0s
-    outside = (np.minimum(line_s, line_t) < 1) | (np.maximum(line_s, line_t) > spec.n_lines)
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise ValueError(f"offset ({s0s[i]}, {t0s[i]}) leaves the line range at p = {p}")
+    lo, hi = 1 - center, spec.n_lines - center  # the offsets whose line is in range
+    s0s = [_index(off[0], "offset s0", lo, hi) for off in offsets]
+    t0s = [_index(off[1], "offset t0", lo, hi) for off in offsets]
+    Xs, Ys = (np.array([off[j] for off in offsets], dtype=float) for j in (2, 3))
     scale = p * ctx_s.u_S
+    line_s, line_t = center + np.array(s0s), center + np.array(t0s)
     values = kernel_eval(kernel_context(spec), line_s, ctx_s.X_S + Ys / scale, line_t, ctx_s.X_S + Xs / scale)
     rows = []
-    for (s0, t0, X, Y), value in zip(offsets, values.tolist()):
+    for s0, t0, X, Y, value in zip(s0s, t0s, Xs.tolist(), Ys.tolist(), values.tolist()):
         scaled = value / scale
         normalized = scaled / (ctx_s.A ** (X - Y) * (p * ctx_s.B) ** (s0 - t0))
         limit = bulk_kernel(ctx_s.nu, s0, Y, t0, X)
         rows.append(
             ProbeRow(
-                s0=int(s0),
-                t0=int(t0),
-                X=float(X),
-                Y=float(Y),
+                s0=s0,
+                t0=t0,
+                X=X,
+                Y=Y,
                 scaled=scaled,
                 normalized=normalized,
                 limit=limit,

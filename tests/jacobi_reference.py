@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from beadproc.model import HexagonSpec, InterlacingShapeError, _check_line, particles_per_line
+from beadproc.model import HexagonSpec, InterlacingShapeError, _index, particles_per_line
 
 __all__ = [
     "JacobiIndex",
@@ -240,7 +240,7 @@ def line_weight(spec, t, x):
     Vanishes at ``x=0`` iff ``t != p`` and at ``x=1`` iff ``t != q``.  Accepts
     scalars or arrays.
     """
-    _check_line(spec, t)
+    t = _index(t, "line t", 1, spec.n_lines)
     x = np.asarray(x, dtype=float)
     w = (1.0 - x) ** abs(spec.q - t) * x ** abs(spec.p - t)
     return float(w) if w.ndim == 0 else w

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from beadproc import hexagon
 from beadproc.hexagon import (
     BudgetExceededError,
     DiscreteHexagon,
-    LatticeConfiguration,
     boundary_positions,
     bruteforce_marginal,
     enumerate_configurations,
@@ -83,8 +83,8 @@ def test_frozen_configuration_counts(n, p, q, total):
     configs = enumerate_configurations(DiscreteHexagon(n, p, q))
     assert len(configs) == total
     assert len(set(configs)) == total  # each exactly once
-    assert all(isinstance(c, LatticeConfiguration) for c in configs)
-    assert all(len(c.lines) == p + q + 1 for c in configs)
+    assert all(isinstance(c, tuple) and len(c) == p + q + 1 for c in configs)
+    assert all(isinstance(line, tuple) and all(type(x) is int for x in line) for c in configs for line in c)
 
 
 def test_counts_equal_macmahon_box_formula():
@@ -109,7 +109,9 @@ def test_reflection_symmetry_of_counts():
 @pytest.mark.parametrize("sides", [(1.5, 1, 1), (1, 2.0, 2), (True, 1, 1), (1, 1, "2"), (1, 0, 2)])
 def test_hexagon_sides_must_be_positive_integers(sides):
     # DiscreteHexagon(1.5, 1, 1) used to build
-    with pytest.raises(ValueError, match=r"need integers n, p, q >= 1, got"):
+    name, value = next((n, v) for n, v in zip("npq", sides) if type(v) is not int or v < 1)
+    error = ValueError if type(value) is int else TypeError
+    with pytest.raises(error, match=rf"^{name} must be an integer >= 1, got {re.escape(repr(value))}$"):
         DiscreteHexagon(*sides)
 
 
@@ -123,7 +125,7 @@ def test_line_checks_name_the_bead_count():
         bruteforce_marginal(hexa, 3, (3, 1))
     with pytest.raises(ValueError, match=r"^need 2 positions, got 3$"):
         left_count_closed_form(2, (3, 1, -1))
-    with pytest.raises(ValueError, match=r"^line 5 outside 0\.\.4$"):
+    with pytest.raises(ValueError, match=r"^line t must be an integer in 0\.\.4, got 5$"):
         hahn_marginal_unnormalized(hexa, 5, ())
 
 

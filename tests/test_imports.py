@@ -1,4 +1,5 @@
-"""Lint: every module-level import is used, and every public name is run.
+"""Lint: every module-level import is used, every public name is run, and
+integers are checked in one module.
 
 No external linter is a dependency, so this scans the package, the tests and
 the scripts with ``ast``: a name bound by a module-level ``import`` must be
@@ -6,7 +7,9 @@ read somewhere in its module, or be listed in the module's ``__all__``.  And
 each name in ``beadproc.__all__``, and in the ``__all__`` of every package
 module, must be read by the package itself or by a script, so the package
 does not export code that only tests run; such code lives next to the test
-references in ``tests/``.
+references in ``tests/``.  And no package module but ``model`` calls
+``operator.index`` or tests for bools: ``model._index`` is the one integer
+check.
 """
 
 import ast
@@ -66,3 +69,25 @@ def test_every_public_name_is_used_by_the_package_or_a_script():
     public = {f.stem: _exported(ast.parse(f.read_text(encoding="utf-8"), filename=str(f))) for f in modules}
     assert public["__init__"] and all(public.values())
     assert {stem: sorted(names - read) for stem, names in public.items() if names - read} == {}
+
+
+def integer_checks(path: Path) -> list[str]:
+    """``"path:line"`` for each ``operator.index``, ``np.bool_`` or bool ``isinstance`` test in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    hits = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id, node.attr) in {("operator", "index"), ("np", "bool_"), ("numpy", "bool_")}:
+                hits.add(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            if any(isinstance(n, ast.Name) and n.id == "bool" for arg in node.args[1:] for n in ast.walk(arg)):
+                hits.add(node.lineno)
+    return [f"{path.relative_to(ROOT)}:{line}" for line in sorted(hits)]
+
+
+def test_integer_arguments_are_checked_only_in_model():
+    # model._index is the package's one integer check; a second one elsewhere
+    # would decide differently what an integer is, or word its refusal apart
+    modules = sorted((ROOT / "src/beadproc").glob("*.py"))
+    assert integer_checks(ROOT / "src/beadproc/model.py")
+    assert [hit for f in modules if f.name != "model.py" for hit in integer_checks(f)] == []

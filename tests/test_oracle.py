@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +26,10 @@ def test_grid_points_midpoint_layout():
 @pytest.mark.parametrize("m", [2.5, 4.0, True, np.bool_(True), "4"])
 def test_grid_size_must_be_an_integer(m):
     # 2.5 used to give the nodes of m = 3, the last one on the endpoint 1
-    with pytest.raises(ValueError, match=r"need an integer m >= 2 grid points per line, got"):
+    message = rf"^grid size m must be an integer >= 2, got {re.escape(repr(m))}$"
+    with pytest.raises(TypeError, match=message):
         grid_points(m)
-    with pytest.raises(ValueError, match=r"need an integer m >= 2 grid points per line, got"):
+    with pytest.raises(TypeError, match=message):
         oracle_deviation(HexagonSpec(1, 2), m, [(1, 0.3, 1, 0.7)])
 
 
@@ -103,6 +106,27 @@ def test_oracle_deviation_definition():
                 exact = kernel_eval(ctx, s, float(g[i]), t, float(g[j]))
                 by_hand = max(by_hand, abs(disc - exact))
             assert dev == by_hand
+
+
+def test_oracle_deviation_checks_its_probes():
+    # line 5 raised KeyError: 5, y = 1.7 was snapped to the last node, NaN
+    # warned and then raised IndexError, and [] failed to unpack
+    spec = HexagonSpec(1, 2)
+    with pytest.raises(ValueError, match=r"^probe line s must be an integer in 1\.\.2, got 5$"):
+        oracle_deviation(spec, 8, [(5, 0.3, 1, 0.7)])
+    with pytest.raises(TypeError, match=r"^probe line t must be an integer in 1\.\.2, got 1\.0$"):
+        oracle_deviation(spec, 8, [(1, 0.3, 1.0, 0.7)])
+    with pytest.raises(ValueError, match=r"^probe row positions must lie strictly inside \(0, 1\)$"):
+        oracle_deviation(spec, 8, [(1, 1.7, 1, 0.7)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^probe column positions must lie strictly inside \(0, 1\)$"):
+            oracle_deviation(spec, 8, [(1, 0.3, 2, math.nan)])
+    with pytest.raises(ValueError, match=r"^oracle_deviation needs at least one probe$"):
+        oracle_deviation(spec, 8, [])
+    probes = [(1, 0.3, 2, 0.7), (2, 0.6, 1, 0.2)]
+    numpy_lines = [(np.int64(s), y, np.int32(t), x) for s, y, t, x in probes]
+    assert oracle_deviation(spec, 8, numpy_lines) == oracle_deviation(spec, 8, probes)
 
 
 def test_refinement_two_lines():

@@ -1,6 +1,7 @@
 """Random construction: Dirichlet weights, secular zeros, configuration sampling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_dirichlet_rejects_zero_multiplicity():
         _dirichlet_batch(rng, (1, 0, 2), 1)
     with pytest.raises(ValueError, match="multiplicities must be one or more positive integers"):
         _dirichlet_batch(rng, (), 1)
-    with pytest.raises(TypeError, match="multiplicities must be positive integers"):
+    with pytest.raises(TypeError, match=r"^multiplicity must be an integer >= 1, got 1\.5$"):
         _dirichlet_batch(rng, (1.5, 2), 1)  # not floored to Dirichlet(1, 2)
 
 
@@ -410,7 +411,8 @@ def test_count_must_be_positive():
 def test_threads_must_be_a_positive_integer(threads):
     # 0 and -3 ran serially without a word; a float, a string or a bool is
     # refused too
-    with pytest.raises(ValueError, match=r"threads must be an integer >= 1, got"):
+    error = ValueError if type(threads) is int else TypeError
+    with pytest.raises(error, match=rf"^threads must be an integer >= 1, got {re.escape(repr(threads))}$"):
         sample_positions(RandomStream(1), HexagonSpec(p=1, q=1), count=4, threads=threads)
 
 

@@ -369,7 +369,7 @@ def test_probe_validation():
         bulk_convergence_probe(0.35, 1.0, 10, [(0, 0, 0.1, 0.0)])  # q not integral
     with pytest.raises(ValueError):
         bulk_convergence_probe(2.0, 2.0, 4, [(40, 0, 0.1, 0.0)])  # off the line range
-    with pytest.raises(TypeError, match="lines must be integers"):
+    with pytest.raises(TypeError, match=r"^offset s0 must be an integer in -31\.\.31, got 1\.7$"):
         bulk_convergence_probe(2.0, 2.0, 16, [(1.7, 0, 0.1, 0.0)])  # not truncated to offset 1
 
 
