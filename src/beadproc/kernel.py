@@ -8,9 +8,12 @@ the line, evaluated by the three-term recurrence of its Jacobi matrix, run
 once over the distinct union of a block's positions in one per-point gauge
 that keeps every value inside the range of a double.  Across degrees the
 recurrence runs in a unit-coefficient gauge, two ufunc calls per degree, and
-each degree takes its gauge factor after the loop.  An entry is then a sign
-times one ``exp`` of its summed exponent, so it is accurate, or raises where
-its true size is beyond a double.
+each degree takes its gauge factor after the loop.  The tower is not
+renormalized: a line density sums the squares of its rows as they are, and
+only a kernel block scales each point's column to ``max_n |psi| = 1``, since
+a product of two far-out points' rows could underflow.  An entry is then a
+sign times one ``exp`` of its summed exponent, so it is accurate, or raises
+where its true size is beyond a double.
 
 *Cross line* (``s != t``), exact: the transfer-operator representation, a
 rank-``p`` sum of incoming/outgoing polynomial families, minus the one-sided
@@ -102,7 +105,7 @@ def kernel_context(spec: HexagonSpec) -> KernelContext:
 
 
 def _check_positions(name: str, arr: np.ndarray) -> None:
-    if arr.size and not (np.all(arr > 0.0) and np.all(arr < 1.0)):
+    if arr.size and not (0.0 < arr.min() and arr.max() < 1.0):  # a NaN fails both
         raise ValueError(f"{name} positions must lie strictly inside (0, 1)")
 
 
@@ -252,9 +255,14 @@ def _unit_gauge(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     g = np.ones(a.size + 1)
     ratio = a[:-1] / a[1:]
-    np.cumprod(ratio[0::2], out=g[2::2])
-    np.cumprod(ratio[1::2], out=g[3::2])
+    np.multiply.accumulate(ratio[0::2], out=g[2::2])
+    np.multiply.accumulate(ratio[1::2], out=g[3::2])
     return g, g[:-1] / (g[1:] * a)
+
+
+def _tower_overflow(d: _LineData, bad: np.ndarray) -> OverflowError:
+    x = float(bad[0])
+    return OverflowError(f"Jacobi tower ({d.pa}, {d.pb}) of degree {d.r - 1} outgrows a double at x = {x!r}")
 
 
 def _tower(d: _LineData, x: np.ndarray):
@@ -262,18 +270,20 @@ def _tower(d: _LineData, x: np.ndarray):
 
     One gauge per point: the recurrence starts from ``psi[0] = exp(c)``,
     ``c = log phi_0 - max(log phi_0, -300)`` with ``phi_n = sqrt(w) p_n``, so
-    the O(1) functions ``phi_n`` give ``|psi| <~ e^300``.  Where ``phi_0 <
-    e^-1000``, ``c`` stops at -700, so ``psi[0]`` cannot underflow while the
-    growth ``p_n / p_0`` (up to ``e^973`` at p = 512) still fits.  Across
-    degrees it runs in the unit-coefficient gauge of :func:`_unit_gauge`, two
-    ufunc calls per degree, and the rows take their factors ``g_n`` after the
-    loop.  The result is scaled to ``max_n |psi[n]| = 1``.  Every step is
-    elementwise, so a point's values do not depend on the other points passed
-    with it.
+    the O(1) functions ``phi_n`` give ``|psi| <~ e^300``, and ``G = -c``.
+    Where ``phi_0 < e^-1000``, ``c`` stops at -700, so ``psi[0]`` cannot
+    underflow while the growth ``p_n / p_0`` (up to ``e^973`` at p = 512)
+    still fits.  Across degrees it runs in the unit-coefficient gauge of
+    :func:`_unit_gauge`, two ufunc calls per degree, and the rows take their
+    factors ``g_n`` after the loop.  The rows are not renormalized: a sum of
+    squares needs no rescale, and :func:`kernel_matrix` scales its own tower.
+    Once a row overflows every later row is non-finite, so a non-finite last
+    row raises ``OverflowError``.  Every step is elementwise, so a point's
+    values do not depend on the other points passed with it.
     """
     lx, l1x = np.log(x), np.log1p(-x)
     c = (0.5 * d.pa) * lx + (0.5 * d.pb) * l1x + (300.0 - d.half_log_n0)
-    np.clip(c, -700.0, 0.0, out=c)
+    np.minimum(np.maximum(c, -700.0, out=c), 0.0, out=c)
     psi = np.empty((d.r,) + x.shape)
     np.exp(c, out=psi[0])
     if d.r > 1:
@@ -281,18 +291,25 @@ def _tower(d: _LineData, x: np.ndarray):
         step = np.subtract.outer(1.0 - d.b, 2.0 * x)  # 1 - b[n] is exact for b[n] in [1/2, 2]
         step *= coef[:, None]
         rows = list(psi)
-        np.multiply(step[0], rows[0], out=rows[1])
+        mul, sub = np.multiply, np.subtract
+        mul(step[0], rows[0], rows[1])
         with np.errstate(over="ignore", invalid="ignore"):
             for lo, mid, hi, st in zip(rows, rows[1:], rows[2:], step[1:]):
-                np.multiply(st, mid, out=hi)
-                np.subtract(hi, lo, out=hi)
+                mul(st, mid, hi)
+                sub(hi, lo, hi)
             psi *= g[:, None]
+    last = np.isfinite(psi[-1])
+    if not last.all():
+        raise _tower_overflow(d, x[~last])
+    return lx, l1x, -c, psi
+
+
+def _scale_columns(psi: np.ndarray, G: np.ndarray) -> np.ndarray:
+    # Scale each column of a tower to max_n |psi| = 1, in place, and return
+    # its exponent G with the scale moved into it.
     top = np.maximum(psi.max(axis=0), -psi.min(axis=0))
-    if not np.all(np.isfinite(top)):
-        bad = float(x[~np.isfinite(top)][0])
-        raise OverflowError(f"Jacobi tower ({d.pa}, {d.pb}) of degree {d.r - 1} outgrows a double at x = {bad!r}")
     psi /= top
-    return lx, l1x, np.log(top) - c, psi
+    return np.log(top) + G
 
 
 def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
@@ -324,6 +341,7 @@ def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
     u = _distinct(np.concatenate((ys, xs)))
     iy, ix = np.searchsorted(u, ys), np.searchsorted(u, xs)
     lx, l1x, G, psi = _tower(d, u)
+    G = _scale_columns(psi, G)  # a product of two far-out points' rows could underflow
     row_log = (d.ea * lx + d.eb * l1x + G)[iy]
     col_log = ((d.pa - d.ea) * lx + (d.pb - d.eb) * l1x + G)[ix]
     S = psi.take(iy, axis=1).T @ psi.take(ix, axis=1)
@@ -374,10 +392,25 @@ def line_density(ctx: KernelContext, t: int, xs):
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
     _check_positions("line", xs_arr)
     d = ctx.lines[t - 1]
-    # K(t, x; t, x) = w_t(x) sum_n p_n(x)^2
+    # K(t, x; t, x) = w_t(x) sum_n p_n(x)^2, from the unscaled rows: up to
+    # p = 512 the gauge keeps their sum of squares within about [e^-1400,
+    # e^613], so it underflows only where the density itself is below a
+    # double, which gives 0.0.  Past that a column's squares can overflow
+    # where its rows do not; such columns are scaled to max_n |psi| = 1, as
+    # kernel_matrix scales its tower, and a value still not finite raises.
     lx, l1x, G, psi = _tower(d, xs_arr)
-    half_log = (0.5 * d.pa) * lx + (0.5 * d.pb) * l1x + G
-    out = np.exp(2.0 * (half_log - d.half_log_n0) + np.log(np.einsum("ni,ni->i", psi, psi)))
+    sq = np.einsum("ni,ni->i", psi, psi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        big = ~np.isfinite(sq)
+        if big.any():
+            cols = psi[:, big]
+            G[big] = _scale_columns(cols, G[big])
+            sq[big] = np.einsum("ni,ni->i", cols, cols)
+        half_log = (0.5 * d.pa) * lx + (0.5 * d.pb) * l1x + G
+        out = np.exp(2.0 * (half_log - d.half_log_n0) + np.log(sq))
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise _tower_overflow(d, xs_arr[bad])
     return float(out[0]) if np.ndim(xs) == 0 else out
 
 

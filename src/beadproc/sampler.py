@@ -42,10 +42,19 @@ _NEWTON_ITERS = 60  # cap on polishing steps; a step that leaves its bracket bis
 
 
 class RandomStream:
-    """Seedable random source with spawnable independent substreams."""
+    """Seedable random source with spawnable independent substreams.
 
-    def __init__(self, seed: int | None = None, _seq: np.random.SeedSequence | None = None):
-        self.seq = _seq if _seq is not None else np.random.SeedSequence(seed)
+    ``seed`` is ``None`` (entropy from the OS), an integer ``>= 0`` checked by
+    :func:`~beadproc.model._index`, so a bool is refused rather than taken as
+    1, or a sequence of integers, which numpy's ``SeedSequence`` checks.
+    """
+
+    def __init__(self, seed: int | Sequence[int] | None = None, _seq: np.random.SeedSequence | None = None):
+        if _seq is None:
+            if seed is not None and np.ndim(seed) == 0:
+                seed = _index(seed, "seed", 0)
+            _seq = np.random.SeedSequence(seed)
+        self.seq = _seq
         self.generator = np.random.default_rng(self.seq)
 
     @property

@@ -11,6 +11,8 @@ from typing import Callable
 
 import numpy as np
 
+from .model import _index
+
 __all__ = ["ks_statistic", "beta_cdf"]
 
 
@@ -39,21 +41,22 @@ def ks_statistic(samples, cdf: Callable) -> float:
 
 
 def beta_cdf(x, a: int, b: int):
-    """Beta(a, b) CDF for positive integer shapes: the binomial tail
+    """Beta(a, b) CDF for integer shapes ``a, b >= 1``: the binomial tail
     ``P(Binomial(n, x) >= a) = sum_{j=a}^{n} C(n, j) x^j (1-x)^{n-j}``,
     ``n = a + b - 1``.  Accepts scalars or arrays; NaN heights are refused.
 
-    ``a + b <= 1030`` keeps every ``C(n, j)`` inside a double.
+    The shapes go through :func:`~beadproc.model._index`, so bools and floats
+    are refused; ``a + b <= 1030`` keeps every ``C(n, j)`` inside a double.
     """
-    integral = float(a).is_integer() and float(b).is_integer()
-    if not (integral and a >= 1 and b >= 1 and a + b <= 1030):
-        raise ValueError(f"Beta shapes must be positive integers with a + b <= 1030, got ({a}, {b})")
+    a, b = _index(a, "Beta shape a", 1), _index(b, "Beta shape b", 1)
+    if a + b > 1030:
+        raise ValueError(f"Beta shapes must have a + b <= 1030, got ({a}, {b})")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.isnan(x_arr).any():
         raise ValueError("beta_cdf got a NaN height")
     xc = np.clip(x_arr, 0.0, 1.0)
-    n = int(a) + int(b) - 1
+    n = a + b - 1
     out = np.zeros_like(xc)
-    for j in range(int(a), n + 1):
+    for j in range(a, n + 1):
         out += float(math.comb(n, j)) * xc**j * (1.0 - xc) ** (n - j)
     return float(out[0]) if np.ndim(x) == 0 else out

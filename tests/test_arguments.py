@@ -5,8 +5,9 @@ place of one integer argument, and must raise ``TypeError`` naming the
 argument and the value; an integer outside the valid range must raise
 ``ValueError`` naming the range.  Before the check was shared, some of these
 calls returned a value: ``left_count(h, 1, (1.5,))`` was 1,
-``bulk_kernel(nu, 1.5, ...)`` was the ``s0 = 1`` value and
-``sample_positions(count=True)`` drew one configuration.
+``bulk_kernel(nu, 1.5, ...)`` was the ``s0 = 1`` value,
+``sample_positions(count=True)`` drew one configuration,
+``beta_cdf(0.5, True, 1)`` was 0.5 and ``RandomStream(True)`` drew as seed 1.
 """
 
 import re
@@ -35,6 +36,7 @@ from beadproc.scaling import (
     scaling_context,
     tail_integral_real,
 )
+from beadproc.stats import beta_cdf
 
 SPEC = HexagonSpec(2, 3)  # lines 1..4
 CTX = kernel_context(SPEC)
@@ -59,6 +61,7 @@ CASES = {
     "oracle_deviation-m": (lambda v: oracle_deviation(SPEC, v, [(1, 0.3, 1, 0.7)]), "grid size m", 1, ">= 2"),
     "oracle_deviation-s": (lambda v: oracle_deviation(SPEC, 8, [(v, 0.3, 1, 0.7)]), "probe line s", 5, "in 1..4"),
     "oracle_deviation-t": (lambda v: oracle_deviation(SPEC, 8, [(1, 0.3, v, 0.7)]), "probe line t", 0, "in 1..4"),
+    "RandomStream-seed": (RandomStream, "seed", -1, ">= 0"),
     "sample_positions-count": (lambda v: sample_positions(RandomStream(1), SPEC, v), "count", 0, ">= 1"),
     "sample_positions-threads": (
         lambda v: sample_positions(RandomStream(1), SPEC, 4, threads=v), "threads", 0, ">= 1"
@@ -79,6 +82,8 @@ CASES = {
     ),
     "bruteforce_marginal-t": (lambda v: bruteforce_marginal(HEXA, v, (1,)), "line t", 3, "in 0..2"),
     "bruteforce_marginal-position": (lambda v: bruteforce_marginal(HEXA, 1, (v,)), "line-1 position", 3, "in -1..1"),
+    "beta_cdf-a": (lambda v: beta_cdf(0.5, v, 2), "Beta shape a", 0, ">= 1"),
+    "beta_cdf-b": (lambda v: beta_cdf(0.5, 2, v), "Beta shape b", 0, ">= 1"),
     "bulk_kernel-s0": (lambda v: bulk_kernel(NU, v, 0.1, 0, 0.2), "s0", None, None),
     "bulk_kernel-t0": (lambda v: bulk_kernel(NU, 0, 0.1, v, 0.2), "t0", None, None),
     "boutillier_kernel-s0": (lambda v: boutillier_kernel(0.3, v, 0.1, 0, 0.2), "s0", None, None),
@@ -125,3 +130,13 @@ def test_index_returns_python_ints_and_builds_one_message_shape():
         _index(0, "v", 1)
     with pytest.raises(TypeError, match=r"^v must be an integer, got False$"):
         _index(False, "v", None)
+
+
+def test_random_stream_keeps_none_and_sequence_seeds():
+    # only a scalar seed goes through _index; None and sequences go to numpy
+    first = RandomStream(7).generator.random()
+    assert RandomStream(np.int64(7)).generator.random() == first
+    assert RandomStream([7, 1]).generator.random() == RandomStream([7, 1]).generator.random() != first
+    assert RandomStream(None).entropy is not None
+    child = RandomStream(7).spawn(1)[0]
+    assert child.generator.random() == RandomStream(_seq=RandomStream(7).seq.spawn(1)[0]).generator.random()

@@ -113,6 +113,35 @@ def test_line_density_matches_diagonal():
         for i, x in enumerate(xs):
             assert dens[i] == pytest.approx(kernel_eval(ctx, t, float(x), t, float(x)), rel=1e-12)
         assert np.all(dens >= -1e-12)
+    # kernel_matrix scales its tower's columns to max |psi| = 1 and
+    # line_density sums the unscaled rows: the two paths agree on every third
+    # line, where no off-diagonal entry of the block is beyond a double
+    for p, q in [(64, 192), (256, 768)]:
+        ctx = kernel_context(HexagonSpec(p, q))
+        rng = np.random.default_rng(p)
+        checked = 0
+        for t in range(1, p + q, 3):
+            xs = np.sort(rng.random(8))
+            try:
+                diag = np.diag(kernel_matrix(ctx, t, xs, t, xs))
+            except OverflowError:
+                continue
+            assert line_density(ctx, t, xs) == pytest.approx(diag, rel=1e-12), (p, q, t)
+            checked += 1
+        assert checked > (p + q) // 4, (p, q, checked)
+
+
+def test_line_density_of_small_lines_to_a_few_ulps():
+    # the density is one exp of a summed exponent; on two lines of (4, 12),
+    # at 200 midpoints, it stays within 80 ulps of the 60-digit reference,
+    # 20 on average
+    ctx = kernel_context(HexagonSpec(4, 12))
+    xs = (np.arange(200) + 0.5) / 200
+    for t in (5, 9):
+        got = line_density(ctx, t, xs)
+        want = [mp_kernel.entry(4, 12, t, x, t, x)[0] for x in map(float, xs)]
+        ulps = np.array([float(abs(mp.mpf(g) - w)) / np.spacing(float(w)) for g, w in zip(got, want)])
+        assert ulps.max() <= 80 and ulps.mean() <= 20, (t, ulps.max(), ulps.mean())
 
 
 def test_projection_idempotence():
@@ -494,19 +523,21 @@ def test_reflection_symmetry(p):
 
 @pytest.mark.parametrize("p,q", [(64, 192), (256, 768)])
 def test_tower_matches_mpmath(p, q):
-    # the orthonormal tower, scaled by the returned exponent, against p_n(x)
-    # = P~_n / sqrt(N_n) at 60 digits: every value to 1e-10 of the largest
+    # the unscaled tower, which starts from psi[0] = e^c with c = -G in
+    # [-700, 0], scaled by the returned exponent, against p_n(x) = P~_n /
+    # sqrt(N_n) at 60 digits: every value to 1e-10 of its column's largest
     ctx = kernel_context(HexagonSpec(p, q))
     xs = np.concatenate([np.random.default_rng(p).random(3), _FAR])
     for t in sorted({s for pair in _same_line_pairs(p, q) for s in pair}):
         d = ctx.lines[t - 1]
         lx, l1x, G, psi = _tower(d, xs)
         assert lx.tobytes() == np.log(xs).tobytes() and l1x.tobytes() == np.log1p(-xs).tobytes()
-        assert np.all(np.abs(psi).max(axis=0) == 1.0)
+        assert psi[0].tobytes() == np.exp(-G).tobytes() and np.all((-700 <= -G) & (-G <= 0))
         for j, x in enumerate(xs):
             scale = 1 / mp.exp(mp.mpf(G[j]) - d.half_log_n0)
             want = [float(v * scale) for v in mp_kernel.orthonormal(p, q, t, float(x))]
-            assert np.max(np.abs(psi[:, j] - want)) <= 1e-10, (t, x)
+            top = np.max(np.abs(psi[:, j]))
+            assert np.max(np.abs(psi[:, j] - want)) <= 1e-10 * top, (t, x)
 
 
 def test_unit_gauge_stays_near_one():
@@ -521,6 +552,9 @@ def test_unit_gauge_stays_near_one():
     xs = np.concatenate([np.random.default_rng(512).random(3), _FAR])
     for t in ctx.spec.lines():
         assert np.all(np.isfinite(line_density(ctx, t, xs))), t
+    # on the one-bead line 1 the density at 1e-9 is about 1e-4600: the sum of
+    # squares underflows, and the value is 0.0
+    assert line_density(ctx, 1, 1e-9) == 0.0 < line_density(ctx, 1, 0.5)
 
 
 def test_tower_columns_do_not_depend_on_the_other_points():
@@ -651,6 +685,12 @@ def test_tower_overflow_raises_instead_of_nan():
     ctx = kernel_context(HexagonSpec(1024, 3072))
     with pytest.raises(OverflowError, match=r"Jacobi tower \(0, 2048\) of degree 1023"):
         line_density(ctx, 1024, [0.5, 0.999])
+    # on line 512 at 0.998 the rows fit but their squares do not; that column
+    # is scaled as in kernel_matrix, and the density is its diagonal
+    xs = [0.3, 0.998]
+    dens = line_density(ctx, 512, xs)
+    assert np.all(np.isfinite(dens))
+    assert dens[1] == pytest.approx(kernel_matrix(ctx, 512, xs[1:], 512, xs[1:])[0, 0], rel=1e-12)
 
 
 def test_count_identity_every_line_256_768():

@@ -72,18 +72,31 @@ def test_beta_cdf_against_binomial_tail(a, b):
 
 
 def test_beta_cdf_edges_and_arrays():
-    assert beta_cdf(0.0, 3.0, 2.0) == 0.0
-    assert beta_cdf(1.0, 3.0, 2.0) == 1.0
-    assert beta_cdf(-0.5, 3.0, 2.0) == 0.0
-    out = beta_cdf(np.array([0.2, 0.8]), 1.0, 1.0)
+    assert beta_cdf(0.0, 3, 2) == 0.0
+    assert beta_cdf(1.0, 3, 2) == 1.0
+    assert beta_cdf(-0.5, 3, 2) == 0.0
+    out = beta_cdf(np.array([0.2, 0.8]), 1, 1)
     assert out.shape == (2,) and np.allclose(out, [0.2, 0.8], atol=1e-14)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match=r"^Beta shape a must be an integer >= 1, got 0\.0$"):
         beta_cdf(0.5, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("a,b", [(2.5, 3), (3, 0.5), (0, 2), (2, -1), (float("nan"), 2), (600, 600)])
+# (a, b): the error and its message; the shapes go through model._index, so a
+# float, integral or not, is a TypeError, and an integer below 1 a ValueError
+_BAD_SHAPES = {
+    (2.5, 3): (TypeError, r"^Beta shape a must be an integer >= 1, got 2\.5$"),
+    (3, 0.5): (TypeError, r"^Beta shape b must be an integer >= 1, got 0\.5$"),
+    (0, 2): (ValueError, r"^Beta shape a must be an integer >= 1, got 0$"),
+    (2, -1): (ValueError, r"^Beta shape b must be an integer >= 1, got -1$"),
+    (float("nan"), 2): (TypeError, r"^Beta shape a must be an integer >= 1, got nan$"),
+    (600, 600): (ValueError, r"^Beta shapes must have a \+ b <= 1030, got \(600, 600\)$"),
+}
+
+
+@pytest.mark.parametrize("a,b", list(_BAD_SHAPES))
 def test_beta_cdf_rejects_shapes_outside_positive_integers(a, b):
-    with pytest.raises(ValueError, match="positive integers"):
+    error, message = _BAD_SHAPES[a, b]
+    with pytest.raises(error, match=message):
         beta_cdf(0.5, a, b)
 
 
