@@ -15,17 +15,31 @@ a product of two far-out points' rows could underflow.  An entry is then a
 sign times one ``exp`` of its summed exponent, so it is accurate, or raises
 where its true size is beyond a double.
 
-*Cross line* (``s != t``), exact: the transfer-operator representation, a
-rank-``p`` sum of incoming/outgoing polynomial families, minus the one-sided
-propagator ``(x - y)^{t-s-1}/(t-s-1)!`` when ``s < t``.  Those polynomials
-are Jacobi polynomials with integer, possibly negative, parameters
-``(a, b)``, ``a + b >= 0``; each family keeps one integer scale per degree
-over one common denominator.  Every float position is dyadic, ``m / 2^e``,
-and ``2^(en) P~_n(m / 2^e)`` follows for all ``n`` from an exact integer
-three-term recurrence, so the families, their rank-``p`` sum and the
-propagator are evaluated in integer fixed point: still exact, hence free of
-cancellation between the ``p`` summands, with a single correctly rounded
-integer division at the end.
+*Cross line* (``s != t``), correctly rounded: the transfer-operator
+representation, a rank-``p`` sum of incoming/outgoing polynomial families,
+minus the one-sided propagator ``(x - y)^{t-s-1}/(t-s-1)!`` when ``s < t``.
+Those polynomials are Jacobi polynomials with integer, possibly negative,
+parameters ``(a, b)``, ``a + b >= 0``; each family keeps one integer scale
+per degree over one common denominator.  Every float position is dyadic,
+``m / 2^e``, so each entry is one rational number, and the block returns it
+correctly rounded, in rungs (Ziv's strategy, as MPFR uses it):
+
+- a fixed-point rung runs the integer three-term recurrence on rows
+  ``~ 2^F P~_n(m / 2^e)``, flooring each step and carrying a proven bound on
+  each row's error.  The rank-``p`` sum, times the exact prefactor and minus
+  the exact propagator, is then known to within ``+-E``.  When both ends of
+  that interval round to the same double, sign of zero included, that double
+  is the correctly rounded entry.  The first rung takes ``F`` 64 bits beyond
+  the block's finest position, and each further rung doubles it;
+- the exact rung runs the same recurrence on ``2^(en) P~_n(m / 2^e)``, all
+  integers, and rounds once.  An entry reaches it when ``F`` would outgrow
+  the exact rows, when its fixed-point division overflows, or at once when a
+  block's exact rows are at most 1000 bits long (``e * deg``: the small
+  fans, where the exact rung is the cheaper one).  It raises every
+  ``OverflowError``.
+
+Either way an entry is the same double, bit for bit, free of the
+cancellation between the ``p`` summands and the propagator.
 """
 
 from __future__ import annotations
@@ -115,21 +129,46 @@ def _norm_fraction(n: int, a: int, b: int) -> Fraction:
     return Fraction(f(n + a) * f(n + b), (2 * n + a + b + 1) * f(n) * f(n + a + b))
 
 
-def _jacobi_dyadic(a: int, b: int, deg: int, m: int, e: int) -> list[int]:
-    # Q_n = 2^(e n) P~_n^{(a,b)}(m / 2^e), n = 0..deg, by the recurrence of
-    # P_n^{(a,b)}(1 - 2z).  Q_n is an integer (P~_n has integer monomial
-    # coefficients, negative integer a, b included), so the division by
-    # 2n(n+a+b)(2n+a+b-2) is exact, and nonzero for n >= 2 when a + b >= 0.
-    if a + b < 0:
-        raise ValueError(f"Jacobi parameters ({a}, {b}): the recurrence needs a + b >= 0")
-    one = 1 << e
-    out = [1, (a + 1) * one - (a + b + 2) * m]
+@lru_cache(maxsize=32)  # one per cached family
+def _jacobi_steps(a: int, b: int, deg: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    # (A, B, C, |C|, D) for n = 2..deg: D P_n = ((1 - 2z) A + B) P_{n-1} - C P_{n-2}
+    # is the recurrence of P_n^{(a,b)}(1 - 2z), with c = 2n + a + b,
+    # A = (c-1) c (c-2), B = (c-1)(a^2 - b^2), C = 2(n+a-1)(n+b-1) c and
+    # D = 2n(n+a+b)(c-2), nonzero for n >= 2 when a + b >= 0
+    steps = []
     for n in range(2, deg + 1):
         c = 2 * n + a + b
-        lin = (c - 1) * (c * (c - 2) * (one - 2 * m) + (a * a - b * b) * one)
-        num = lin * out[-1] - (2 * (n + a - 1) * (n + b - 1) * c * out[-2] << 2 * e)
-        out.append(num // (2 * n * (n + a + b) * (c - 2)))
-    return out[: deg + 1]
+        C = 2 * (n + a - 1) * (n + b - 1) * c
+        steps.append(((c - 1) * c * (c - 2), (c - 1) * (a * a - b * b), C, abs(C), 2 * n * (n + a + b) * (c - 2)))
+    return tuple(steps)
+
+
+def _jacobi_dyadic(a: int, b: int, deg: int, m: int, e: int, F: int | None = None):
+    # P~_n^{(a,b)}(z) at z = m / 2^e, n = 0..deg, by the recurrence of
+    # _jacobi_steps, in one of two precisions.
+    # F = None: the list of Q_n = 2^(e n) P~_n(z), exactly.  Q_n is an integer
+    # (P~_n has integer monomial coefficients, negative integer a, b
+    # included), so the division by D is exact.
+    # F >= e: (rows, eps), with |rows[n] - 2^F P~_n(z)| <= eps[n].  Rows 0
+    # and 1 are exact; each later row floors twice, after >> F and after // D,
+    # each floor costing less than 1, so
+    # eps[n] = ceil((ceil(|lin| / 2^F) eps[n-1] + |C| eps[n-2] + 1) / D) + 1.
+    if a + b < 0:
+        raise ValueError(f"Jacobi parameters ({a}, {b}): the recurrence needs a + b >= 0")
+    w = e if F is None else F
+    one, z = 1 << w, m << (w - e)
+    out = [1 if F is None else one, (a + 1) * one - (a + b + 2) * z]
+    v = one - 2 * z
+    if F is None:
+        for A, B, C, _, D in _jacobi_steps(a, b, deg):
+            out.append(((A * v + B * one) * out[-1] - (C * out[-2] << 2 * e)) // D)
+        return out[: deg + 1]
+    eps = [0, 0]
+    for A, B, C, absC, D in _jacobi_steps(a, b, deg):
+        lin = A * v + B * one
+        out.append(((lin * out[-1] >> F) - C * out[-2]) // D)
+        eps.append(1 - ((-abs(lin) >> F) * eps[-1] - absC * eps[-2] - 1) // D)
+    return out[: deg + 1], eps[: deg + 1]
 
 
 @dataclass(frozen=True)
@@ -185,13 +224,25 @@ def _phi_family(p: int, q: int, t: int) -> _IntFamily:
     return _int_family(t - p, q - t, scales, t - p)
 
 
-def _rows(fam: _IntFamily, v: float, L: int) -> tuple[int, int, list[int]]:
-    # (m, e, rows): v = m / 2^e exactly (every finite float is dyadic), and
-    # rows holds scales[n] * 2^(e n) P~_n(v) for the top L degrees n, lowest
-    # first, so rows[0] is row l = L
+def _dyadic(v: float) -> tuple[int, int]:
+    # (m, e) with v = m / 2^e exactly: every finite float is dyadic
     m, d = v.as_integer_ratio()
-    e, lo = d.bit_length() - 1, fam.deg + 1 - L
-    return m, e, list(map(operator.mul, fam.scales[lo:], _jacobi_dyadic(fam.a, fam.b, fam.deg, m, e)[lo:]))
+    return m, d.bit_length() - 1
+
+
+def _rows(fam: _IntFamily, L: int, m: int, e: int, F: int | None):
+    # The top L degrees n of the family at m / 2^e, lowest first, so row 0 is
+    # l = L.  F = None: the list of scales[n] * 2^(e n) P~_n, exactly.  An
+    # integer F: (rows, |rows|, errs, |rows| + errs), each row scales[n]
+    # times the fixed-point 2^F P~_n of _jacobi_dyadic, off by at most its err.
+    lo = fam.deg + 1 - L
+    sc = fam.scales[lo:]
+    if F is None:
+        return list(map(operator.mul, sc, _jacobi_dyadic(fam.a, fam.b, fam.deg, m, e)[lo:]))
+    rows, eps = _jacobi_dyadic(fam.a, fam.b, fam.deg, m, e, F)
+    rows = list(map(operator.mul, sc, rows[lo:]))
+    errs = [abs(c) * d for c, d in zip(sc, eps[lo:])]
+    return rows, list(map(abs, rows)), errs, list(map(operator.add, map(abs, rows), errs))
 
 
 def _overflow(s: int, t: int, y: float, x: float, log10: float) -> OverflowError:
@@ -200,46 +251,106 @@ def _overflow(s: int, t: int, y: float, x: float, log10: float) -> OverflowError
     )
 
 
+# The first fixed-point rung carries this many bits beyond a block's finest
+# position; each further rung doubles F.
+_GUARD = 64
+# A block whose exact rows are at most this many bits long (e * deg) starts on
+# the exact rung.  Measured at q = 3p on adjacent lines, the two rungs break
+# even near 1200 bits for one entry and near 750 for a 3 x 5 block, so p = 16
+# (about 810 bits) stays exact and (20, 60) (about 1030) takes the fixed point.
+_EXACT_BITS = 1000
+
+
 def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarray) -> np.ndarray:
-    # s != t: rank-p transfer sum, minus the propagator when s < t, exactly.
-    # Every entry is one integer fraction over a common dyadic denominator,
-    # rounded once.
+    # s != t: rank-p transfer sum, minus the propagator when s < t, as one
+    # integer fraction over a common dyadic denominator per entry, in rungs.
+    # A fixed-point rung (F bits) brackets the fraction's numerator by S +- E
+    # and keeps an entry when both ends round to the same double, signed zero
+    # included; that double is the correctly rounded exact value.  The rest
+    # climb to F doubled, and finally to the exact rung, which also raises
+    # every OverflowError.
     p, q = spec.p, spec.q
     psi, phi = _psi_family(p, q, s), _phi_family(p, q, t)
     L = min(len(psi.scales), len(phi.scales))
     g = t - s - 1
     fact_g = math.factorial(g) if s < t else 1
     den0 = psi.den * phi.den
-    cols = []
-    for x in map(float, xs):
-        mx, ex, hx = _rows(phi, x, L)
-        cols.append((x, mx, ex, hx, phi.num * mx**phi.pre, ex * (phi.deg + phi.pre)))
+    ys, xs = ys.tolist(), xs.tolist()
+    yd, xd = list(map(_dyadic, ys)), list(map(_dyadic, xs))
     out = np.empty((len(ys), len(xs)), dtype=float)
-    for i, y in enumerate(map(float, ys)):
-        my, ey, hy = _rows(psi, y, L)
-        pre_y = psi.num * ((1 << ey) - my) ** psi.pre
-        shift_y = ey * (psi.deg + psi.pre)
-        for j, (x, mx, ex, hx, pre_x, shift_x) in enumerate(cols):
-            # sum_l psi_l(y) phi_l(x) = num / (den0 * 2^shift): row l of each
-            # side lacks the factor 2^(e (l-1)) of the common 2^(e deg), so
-            # the products nest Horner-style over l, from l = L down to 1
-            E, num = ey + ex, 0
+    todo = [(i, j) for i in range(len(ys)) for j in range(len(xs))]
+
+    def finish(num, err, shift, i, j):
+        # num +- err over den0 * 2^shift, minus (x - y)^g / g! when s < t and
+        # y < x: (num, err, den, shift) of the entry
+        (my, ey), (mx, ex) = yd[i], xd[j]
+        if s < t and ys[i] < xs[j]:
+            e = max(ex, ey)
+            d = (mx << (e - ex)) - (my << (e - ey))
+            top = max(shift, e * g)
+            num = (num * fact_g << (top - shift)) - (d**g * den0 << (top - e * g))
+            return num, err * fact_g << (top - shift), den0 * fact_g, top
+        return num, err, den0, shift
+
+    def sides(F):
+        # per point: its rows at precision F, the exact positive prefactor
+        # num (1 - y)^pre or num x^pre, and the power of two under it
+        ry = {}
+        for i in {i for i, _ in todo}:
+            my, ey = yd[i]
+            n = ey * psi.pre + (ey * psi.deg if F is None else F)
+            ry[i] = (_rows(psi, L, my, ey, F), psi.num * ((1 << ey) - my) ** psi.pre, n)
+        rx = {}
+        for j in {j for _, j in todo}:
+            mx, ex = xd[j]
+            n = ex * phi.pre + (ex * phi.deg if F is None else F)
+            rx[j] = (_rows(phi, L, mx, ex, F), phi.num * mx**phi.pre, n)
+        return ry, rx
+
+    e_top = max((e for _, e in yd + xd), default=0)
+    F, exact_bits, overflowed = e_top + _GUARD, e_top * max(psi.deg, phi.deg), []
+    if exact_bits > _EXACT_BITS:
+        while todo and F < exact_bits:
+            ry, rx = sides(F)
+            left = []
+            for i, j in todo:
+                (uy, abs_y, err_y, _), pre_y, sh_y = ry[i]
+                (ux, _, err_x, hull_x), pre_x, sh_x = rx[j]
+                # |sum u v - exact| <= sum |u| e_v + e_u (|v| + e_v)
+                S = sum(map(operator.mul, uy, ux))
+                E = sum(map(operator.mul, abs_y, err_x)) + sum(map(operator.mul, err_y, hull_x))
+                pre = pre_y * pre_x
+                num, err, den, shift = finish(S * pre, E * pre, sh_y + sh_x, i, j)
+                den <<= shift
+                try:
+                    lo, hi = (num - err) / den, (num + err) / den
+                except OverflowError:
+                    overflowed.append((i, j))  # the exact rung raises, with its message
+                    continue
+                if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
+                    out[i, j] = lo
+                else:
+                    left.append((i, j))
+            todo, F = left, 2 * F
+    if overflowed:
+        todo = sorted(todo + overflowed)  # row by row: the first entry beyond a double raises
+    if todo:
+        ry, rx = sides(None)
+        for i, j in todo:
+            hy, pre_y, sh_y = ry[i]
+            hx, pre_x, sh_x = rx[j]
+            # sum_l psi_l(y) phi_l(x): row l of each side lacks the factor
+            # 2^(e (l-1)) of the common 2^(e deg), so the products nest
+            # Horner-style over l, from l = L down to 1
+            step, num = yd[i][1] + xd[j][1], 0
             for u, v in zip(hy, hx):
-                num = (num << E) + u * v
-            num *= pre_y * pre_x
-            shift = shift_y + shift_x
-            den = den0
-            if s < t and y < x:
-                # minus (x - y)^g / g! = d^g / (g! * 2^(e*g))
-                e = max(ex, ey)
-                d = (mx << (e - ex)) - (my << (e - ey))
-                top = max(shift, e * g)
-                num = (num * fact_g << (top - shift)) - (d**g * den0 << (top - e * g))
-                den, shift = den0 * fact_g, top
+                num = (num << step) + u * v
+            num, _, den, shift = finish(num * (pre_y * pre_x), 0, sh_y + sh_x, i, j)
             try:
                 out[i, j] = num / (den << shift)
             except OverflowError:
-                raise _overflow(s, t, y, x, math.log10(abs(num)) - math.log10(den) - shift * math.log10(2)) from None
+                log10 = math.log10(abs(num)) - math.log10(den) - shift * math.log10(2)
+                raise _overflow(s, t, ys[i], xs[j], log10) from None
     return out
 
 
@@ -317,8 +428,10 @@ def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
 
     Rows carry line ``s``, columns line ``t``.  A same-line block (``s = t``)
     comes from the orthonormal float recurrence, run once over the distinct
-    union of ``ys`` and ``xs``; a cross-line block (``s != t``) is exact, each
-    entry one correctly rounded integer fraction.  The coincident-point
+    union of ``ys`` and ``xs``; a cross-line block (``s != t``) returns each
+    entry as its exact rational value correctly rounded, from a fixed-point
+    rung whose error bound settles the rounding, or else from the exact
+    integers (see the module docstring).  The coincident-point
     convention of the ``s < t`` propagator term is strict: it vanishes when
     ``y >= x``.  Raises ``OverflowError`` when an entry lies beyond the range
     of a double.  Lines go through :func:`~beadproc.model._index`, so numpy

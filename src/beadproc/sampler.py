@@ -44,15 +44,16 @@ _NEWTON_ITERS = 60  # cap on polishing steps; a step that leaves its bracket bis
 class RandomStream:
     """Seedable random source with spawnable independent substreams.
 
-    ``seed`` is ``None`` (entropy from the OS), an integer ``>= 0`` checked by
+    ``seed`` is ``None`` (entropy from the OS), an integer ``>= 0`` or a
+    sequence of them.  Each integer goes through
     :func:`~beadproc.model._index`, so a bool is refused rather than taken as
-    1, or a sequence of integers, which numpy's ``SeedSequence`` checks.
+    1, in a sequence too.
     """
 
     def __init__(self, seed: int | Sequence[int] | None = None, _seq: np.random.SeedSequence | None = None):
         if _seq is None:
-            if seed is not None and np.ndim(seed) == 0:
-                seed = _index(seed, "seed", 0)
+            if seed is not None:
+                seed = _index(seed, "seed", 0) if np.ndim(seed) == 0 else [_index(v, "seed", 0) for v in seed]
             _seq = np.random.SeedSequence(seed)
         self.seq = _seq
         self.generator = np.random.default_rng(self.seq)

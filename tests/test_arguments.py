@@ -7,7 +7,8 @@ argument and the value; an integer outside the valid range must raise
 calls returned a value: ``left_count(h, 1, (1.5,))`` was 1,
 ``bulk_kernel(nu, 1.5, ...)`` was the ``s0 = 1`` value,
 ``sample_positions(count=True)`` drew one configuration,
-``beta_cdf(0.5, True, 1)`` was 0.5 and ``RandomStream(True)`` drew as seed 1.
+``beta_cdf(0.5, True, 1)`` was 0.5, and ``RandomStream(True)`` drew as seed 1
+and ``RandomStream([True, 1])`` as ``[1, 1]``.
 """
 
 import re
@@ -62,6 +63,7 @@ CASES = {
     "oracle_deviation-s": (lambda v: oracle_deviation(SPEC, 8, [(v, 0.3, 1, 0.7)]), "probe line s", 5, "in 1..4"),
     "oracle_deviation-t": (lambda v: oracle_deviation(SPEC, 8, [(1, 0.3, v, 0.7)]), "probe line t", 0, "in 1..4"),
     "RandomStream-seed": (RandomStream, "seed", -1, ">= 0"),
+    "RandomStream-seed-sequence": (lambda v: RandomStream([v, 1]), "seed", -1, ">= 0"),
     "sample_positions-count": (lambda v: sample_positions(RandomStream(1), SPEC, v), "count", 0, ">= 1"),
     "sample_positions-threads": (
         lambda v: sample_positions(RandomStream(1), SPEC, 4, threads=v), "threads", 0, ">= 1"
@@ -133,10 +135,17 @@ def test_index_returns_python_ints_and_builds_one_message_shape():
 
 
 def test_random_stream_keeps_none_and_sequence_seeds():
-    # only a scalar seed goes through _index; None and sequences go to numpy
+    # every integer of a seed goes through _index; None goes to numpy
     first = RandomStream(7).generator.random()
     assert RandomStream(np.int64(7)).generator.random() == first
     assert RandomStream([7, 1]).generator.random() == RandomStream([7, 1]).generator.random() != first
+    # sequence seeds draw what numpy's SeedSequence draws from them: the bytes
+    # of perfbench's [seed, 1] stay as they were
+    for seed in ([7, 1], (np.int64(7), 1), np.array([7, 1]), [2**70, 0]):
+        want = np.random.default_rng(np.random.SeedSequence([int(v) for v in seed])).random(3)
+        assert np.array_equal(RandomStream(seed).generator.random(3), want)
+    with pytest.raises(TypeError, match=r"^seed must be an integer >= 0, got \[1, 2\]$"):
+        RandomStream([[1, 2]])
     assert RandomStream(None).entropy is not None
     child = RandomStream(7).spawn(1)[0]
     assert child.generator.random() == RandomStream(_seq=RandomStream(7).seq.spawn(1)[0]).generator.random()

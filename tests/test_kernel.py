@@ -1,5 +1,6 @@
 """Exact correlation kernel: closed forms, projection identities, oracle checks."""
 
+import hashlib
 import math
 import sys
 from math import factorial
@@ -372,6 +373,24 @@ def test_jacobi_dyadic_recurrence_matches_binomial_sum():
             _jacobi_dyadic(a, b, 5, 1, 1)
 
 
+@pytest.mark.parametrize("F_guard", [8, 64])
+def test_jacobi_dyadic_fixed_point_error_bound(F_guard):
+    # every fixed-point row is within its bound of 2^F P~_n, against the exact
+    # rows Q_n = 2^(e n) P~_n: |row_n 2^(e n) - 2^F Q_n| <= eps_n 2^(e n);
+    # negative a or b with a + b >= 0, degree 48, and positions from the
+    # smallest subnormal to the last double below 1 (e up to 1074)
+    floats = [5e-324, 1e-300, 2.0**-60, 0.001, 0.3, 0.5, 0.6211568675918816, 0.999, 1.0 - 2.0**-53]
+    points = [kernel_module._dyadic(v) for v in floats] + [((1 << 1074) - 1, 1074)]
+    for a, b in [(0, 0), (-7, 7), (-15, 40), (31, -30), (-1, 1), (40, 0), (2, 60)]:
+        for m, e in points:
+            exact = _jacobi_dyadic(a, b, 48, m, e)
+            F = e + F_guard
+            rows, eps = _jacobi_dyadic(a, b, 48, m, e, F)
+            assert len(rows) == len(eps) == 49 and eps[:2] == [0, 0]
+            for n, (row, q, err) in enumerate(zip(rows, exact, eps)):
+                assert abs((row << e * n) - (q << F)) <= err << e * n, (a, b, m, e, n)
+
+
 def test_cross_families_hold_one_scale_per_degree():
     # the ints cached for one family at (256, 768) stay under 1 MB (~31 KB
     # measured), where integer monomial coefficient tables held up to 23 MB;
@@ -400,26 +419,153 @@ def _cross_case(p, q, s, t):
     return (s > q, "t<=p" if t <= p else "t<=q" if t <= q else "t>q", s < t, min(abs(t - s) - 1, 2))
 
 
+def _cross_points(rng):
+    # a point shared by both sides, two seeded ones each, and y/2, (1+y)/2
+    shared = float(rng.uniform(0.05, 0.95))
+    ys = np.array([shared, *rng.uniform(0.05, 0.95, 2)])
+    xs = np.array([shared, *rng.uniform(0.05, 0.95, 2), ys[1] / 2, (1 + ys[1]) / 2])
+    return ys, xs
+
+
+def _fraction_cases(p, q):
+    # (s, ys, xs, t) of the Fraction bit-identity test: s < t, every pair
+    # mirrored to s > t, and the widest gap, from the top line to line 1
+    rng = np.random.default_rng(97 * p + q)
+    pairs = _cross_line_pairs(p, q)
+    for s, t in dict.fromkeys(pairs + [(t, s) for s, t in pairs] + [(p + q - 1, 1)]):
+        yield (s, *_cross_points(rng), t)
+
+
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (2, 3), (3, 7), (4, 4), (5, 9), (12, 12), (20, 60)])
 def test_cross_block_bit_identical_to_fraction_reference(p, q):
     # the integer fixed-point path must round the same rationals as the
     # Fraction route, s < t and the mirrored s > t: equality, not closeness
     spec = HexagonSpec(p, q)
     ctx = kernel_context(spec)
-    rng = np.random.default_rng(97 * p + q)
     n = spec.n_lines
-    pairs = _cross_line_pairs(p, q)
-    # s > t: every pair mirrored, and the widest gap, from the top line to line 1
     covered = set()
-    for s, t in dict.fromkeys(pairs + [(t, s) for s, t in pairs] + [(n, 1)]):
-        shared = float(rng.uniform(0.05, 0.95))
-        ys = np.array([shared, *rng.uniform(0.05, 0.95, 2)])
-        xs = np.array([shared, *rng.uniform(0.05, 0.95, 2), ys[1] / 2, (1 + ys[1]) / 2])
+    for s, ys, xs, t in _fraction_cases(p, q):
         got = kernel_matrix(ctx, s, ys, t, xs)
         want = fraction_kernel.cross_block(p, q, s, ys, t, xs)
         assert np.array_equal(got, want), (p, q, s, t)
         covered.add(_cross_case(p, q, s, t))
     assert covered == {_cross_case(p, q, s, t) for s in range(1, n + 1) for t in range(1, n + 1) if s != t}
+
+
+def _record_rungs(monkeypatch):
+    # the precision of every _jacobi_dyadic call: F, or None on the exact rung
+    seen, dyadic = [], kernel_module._jacobi_dyadic
+
+    def recorded(a, b, deg, m, e, F=None):
+        seen.append(F)
+        return dyadic(a, b, deg, m, e, F)
+
+    monkeypatch.setattr(kernel_module, "_jacobi_dyadic", recorded)
+    return seen
+
+
+def _exact_rung(monkeypatch, call):
+    # call() with every cross-line block starting on the exact rung
+    with monkeypatch.context() as m:
+        m.setattr(kernel_module, "_EXACT_BITS", math.inf)
+        return call()
+
+
+def test_fraction_cases_reach_the_fixed_point_rung(monkeypatch):
+    # the Fraction reference covers the fixed-point rungs: at (20, 60) most
+    # blocks take them; at (2, 3) the exact rows are short, and every block
+    # starts on the exact rung
+    seen = _record_rungs(monkeypatch)
+    ctx = kernel_context(HexagonSpec(20, 60))
+    for s, ys, xs, t in _fraction_cases(20, 60):
+        kernel_matrix(ctx, s, ys, t, xs)
+    assert sum(F is not None for F in seen) > len(seen) // 2
+    seen.clear()
+    ctx = kernel_context(HexagonSpec(2, 3))
+    for s, ys, xs, t in _fraction_cases(2, 3):
+        kernel_matrix(ctx, s, ys, t, xs)
+    assert seen and set(seen) == {None}
+
+
+def test_fixed_point_rung_keeps_the_sign_of_zero(monkeypatch):
+    # these entries at (128, 384) cancel to a value that rounds to +0.0; the
+    # first rung's bracket straddles zero, with ends -0.0 and +0.0, which ==
+    # alone would have taken.  They climb a rung and keep the exact bytes.
+    ctx = kernel_context(HexagonSpec(128, 384))
+    for s, y, t, x in [(209, 0.4226979810939507, 468, 0.7260780103681115), (210, 0.6073995843069845, 441, 0.4837985004999605)]:
+        seen = _record_rungs(monkeypatch)
+        got = kernel_matrix(ctx, s, [y], t, [x])
+        assert len({F for F in seen if F is not None}) == 2 and None not in seen
+        want = _exact_rung(monkeypatch, lambda: kernel_matrix(ctx, s, [y], t, [x]))
+        assert got.tobytes() == want.tobytes() == np.zeros((1, 1)).tobytes(), (s, t)
+
+
+def test_cancelling_entry_climbs_a_rung(monkeypatch):
+    # s < t, y two doubles below x: the rank-p sum and the propagator cancel
+    # to -9.8e-288, beyond the first rung's bracket
+    ctx = kernel_context(HexagonSpec(64, 192))
+    y, x = 0.6211568675918816, 0.6211568675918818
+    assert math.nextafter(math.nextafter(x, 0), 0) == y
+    seen = _record_rungs(monkeypatch)
+    got = kernel_matrix(ctx, 87, [y], 206, [x])
+    assert len({F for F in seen if F is not None}) >= 2
+    want = _exact_rung(monkeypatch, lambda: kernel_matrix(ctx, 87, [y], 206, [x]))
+    assert got.tobytes() == want.tobytes() and -1e-287 < got[0, 0] < -1e-288
+
+
+def test_fixed_point_overflow_raises_the_exact_message(monkeypatch):
+    # K(132, y; 1, x) at (64, 192) is beyond a double at y = 0.05 (10^332) and finite
+    # at y = 0.95 and 0.3: the first rung's division overflows, that entry
+    # goes straight to the exact rung, and the block raises the exact path's
+    # message for its first such entry in row order, byte for byte
+    ctx = kernel_context(HexagonSpec(64, 192))
+    ys, xs = [0.95, 0.05, 0.3], [0.5, 0.95]
+    seen = _record_rungs(monkeypatch)
+    with pytest.raises(OverflowError) as fast:
+        kernel_matrix(ctx, 132, ys, 1, xs)
+    assert len(set(seen)) == 2 and None in seen  # one fixed-point rung, then the exact one
+    with pytest.raises(OverflowError) as exact:
+        _exact_rung(monkeypatch, lambda: kernel_matrix(ctx, 132, ys, 1, xs))
+    assert str(fast.value) == str(exact.value) == (
+        "K(132, y; 1, x) at (y, x) = (0.05, 0.5) is beyond the range of a double: log10|K| = 332.0"
+    )
+    assert np.isfinite(kernel_matrix(ctx, 132, [0.95, 0.3], 1, xs)).all()
+
+
+# sha256 of the cross-line blocks below, computed with the exact integer path
+# that preceded the fixed-point rungs
+_CROSS_DIGESTS = {
+    (64, 192): "4de0c274bf739d38ebf898ef214afb0d4d279f152fcb7a3a0d16d742c95a9fa8",
+    (128, 384): "d134581b864907b7e7595a72e93f8146adbdc2dde948b924827901e28a4f58a6",
+}
+
+
+@pytest.mark.parametrize("p,q", list(_CROSS_DIGESTS))
+def test_cross_blocks_match_the_pinned_digest(p, q):
+    # bit-identity where the Fraction reference is too slow and the
+    # fixed-point rungs do the work: the blocks of _cross_line_pairs both
+    # ways, plus the widest gap both ways, whose entries are all beyond a
+    # double; a block that raises is hashed entry by entry, by each
+    # entry's bytes or OverflowError message
+    ctx = kernel_context(HexagonSpec(p, q))
+    rng = np.random.default_rng(7 * p + q)
+    n = p + q - 1
+    pairs = _cross_line_pairs(p, q)
+    digest, raised = hashlib.sha256(), 0
+    for s, t in pairs + [(t, s) for s, t in pairs] + [(n, 1), (1, n)]:
+        ys, xs = _cross_points(rng)
+        try:
+            digest.update(kernel_matrix(ctx, s, ys, t, xs).tobytes())
+        except OverflowError:
+            for y in ys:
+                for x in xs:
+                    try:
+                        digest.update(kernel_matrix(ctx, s, [y], t, [x]).tobytes())
+                    except OverflowError as err:
+                        digest.update(str(err).encode())
+                        raised += 1
+    assert raised == 15
+    assert digest.hexdigest() == _CROSS_DIGESTS[p, q]
 
 
 def test_bulk_probe_cross_entry_bit_identical():
