@@ -1,12 +1,14 @@
 """Command-line surface: sampling, kernel evaluation, enumeration, limits, validation.
 
-Exit codes: 0 success, 1 validation-suite failure, 2 usage error.  All numeric
-output is emitted with 17 significant digits (full double round-trip),
+Exit codes: 0 success, 1 validation-suite failure, 2 usage error or a value
+beyond the range of a double (``OverflowError``).  All numeric output is
+emitted with 17 significant digits (full double round-trip),
 locale-independent.  CSV schemas:
 
 * configurations  -> ``sample,line,index,position``
 * line densities  -> ``s,y,t,x,value``
 * limit shape     -> ``S,c,d``
+* bulk probe      -> ``p,s0,t0,X,Y,normalized,limit,abs_err``
 * validation      -> ``suite,check,status,measure,threshold``
 
 JSON mirrors CSV inside an envelope ``{"spec": {...}, "seed": ..., "rows": [...]}``.
@@ -468,7 +470,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,21 +22,25 @@ Those polynomials are Jacobi polynomials with integer, possibly negative,
 parameters ``(a, b)``, ``a + b >= 0``; each family keeps one integer scale
 per degree over one common denominator.  Every float position is dyadic,
 ``m / 2^e``, so each entry is one rational number, and the block returns it
-correctly rounded, in rungs (Ziv's strategy, as MPFR uses it):
+correctly rounded, in one loop of rungs (Ziv's strategy, as MPFR uses it):
 
 - a fixed-point rung runs the integer three-term recurrence on rows
   ``~ 2^F P~_n(m / 2^e)``, flooring each step and carrying a proven bound on
   each row's error.  The rank-``p`` sum, times the exact prefactor and minus
   the exact propagator, is then known to within ``+-E``.  When both ends of
   that interval round to the same double, sign of zero included, that double
-  is the correctly rounded entry.  The first rung takes ``F`` 64 bits beyond
-  the block's finest position, and each further rung doubles it;
-- the exact rung runs the same recurrence on ``2^(en) P~_n(m / 2^e)``, all
-  integers, and rounds once.  An entry reaches it when ``F`` would outgrow
-  the exact rows, when its fixed-point division overflows, or at once when a
-  block's exact rows are at most 1000 bits long (``e * deg``: the small
-  fans, where the exact rung is the cheaper one).  It raises every
-  ``OverflowError``.
+  is the correctly rounded entry.  Each point takes its own ``F``: on the
+  first rung 64 bits beyond the block's finest position, but at most 128
+  beyond its own, so one far-out point does not set every point's
+  precision; each further rung doubles it;
+- the exact rung, the loop's last pass, runs the same recurrence on
+  ``2^(en) P~_n(m / 2^e)``, all integers, and rounds once.  The block's
+  pending entries take it when the next fixed rung would reach the exact
+  rows' length, after a fixed-point division overflows, or at once when
+  the block's exact rows are at most 1000 bits long (``e * deg``: the small
+  fans, where the exact rung is the cheaper one).  On it the first pending
+  entry beyond a double, in row order, raises ``OverflowError``; every
+  entry before it is a finite double.
 
 Either way an entry is the same double, bit for bit, free of the
 cancellation between the ``p`` summands and the propagator.
@@ -252,7 +256,8 @@ def _overflow(s: int, t: int, y: float, x: float, log10: float) -> OverflowError
 
 
 # The first fixed-point rung carries this many bits beyond a block's finest
-# position; each further rung doubles F.
+# position, but at most twice this many beyond a point's own; each further
+# rung doubles F.
 _GUARD = 64
 # A block whose exact rows are at most this many bits long (e * deg) starts on
 # the exact rung.  Measured at q = 3p on adjacent lines, the two rungs break
@@ -264,11 +269,14 @@ _EXACT_BITS = 1000
 def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarray) -> np.ndarray:
     # s != t: rank-p transfer sum, minus the propagator when s < t, as one
     # integer fraction over a common dyadic denominator per entry, in rungs.
-    # A fixed-point rung (F bits) brackets the fraction's numerator by S +- E
-    # and keeps an entry when both ends round to the same double, signed zero
-    # included; that double is the correctly rounded exact value.  The rest
-    # climb to F doubled, and finally to the exact rung, which also raises
-    # every OverflowError.
+    # Fixed-point rung k gives point i's rows F_i = (min(e_top, e_i + _GUARD)
+    # + _GUARD) << k bits and brackets each pending numerator by num +- err;
+    # an entry is kept when both ends round to the same double, signed zero
+    # included: that double is the correctly rounded exact value.  The last
+    # rung is exact (err = 0).  The block takes it when the next fixed rung
+    # would reach the exact rows' e_top * deg bits, at once when those are at
+    # most _EXACT_BITS, and after a fixed-rung division overflows; on it the
+    # first pending entry beyond a double, in row order, raises.
     p, q = spec.p, spec.q
     psi, phi = _psi_family(p, q, s), _phi_family(p, q, t)
     L = min(len(psi.scales), len(phi.scales))
@@ -279,78 +287,60 @@ def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarr
     yd, xd = list(map(_dyadic, ys)), list(map(_dyadic, xs))
     out = np.empty((len(ys), len(xs)), dtype=float)
     todo = [(i, j) for i in range(len(ys)) for j in range(len(xs))]
-
-    def finish(num, err, shift, i, j):
-        # num +- err over den0 * 2^shift, minus (x - y)^g / g! when s < t and
-        # y < x: (num, err, den, shift) of the entry
-        (my, ey), (mx, ex) = yd[i], xd[j]
-        if s < t and ys[i] < xs[j]:
-            e = max(ex, ey)
-            d = (mx << (e - ex)) - (my << (e - ey))
-            top = max(shift, e * g)
-            num = (num * fact_g << (top - shift)) - (d**g * den0 << (top - e * g))
-            return num, err * fact_g << (top - shift), den0 * fact_g, top
-        return num, err, den0, shift
-
-    def sides(F):
-        # per point: its rows at precision F, the exact positive prefactor
-        # num (1 - y)^pre or num x^pre, and the power of two under it
-        ry = {}
-        for i in {i for i, _ in todo}:
-            my, ey = yd[i]
-            n = ey * psi.pre + (ey * psi.deg if F is None else F)
-            ry[i] = (_rows(psi, L, my, ey, F), psi.num * ((1 << ey) - my) ** psi.pre, n)
-        rx = {}
-        for j in {j for _, j in todo}:
-            mx, ex = xd[j]
-            n = ex * phi.pre + (ex * phi.deg if F is None else F)
-            rx[j] = (_rows(phi, L, mx, ex, F), phi.num * mx**phi.pre, n)
-        return ry, rx
-
     e_top = max((e for _, e in yd + xd), default=0)
-    F, exact_bits, overflowed = e_top + _GUARD, e_top * max(psi.deg, phi.deg), []
-    if exact_bits > _EXACT_BITS:
-        while todo and F < exact_bits:
-            ry, rx = sides(F)
-            left = []
-            for i, j in todo:
-                (uy, abs_y, err_y, _), pre_y, sh_y = ry[i]
-                (ux, _, err_x, hull_x), pre_x, sh_x = rx[j]
-                # |sum u v - exact| <= sum |u| e_v + e_u (|v| + e_v)
-                S = sum(map(operator.mul, uy, ux))
-                E = sum(map(operator.mul, abs_y, err_x)) + sum(map(operator.mul, err_y, hull_x))
-                pre = pre_y * pre_x
-                num, err, den, shift = finish(S * pre, E * pre, sh_y + sh_x, i, j)
-                den <<= shift
-                try:
-                    lo, hi = (num - err) / den, (num + err) / den
-                except OverflowError:
-                    overflowed.append((i, j))  # the exact rung raises, with its message
-                    continue
-                if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
-                    out[i, j] = lo
-                else:
-                    left.append((i, j))
-            todo, F = left, 2 * F
-    if overflowed:
-        todo = sorted(todo + overflowed)  # row by row: the first entry beyond a double raises
-    if todo:
-        ry, rx = sides(None)
+    exact_bits = e_top * max(psi.deg, phi.deg)
+    k, exact = 0, exact_bits <= _EXACT_BITS
+    while todo:
+        exact = exact or (e_top + _GUARD) << k >= exact_bits
+        # per pending point: its rows, the exact positive prefactor
+        # num (1 - y)^pre or num x^pre, and the power of two under both
+        ry, rx = {}, {}
+        for side, fam, dyad, pts in ((ry, psi, yd, {i for i, _ in todo}), (rx, phi, xd, {j for _, j in todo})):
+            for i in pts:
+                m, e = dyad[i]
+                F = None if exact else (min(e_top, e + _GUARD) + _GUARD) << k
+                base = m if fam is phi else (1 << e) - m
+                side[i] = _rows(fam, L, m, e, F), fam.num * base**fam.pre, e * fam.pre + (e * fam.deg if exact else F)
+        left, overflow = [], False
         for i, j in todo:
+            (my, ey), (mx, ex) = yd[i], xd[j]
             hy, pre_y, sh_y = ry[i]
             hx, pre_x, sh_x = rx[j]
-            # sum_l psi_l(y) phi_l(x): row l of each side lacks the factor
-            # 2^(e (l-1)) of the common 2^(e deg), so the products nest
-            # Horner-style over l, from l = L down to 1
-            step, num = yd[i][1] + xd[j][1], 0
-            for u, v in zip(hy, hx):
-                num = (num << step) + u * v
-            num, _, den, shift = finish(num * (pre_y * pre_x), 0, sh_y + sh_x, i, j)
+            if exact:
+                # sum_l psi_l(y) phi_l(x): row l of each side lacks the factor
+                # 2^(e (l-1)) of the common 2^(e deg), so the products nest
+                # Horner-style over l, from l = L down to 1
+                num = err = 0
+                for u, v in zip(hy, hx):
+                    num = (num << (ey + ex)) + u * v
+            else:
+                # |sum u v - exact| <= sum |u| e_v + e_u (|v| + e_v)
+                (uy, abs_y, err_y, _), (ux, _, err_x, hull_x) = hy, hx
+                num = sum(map(operator.mul, uy, ux))
+                err = sum(map(operator.mul, abs_y, err_x)) + sum(map(operator.mul, err_y, hull_x))
+            pre, den, shift = pre_y * pre_x, den0, sh_y + sh_x
+            num, err = num * pre, err * pre
+            if s < t and ys[i] < xs[j]:  # minus (x - y)^g / g!
+                e = max(ex, ey)
+                d = (mx << (e - ex)) - (my << (e - ey))
+                top = max(shift, e * g)
+                num = (num * fact_g << (top - shift)) - (d**g * den0 << (top - e * g))
+                err, den, shift = err * fact_g << (top - shift), den0 * fact_g, top
             try:
-                out[i, j] = num / (den << shift)
+                lo = (num - err) / (den << shift)
+                hi = (num + err) / (den << shift) if err else lo
             except OverflowError:
-                log10 = math.log10(abs(num)) - math.log10(den) - shift * math.log10(2)
-                raise _overflow(s, t, ys[i], xs[j], log10) from None
+                if exact:
+                    log10 = math.log10(abs(num)) - math.log10(den) - shift * math.log10(2)
+                    raise _overflow(s, t, ys[i], xs[j], log10) from None
+                left.append((i, j))
+                overflow = True
+                continue
+            if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
+                out[i, j] = lo
+            else:
+                left.append((i, j))
+        todo, k, exact = left, k + 1, overflow
     return out
 
 
@@ -429,13 +419,15 @@ def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
     Rows carry line ``s``, columns line ``t``.  A same-line block (``s = t``)
     comes from the orthonormal float recurrence, run once over the distinct
     union of ``ys`` and ``xs``; a cross-line block (``s != t``) returns each
-    entry as its exact rational value correctly rounded, from a fixed-point
-    rung whose error bound settles the rounding, or else from the exact
-    integers (see the module docstring).  The coincident-point
-    convention of the ``s < t`` propagator term is strict: it vanishes when
-    ``y >= x``.  Raises ``OverflowError`` when an entry lies beyond the range
-    of a double.  Lines go through :func:`~beadproc.model._index`, so numpy
-    integers are taken as Python ints, which the exact arithmetic needs.
+    entry as its exact rational value correctly rounded, from one loop of
+    rungs: fixed-point rungs, each point at its own precision, while their
+    error bounds leave the rounding open, then the exact integers (see the
+    module docstring).  The coincident-point convention of the ``s < t``
+    propagator term is strict: it vanishes when ``y >= x``.  Raises
+    ``OverflowError`` when an entry lies beyond the range of a double, naming
+    the first such entry in row order.  Lines go through
+    :func:`~beadproc.model._index`, so numpy integers are taken as Python
+    ints, which the exact arithmetic needs.
     """
     spec = ctx.spec
     s, t = _index(s, "line s", 1, spec.n_lines), _index(t, "line t", 1, spec.n_lines)

@@ -45,6 +45,24 @@ def test_correlate_rejects_malformed_point(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "kernel --p 64 --q 192 --s 132 --t 1 --y 0.05 --x 0.5",
+        "correlate --p 64 --q 192 --point 132:0.05 --point 1:0.5",
+    ],
+)
+def test_kernel_beyond_a_double_is_an_error_line(argv, capsys):
+    # K(132, 0.05; 1, 0.5) at (64, 192) is about 10^332: one error line and
+    # exit 2, as for any other error, not a traceback
+    code = run(argv.split())
+    out, err = _capture(capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == (
+        "error: K(132, y; 1, x) at (y, x) = (0.05, 0.5) is beyond the range of a double: log10|K| = 332.0\n"
+    )
+
+
 # ------------------------------------------------------------------ sample
 
 

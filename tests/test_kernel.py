@@ -1,5 +1,6 @@
 """Exact correlation kernel: closed forms, projection identities, oracle checks."""
 
+import collections
 import hashlib
 import math
 import sys
@@ -452,12 +453,13 @@ def test_cross_block_bit_identical_to_fraction_reference(p, q):
     assert covered == {_cross_case(p, q, s, t) for s in range(1, n + 1) for t in range(1, n + 1) if s != t}
 
 
-def _record_rungs(monkeypatch):
-    # the precision of every _jacobi_dyadic call: F, or None on the exact rung
+def _record_rungs(monkeypatch, key=lambda e, F: F):
+    # key(e, F) of every _jacobi_dyadic call, e the point's dyadic exponent and
+    # F its precision, None on the exact rung; by default F alone
     seen, dyadic = [], kernel_module._jacobi_dyadic
 
     def recorded(a, b, deg, m, e, F=None):
-        seen.append(F)
+        seen.append(key(e, F))
         return dyadic(a, b, deg, m, e, F)
 
     monkeypatch.setattr(kernel_module, "_jacobi_dyadic", recorded)
@@ -532,21 +534,49 @@ def test_fixed_point_overflow_raises_the_exact_message(monkeypatch):
     assert np.isfinite(kernel_matrix(ctx, 132, [0.95, 0.3], 1, xs)).all()
 
 
+def test_far_point_keeps_the_near_points_precision(monkeypatch):
+    # y = 1e-300 sits about 1000 bits finer than the other points; rung 0
+    # takes each point 64 bits beyond the block's finest position but at
+    # most 128 beyond its own, so the near points' rows stay within e + 128
+    # bits instead of the far point's e_top + 64 (about 1113)
+    ctx = kernel_context(HexagonSpec(64, 192))
+    ys, xs = [0.41, 0.52, 1e-300], [0.38, 0.47, 0.55]
+    seen = _record_rungs(monkeypatch, lambda e, F: (e, F))
+    got = kernel_matrix(ctx, 128, ys, 129, xs)
+    near = [(e, F) for e, F in seen[: len(ys) + len(xs)] if e < 64]  # rung 0 computes every point first
+    assert len(near) == 5 and all(F <= e + 128 for e, F in near), near
+    want = _exact_rung(monkeypatch, lambda: kernel_matrix(ctx, 128, ys, 129, xs))
+    assert got.tobytes() == want.tobytes()
+
+
+def _rung(e, F):
+    # the rung of a _jacobi_dyadic call: k for F = (min(e_top, e + _GUARD) +
+    # _GUARD) << k, or "exact"
+    return "exact" if F is None else (F // (e + kernel_module._GUARD)).bit_length() - 1
+
+
 # sha256 of the cross-line blocks below, computed with the exact integer path
-# that preceded the fixed-point rungs
+# that preceded the fixed-point rungs, and the _jacobi_dyadic calls each rung
+# makes over them, the entry-by-entry retries of a raising block included
 _CROSS_DIGESTS = {
     (64, 192): "4de0c274bf739d38ebf898ef214afb0d4d279f152fcb7a3a0d16d742c95a9fa8",
     (128, 384): "d134581b864907b7e7595a72e93f8146adbdc2dde948b924827901e28a4f58a6",
 }
+_CROSS_RUNGS = {
+    (64, 192): {0: 440, 1: 23, "exact": 38},
+    (128, 384): {0: 440, 1: 197, 2: 4, "exact": 38},
+}
 
 
 @pytest.mark.parametrize("p,q", list(_CROSS_DIGESTS))
-def test_cross_blocks_match_the_pinned_digest(p, q):
+def test_cross_blocks_match_the_pinned_digest(monkeypatch, p, q):
     # bit-identity where the Fraction reference is too slow and the
     # fixed-point rungs do the work: the blocks of _cross_line_pairs both
     # ways, plus the widest gap both ways, whose entries are all beyond a
     # double; a block that raises is hashed entry by entry, by each
-    # entry's bytes or OverflowError message
+    # entry's bytes or OverflowError message.  The rung counts gate the
+    # work: a change that keeps every bit can still climb more rungs.
+    seen = _record_rungs(monkeypatch, _rung)
     ctx = kernel_context(HexagonSpec(p, q))
     rng = np.random.default_rng(7 * p + q)
     n = p + q - 1
@@ -566,6 +596,7 @@ def test_cross_blocks_match_the_pinned_digest(p, q):
                         raised += 1
     assert raised == 15
     assert digest.hexdigest() == _CROSS_DIGESTS[p, q]
+    assert dict(collections.Counter(seen)) == _CROSS_RUNGS[p, q]
 
 
 def test_bulk_probe_cross_entry_bit_identical():
