@@ -12,7 +12,11 @@ those eigenvalues (one batched ``eigvalsh`` per line) as starting points and
 polishes them by Newton's method inside each gap's bracket, bisecting
 whenever a step would leave it; the bracket only ever shrinks, so every zero
 stays in its gap.  Interlacing therefore holds by construction and is never
-enforced after the fact, though every sample is still checked for it.
+enforced after the fact, though every sample is still checked for it.  A
+zero nearer a pole than its bracket's inward offset (a vanishing weight) is
+clamped to the bracket end; prefix and suffix sums of the weights rule that
+out for nearly every end without evaluating the resolvent sum there, with
+the same bytes as evaluating it.
 
 Batched internally: all configurations of a chunk march through the lines
 together as (batch, beads) arrays, and each fixed-size chunk owns a spawned
@@ -64,7 +68,8 @@ class RandomStream:
         return self.seq.entropy
 
     def spawn(self, n: int) -> list["RandomStream"]:
-        return [RandomStream(_seq=child) for child in self.seq.spawn(n)]
+        """``n >= 0`` independent child streams, through :func:`~beadproc.model._index`."""
+        return [RandomStream(_seq=child) for child in self.seq.spawn(_index(n, "n", 0))]
 
 
 def _dirichlet_batch(rng: np.random.Generator, multiplicities: Sequence[int], batch: int) -> np.ndarray:
@@ -103,6 +108,12 @@ def _eigen_start(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return eigvalsh(block)
 
 
+def _resolvent(poles: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_i w_i/(x - a_i)`` at the points of each row; (B, n), (B, n), (B, k) -> (B, k)."""
+    with np.errstate(divide="ignore"):
+        return (weights[:, None, :] / (x[:, :, None] - poles[:, None, :])).sum(axis=2)
+
+
 def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Zeros of ``sum_i w_i/(x - a_i)`` per row; shapes (B, n) -> (B, n-1).
 
@@ -111,16 +122,17 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     sign of ``f`` at every step.  A step of more than 4 ulps that does not
     land strictly inside the bracket (or is NaN) becomes a bisection step,
     and an entry freezes once its step is at most 4 ulps or its bracket has
-    closed, so every zero depends on its own row alone.  Raises
+    closed, so every zero depends on its own row alone.  Weights are
+    non-negative.  A zero nearer a pole than its bracket's inward offset is
+    clamped to the bracket end.  Prefix and suffix sums of the weights
+    settle the sign of ``f`` at nearly every end; only a row with an end they
+    leave open evaluates ``f`` at its ends, with the same bytes either way.
+    Raises
     ``RuntimeError`` naming the row and the gap if a gap holds no double
     strictly between its poles, if a zero comes out non-finite or outside
     its bracket, or if one is still moving when the ``_NEWTON_ITERS`` cap runs
     out.
     """
-
-    def f(x):
-        with np.errstate(divide="ignore"):
-            return (weights[:, None, :] / (x[:, :, None] - poles[:, None, :])).sum(axis=2)
 
     # A zero needs a double strictly inside its gap: the midpoint, if any.
     mid_gap = 0.5 * (poles[:, 1:] + poles[:, :-1])
@@ -143,10 +155,37 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     lo = np.where(pinched, mid_gap, lo)
     hi = np.where(pinched, mid_gap, hi)
     # A zero that sits within the offset of a pole (vanishing weight) is
-    # likewise clamped to the endpoint rather than treated as a hard error.
-    flo, fhi = f(lo), f(hi)
-    hi = np.where(flo <= 0.0, lo, hi)
-    lo = np.where(fhi >= 0.0, hi, lo)
+    # likewise clamped to the endpoint rather than treated as a hard error:
+    # f(lo) <= 0 closes the bracket onto lo, f(hi) >= 0 onto hi.  The weights
+    # settle most ends without evaluating f.  On gap j the terms of f(lo) at
+    # the poles up to a_j are positive and the rest sum to at least
+    # -R_j / (a_{j+1} - lo), R_j = sum_{i>j} w_i, so
+    #     w_j / (lo - a_j) > 2 R_j / (a_{j+1} - lo)
+    # proves f(lo) > 0; likewise, with L_j = sum_{i<=j} w_i,
+    #     w_{j+1} / (a_{j+1} - hi) > 2 L_j / (hi - a_j)
+    # proves f(hi) < 0.  The left side is term j of f, rounded as f rounds
+    # it.  The factor 2 covers the rest of the rounding: with u = 2^-53 the
+    # other terms, R_j and the right side are each within (n + 3) u of their
+    # exact values, and the n-term sum within (n - 1) u of its absolute
+    # terms, so the computed f(lo) stays positive (or NaN after an overflow,
+    # which does not clamp either) for any n below 2^49.  A left side that is
+    # not a normal double proves nothing, as a subnormal's rounding error is
+    # absolute.  Both sums add non-negative terms (total minus prefix would
+    # cancel).  Rows with an end left unsettled, by NaN too, evaluate f at
+    # both ends of every gap; pinched gaps need neither, as lo == hi.
+    prefix = np.cumsum(weights, axis=1)[:, :-1]
+    suffix = np.cumsum(weights[:, ::-1], axis=1)[:, -2::-1]
+    tiny = np.finfo(float).tiny
+    with np.errstate(all="ignore"):
+        sure_lo = weights[:, :-1] / (lo - poles[:, :-1]) > np.maximum(2.0 * suffix / (poles[:, 1:] - lo), tiny)
+        sure_hi = weights[:, 1:] / (poles[:, 1:] - hi) > np.maximum(2.0 * prefix / (hi - poles[:, :-1]), tiny)
+    settled = pinched | (sure_lo & sure_hi)
+    if not settled.all():
+        rows = np.flatnonzero(~settled.all(axis=1))
+        ends = _resolvent(poles[rows], weights[rows], np.hstack([lo[rows], hi[rows]]))
+        flo, fhi = np.hsplit(ends, 2)
+        hi[rows] = np.where(flo <= 0.0, lo[rows], hi[rows])
+        lo[rows] = np.where(fhi >= 0.0, hi[rows], lo[rows])
     if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
         raise RuntimeError("secular bracket failed — degenerate pole configuration")
 
@@ -155,27 +194,36 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     x = np.clip(_eigen_start(poles, weights), lo, hi).ravel()
     left, right = lo.flatten(), hi.flatten()
     act = np.arange(x.size)
-    for _ in range(_NEWTON_ITERS):
+    for step in range(_NEWTON_ITERS):
         if act.size == 0:
             break
         xa, la, ha = x[act], left[act], right[act]
-        ra, ja = np.divmod(act, gap.shape[1])
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = poles[ra]
-            np.subtract(xa[:, None], inv, out=inv)
-            np.reciprocal(inv, out=inv)
-            wr = weights[ra]
-            wr *= inv
-            fa = wr.sum(axis=1)
+            if step == 0:
+                # Every zero is active: the rows broadcast to (B, n-1, n)
+                # without gathers, and the reciprocals at each gap's own
+                # poles are the two diagonals of the last two axes.
+                inv = xa.reshape(lo.shape)[:, :, None] - poles[:, None, :]
+                np.reciprocal(inv, out=inv)
+                wr = inv * weights[:, None, :]
+                below, above = inv.diagonal(0, 1, 2), inv.diagonal(1, 1, 2)
+            else:
+                ra, ja = np.divmod(act, gap.shape[1])
+                inv = poles[ra]
+                np.subtract(xa[:, None], inv, out=inv)
+                np.reciprocal(inv, out=inv)
+                wr = weights[ra]
+                wr *= inv
+                k = np.arange(act.size)
+                below, above = inv[k, ja], inv[k, ja + 1]
+            fa = wr.sum(axis=-1).ravel()
             # Newton on (x - a) f(x), a the nearer end of the gap: the factor
             # drops that pole's term from the derivative, so a start next to
             # a pole jumps to the zero instead of only doubling its distance
             # from the pole at every step.
-            k = np.arange(act.size)
-            below, above = inv[k, ja], inv[k, ja + 1]
-            inv -= np.where(np.abs(below) >= np.abs(above), below, above)[:, None]
+            inv -= np.where(np.abs(below) >= np.abs(above), below, above)[..., None]
             inv *= wr
-            xn = xa + fa / inv.sum(axis=1)
+            xn = xa + fa / inv.sum(axis=-1).ravel()
         la = np.where(fa > 0.0, xa, la)
         ha = np.where(fa < 0.0, xa, ha)
         # Every point visited becomes a bracket end or lies outside, so a

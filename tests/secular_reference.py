@@ -7,8 +7,15 @@ vanishing-weight clamps — so on every gap the two solvers search the same
 interval.  Bisection needs nothing but the sign of ``f`` and converges
 unconditionally, to ``2^-60`` of the bracket width; the package starts from
 eigenvalues and polishes with safeguarded Newton, and must agree with this to
-a relative ``1e-14``.  About twenty times more ``f`` evaluations than the
-package's solver; for tests only.
+a relative ``1e-14``.  Here every zero costs 62 evaluations of ``f``: both
+bracket ends, since this is the reference for the clamps, and 60 halvings.
+The package's solver settles the ends of sampled brackets from the weights
+alone and takes 1.1 to 1.2 Newton passes per zero on sampled lines from
+(2, 3) to (64, 192), each one ``f`` with its derivative: about fifty times
+fewer.  For tests only.
+
+:func:`unsettled_rows` replays, one scalar at a time, the weight-sum test by
+which the package skips evaluating ``f`` at the bracket ends.
 
 :class:`SecularProblem` and :func:`secular_zeros` are a validated one-row
 entry to the package's solver, ``beadproc.sampler._secular_zeros_batch``,
@@ -17,6 +24,7 @@ for tests that probe it one pole set at a time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,8 +40,8 @@ def _resolvent(poles: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndar
         return (weights[:, None, :] / (x[:, :, None] - poles[:, None, :])).sum(axis=2)
 
 
-def secular_brackets(poles: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-gap search intervals ``[lo, hi]``, shapes (B, n) -> 2 x (B, n-1)."""
+def _open_brackets(poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-gap ``[lo, hi]`` before the vanishing-weight clamps."""
     gap = poles[:, 1:] - poles[:, :-1]
     if not np.all(gap > 0.0):
         raise RuntimeError("secular bracket failed — poles not strictly increasing")
@@ -48,6 +56,12 @@ def secular_brackets(poles: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray
     pinched = lo >= hi
     lo = np.where(pinched, mid_gap, lo)
     hi = np.where(pinched, mid_gap, hi)
+    return lo, hi
+
+
+def secular_brackets(poles: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-gap search intervals ``[lo, hi]``, shapes (B, n) -> 2 x (B, n-1)."""
+    lo, hi = _open_brackets(poles)
     # A zero that sits within the offset of a pole (vanishing weight) is
     # likewise clamped to the endpoint rather than treated as a hard error.
     flo, fhi = _resolvent(poles, weights, lo), _resolvent(poles, weights, hi)
@@ -56,6 +70,34 @@ def secular_brackets(poles: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray
     if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
         raise RuntimeError("secular bracket failed — degenerate pole configuration")
     return lo, hi
+
+
+def unsettled_rows(poles: np.ndarray, weights: np.ndarray) -> list[int]:
+    """Rows with a bracket end whose sign of ``f`` the weights do not settle.
+
+    On gap ``j`` the end ``lo`` is settled by ``w_j/(lo - a_j) > max(2 R_j /
+    (a_{j+1} - lo), tiny)`` with ``R_j = sum_{i>j} w_i``, and ``hi`` by
+    ``w_{j+1}/(a_{j+1} - hi) > max(2 L_j / (hi - a_j), tiny)`` with ``L_j =
+    sum_{i<=j} w_i``, each accumulated from the row's end toward the gap as
+    ``np.cumsum`` does; a pinched gap (``lo == hi``) is settled.  Python
+    floats round as numpy's doubles do, so this loop decides as the
+    package's array code must.
+    """
+    lo, hi = _open_brackets(poles)
+    tiny = np.finfo(float).tiny
+    rows = []
+    for b, (a, w) in enumerate(zip(poles.tolist(), weights.tolist())):
+        left = list(itertools.accumulate(w))
+        right = list(itertools.accumulate(reversed(w)))[::-1]
+        for j in range(len(a) - 1):
+            l, h = float(lo[b, j]), float(hi[b, j])
+            if l == h:
+                continue
+            if not (w[j] / (l - a[j]) > max(2.0 * right[j + 1] / (a[j + 1] - l), tiny)
+                    and w[j + 1] / (a[j + 1] - h) > max(2.0 * left[j] / (h - a[j]), tiny)):
+                rows.append(b)
+                break
+    return rows
 
 
 def secular_zeros_bisect(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:

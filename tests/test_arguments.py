@@ -7,8 +7,9 @@ argument and the value; an integer outside the valid range must raise
 calls returned a value: ``left_count(h, 1, (1.5,))`` was 1,
 ``bulk_kernel(nu, 1.5, ...)`` was the ``s0 = 1`` value,
 ``sample_positions(count=True)`` drew one configuration,
-``beta_cdf(0.5, True, 1)`` was 0.5, and ``RandomStream(True)`` drew as seed 1
-and ``RandomStream([True, 1])`` as ``[1, 1]``.
+``beta_cdf(0.5, True, 1)`` was 0.5, ``RandomStream(True)`` drew as seed 1
+and ``RandomStream([True, 1])`` as ``[1, 1]``, and ``RandomStream(1).spawn``
+gave one child for ``True`` and none for ``-1``.
 """
 
 import re
@@ -64,6 +65,7 @@ CASES = {
     "oracle_deviation-t": (lambda v: oracle_deviation(SPEC, 8, [(1, 0.3, v, 0.7)]), "probe line t", 0, "in 1..4"),
     "RandomStream-seed": (RandomStream, "seed", -1, ">= 0"),
     "RandomStream-seed-sequence": (lambda v: RandomStream([v, 1]), "seed", -1, ">= 0"),
+    "RandomStream.spawn": (lambda v: RandomStream(1).spawn(v), "n", -1, ">= 0"),
     "sample_positions-count": (lambda v: sample_positions(RandomStream(1), SPEC, v), "count", 0, ">= 1"),
     "sample_positions-threads": (
         lambda v: sample_positions(RandomStream(1), SPEC, 4, threads=v), "threads", 0, ">= 1"

@@ -14,7 +14,7 @@ from beadproc.kernel import kernel_context, line_density
 from beadproc.model import HexagonSpec, interlacing_breaks, particles_per_line
 from beadproc.sampler import RandomStream, _dirichlet_batch, sample_positions
 from beadproc.stats import ks_statistic
-from secular_reference import SecularProblem, secular_brackets, secular_zeros, secular_zeros_bisect
+from secular_reference import SecularProblem, secular_brackets, secular_zeros, secular_zeros_bisect, unsettled_rows
 
 
 # ---------------------------------------------------------------- dirichlet
@@ -229,6 +229,78 @@ def test_secular_zeros_depend_only_on_their_row():
     for b in range(poles.shape[0]):
         alone = sampler._secular_zeros_batch(poles[b : b + 1], weights[b : b + 1])
         assert alone.tobytes() == together[b : b + 1].tobytes()
+
+
+def _record_resolvent(monkeypatch):
+    # the pole rows of every exact bracket-end evaluation, one list per call
+    calls, real = [], sampler._resolvent
+
+    def recorded(poles, weights, x):
+        calls.append(poles.tolist())
+        return real(poles, weights, x)
+
+    monkeypatch.setattr(sampler, "_resolvent", recorded)
+    return calls
+
+
+def _clamp_batch(seed, batch=24, n=7):
+    """Rows whose weights settle few bracket ends: poles in [0, 1], gaps
+    pinched to 2..7 ulps at rate 0.3, and weights between 1e-300 and 1e-14
+    at rate 0.3, whose zeros sit inside a pole's inward offset."""
+    rng = np.random.default_rng(seed)
+    poles = np.empty((batch, n))
+    poles[:, 0] = 0.1 * rng.random(batch)
+    for j in range(1, n):
+        ulps = rng.integers(2, 8, batch) * np.spacing(poles[:, j - 1])
+        poles[:, j] = poles[:, j - 1] + np.where(rng.random(batch) < 0.3, ulps, 0.15 * rng.random(batch))
+    poles = poles[np.all(np.diff(poles, axis=1) > 0.0, axis=1)]
+    w = np.where(rng.random(poles.shape) < 0.3, 10.0 ** rng.uniform(-300, -14, poles.shape), rng.random(poles.shape))
+    return poles, w / w.sum(axis=1, keepdims=True)
+
+
+def test_clamped_zeros_survive_the_weight_test(monkeypatch):
+    # Where the reference closes a bracket, onto either end or at a pinched
+    # gap, the zero is that end bit for bit, and a row with a clamp always
+    # went through the exact evaluation: the weights never settle an end
+    # whose f has the clamping sign.
+    calls = _record_resolvent(monkeypatch)
+    kinds = set()
+    for seed in range(40):
+        poles, weights = _clamp_batch(seed)
+        calls.clear()
+        zeros = sampler._secular_zeros_batch(poles, weights)
+        lo, hi = secular_brackets(poles, weights)
+        closed = lo == hi
+        assert zeros[closed].tobytes() == lo[closed].tobytes(), seed
+        _assert_matches_reference(poles, weights, zeros)
+        sent = {tuple(row) for rows in calls for row in rows}
+        pinched = closed & (lo == 0.5 * (poles[:, :-1] + poles[:, 1:]))
+        onto_lo = closed & ~pinched & (lo - poles[:, :-1] < poles[:, 1:] - lo)
+        for b in np.flatnonzero((closed & ~pinched).any(axis=1)):
+            assert tuple(poles[b].tolist()) in sent, (seed, b)
+        kinds |= {k for k, m in [("pinched", pinched), ("lo", onto_lo), ("hi", closed & ~pinched & ~onto_lo)] if m.any()}
+    assert kinds == {"pinched", "lo", "hi"}
+
+
+def test_sampled_brackets_need_no_exact_end_evaluation(monkeypatch):
+    # the work gate: sampled weights settle every bracket end
+    calls = _record_resolvent(monkeypatch)
+    sample_positions(RandomStream(7), HexagonSpec(p=4, q=12), count=60)
+    sample_positions(RandomStream(3), HexagonSpec(p=32, q=96), count=32)
+    assert calls == []
+
+
+def test_only_unsettled_rows_evaluate_their_ends(monkeypatch):
+    # on the hard batches about half the rows have an end the weights leave
+    # unsettled; those rows, and no others, take one exact evaluation
+    calls = _record_resolvent(monkeypatch)
+    for seed in range(6):
+        poles, weights = _hard_batch(seed)
+        calls.clear()
+        sampler._secular_zeros_batch(poles, weights)
+        rows = unsettled_rows(poles, weights)
+        assert 0 < len(rows) < poles.shape[0]
+        assert calls == [poles[rows].tolist()], seed
 
 
 def test_unconverged_zero_names_line_and_gap(monkeypatch):
