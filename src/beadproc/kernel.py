@@ -8,12 +8,13 @@ the line, evaluated by the three-term recurrence of its Jacobi matrix, run
 once over the distinct union of a block's positions in one per-point gauge
 that keeps every value inside the range of a double.  Across degrees the
 recurrence runs in a unit-coefficient gauge, two ufunc calls per degree, and
-each degree takes its gauge factor after the loop.  The tower is not
-renormalized: a line density sums the squares of its rows as they are, and
-only a kernel block scales each point's column to ``max_n |psi| = 1``, since
-a product of two far-out points' rows could underflow.  An entry is then a
-sign times one ``exp`` of its summed exponent, so it is accurate, or raises
-where its true size is beyond a double.
+each degree takes its gauge factor after the loop.  Each row holds its own
+step until the recurrence overwrites it, so no step table is built beside the
+tower.  The tower is not renormalized: a line density sums the squares of its
+rows as they are, and only a kernel block scales each point's column to
+``max_n |psi| = 1``, since a product of two far-out points' rows could
+underflow.  An entry is then a sign times one ``exp`` of its summed exponent,
+so it is accurate, or raises where its true size is beyond a double.
 
 *Cross line* (``s != t``), correctly rounded: the transfer-operator
 representation, a rank-``p`` sum of incoming/outgoing polynomial families,
@@ -376,8 +377,11 @@ def _tower(d: _LineData, x: np.ndarray):
     underflow while the growth ``p_n / p_0`` (up to ``e^973`` at p = 512)
     still fits.  Across degrees it runs in the unit-coefficient gauge of
     :func:`_unit_gauge`, two ufunc calls per degree, and the rows take their
-    factors ``g_n`` after the loop.  The rows are not renormalized: a sum of
-    squares needs no rescale, and :func:`kernel_matrix` scales its own tower.
+    factors ``g_n`` after the loop.  Row ``n+1`` is first written with the
+    step ``(1 - 2x - b[n]) coef[n]`` and then multiplied by row ``n`` in
+    place, so the tower needs no step table: its peak memory is about its own
+    size.  The rows are not renormalized: a sum of squares needs no rescale,
+    and :func:`kernel_matrix` scales its own tower.
     Once a row overflows every later row is non-finite, so a non-finite last
     row raises ``OverflowError``.  Every step is elementwise, so a point's
     values do not depend on the other points passed with it.
@@ -389,14 +393,14 @@ def _tower(d: _LineData, x: np.ndarray):
     np.exp(c, out=psi[0])
     if d.r > 1:
         g, coef = _unit_gauge(d.a)
-        step = np.subtract.outer(1.0 - d.b, 2.0 * x)  # 1 - b[n] is exact for b[n] in [1/2, 2]
-        step *= coef[:, None]
+        np.subtract.outer(1.0 - d.b, 2.0 * x, out=psi[1:])  # 1 - b[n] is exact for b[n] in [1/2, 2]
+        psi[1:] *= coef[:, None]
         rows = list(psi)
         mul, sub = np.multiply, np.subtract
-        mul(step[0], rows[0], rows[1])
+        mul(rows[1], rows[0], rows[1])
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo, mid, hi, st in zip(rows, rows[1:], rows[2:], step[1:]):
-                mul(st, mid, hi)
+            for lo, mid, hi in zip(rows, rows[1:], rows[2:]):
+                mul(hi, mid, hi)
                 sub(hi, lo, hi)
             psi *= g[:, None]
     last = np.isfinite(psi[-1])

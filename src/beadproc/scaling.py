@@ -163,6 +163,13 @@ def gamma_parameter(k: float, S: float) -> float:
     return 1.0 / math.sqrt(1.0 + nu * nu)
 
 
+def _finite(value: float, name: str, *args) -> float:
+    # the value of name(*args), or OverflowError where it is not a finite double
+    if not math.isfinite(value):
+        raise OverflowError(f"{name}{args!r} is outside the range of a double")
+    return value
+
+
 # --- tail integrals ----------------------------------------------------------
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -219,21 +226,24 @@ def tail_integral_real(tau: float, nu: float, d: int) -> float:
 
     Exact reduction: substitute onto the shifted ray, peel powers by the
     integration-by-parts recurrence, and close with the scaled exponential
-    integral.  No truncation anywhere, hence no truncation tolerance.
+    integral.  No truncation anywhere, hence no truncation tolerance.  Raises
+    ``OverflowError`` where the value is outside the range of a double.
     """
     d = _index(d, "tail power d", 1)
     if not (math.isfinite(tau) and math.isfinite(nu)) or nu == 0.0:
         raise ValueError(f"tail integrals need finite tau and finite nu != 0, got tau = {tau}, nu = {nu}")
-    if tau == 0.0:
-        if d == 1:
-            return (0.5 * math.pi - math.atan(abs(nu))) / abs(nu)
-        return ((1 + 1j * nu) ** (1 - d)).imag / ((d - 1) * nu)
-    beta = 1j * nu / (1.0 + 1j * nu)
-    z = complex(-tau / nu, -tau)
-    g = _e1_scaled(z) / beta
-    for j in range(2, d + 1):
-        g = (1.0 + 1j * tau * g) / (beta * (j - 1))
-    return (cmath.exp(1j * tau) * (1.0 + 1j * nu) ** (-d) * g).real
+    if tau == 0.0 and d == 1:
+        value = (0.5 * math.pi - math.atan(abs(nu))) / abs(nu)
+    elif tau == 0.0:
+        value = ((1 + 1j * nu) ** (1 - d)).imag / ((d - 1) * nu)
+    else:
+        beta = 1j * nu / (1.0 + 1j * nu)
+        z = complex(-tau / nu, -tau)
+        g = _e1_scaled(z) / beta
+        for j in range(2, d + 1):
+            g = (1.0 + 1j * tau * g) / (beta * (j - 1))
+        value = (cmath.exp(1j * tau) * (1.0 + 1j * nu) ** (-d) * g).real
+    return _finite(value, "tail_integral_real", tau, nu, d)
 
 
 # --- bulk kernels -------------------------------------------------------------
@@ -242,8 +252,8 @@ _BULK_NODES = 200  # Gauss-Legendre nodes for the [0, 1] integrals of both bulk 
 
 
 def _check_bulk_positions(Y: float, X: float) -> None:
-    if not (math.isfinite(Y) and math.isfinite(X)):
-        raise ValueError(f"bulk positions Y, X must be finite reals, got ({Y}, {X})")
+    if not math.isfinite(math.pi * (X - Y)):  # so is every phase of either kernel
+        raise ValueError(f"bulk positions Y, X must be finite reals with pi (X - Y) finite, got ({Y}, {X})")
 
 
 def bulk_kernel(nu: float, s0: int, Y: float, t0: int, X: float) -> float:
@@ -257,28 +267,38 @@ def bulk_kernel(nu: float, s0: int, Y: float, t0: int, X: float) -> float:
     disagree by the half-residue ``pi/(2 nu)`` when ``t0 - s0 == 1`` (they
     coincide for larger gaps).  There the [0, 1] integral is used: it is the
     pointwise limit of the finite-size kernel, whose propagator term vanishes
-    at coincident points.
+    at coincident points.  Raises ``OverflowError`` where the value is
+    outside the range of a double.
     """
     if not 0.0 < nu < math.inf:
         raise ValueError(f"bulk kernel needs finite nu > 0, got {nu}")
     _check_bulk_positions(Y, X)
-    d = _index(s0, "s0", None) - _index(t0, "t0", None)
+    s0, t0 = _index(s0, "s0", None), _index(t0, "t0", None)
+    d = s0 - t0
     tau = math.pi * (X - Y)
     if d >= 0 or tau == 0.0:
         t, w = _gauss_legendre_unit(_BULK_NODES)
-        vals = (np.exp(1j * tau * t) * (1.0 + 1j * nu * t) ** d).real
-        return float(np.dot(w, vals))
-    return -tail_integral_real(tau, nu, -d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = (np.exp(1j * tau * t) * (1.0 + 1j * nu * t) ** d).real
+            value = float(np.dot(w, vals))
+    else:
+        try:
+            value = -tail_integral_real(tau, nu, -d)
+        except OverflowError:
+            value = math.inf
+    return _finite(value, "bulk_kernel", nu, s0, Y, t0, X)
 
 
 def boutillier_kernel(gamma: float, s0: int, Y: float, t0: int, X: float) -> float:
     """One-parameter bulk kernel ``J_gamma``; equivalent to :func:`bulk_kernel`
     after the rescale ``pi * J(s0, pi Y; t0, pi X) = gamma^{s0-t0} K*`` —
-    the gamma powers conjugate away in determinants."""
+    the gamma powers conjugate away in determinants.  Raises ``OverflowError``
+    where the value is outside the range of a double."""
     if not -1.0 < gamma < 1.0 or gamma == 0.0:
         raise ValueError(f"gamma must lie in (-1, 1) and be nonzero, got {gamma}")
     _check_bulk_positions(Y, X)
-    d = _index(s0, "s0", None) - _index(t0, "t0", None)
+    s0, t0 = _index(s0, "s0", None), _index(t0, "t0", None)
+    d = s0 - t0
     root = math.sqrt(1.0 - gamma * gamma)
     tau = X - Y
     if d >= 0 or tau == 0.0:
@@ -287,8 +307,11 @@ def boutillier_kernel(gamma: float, s0: int, Y: float, t0: int, X: float) -> flo
         t, w = _gauss_legendre_unit(_BULK_NODES)
         vals = (np.exp(1j * tau * t) * (gamma + 1j * root * t) ** d).real
         return float(np.dot(w, vals)) / math.pi
-    nu_g = root / gamma
-    return -(gamma**d) * tail_integral_real(tau, nu_g, -d) / math.pi
+    try:  # gamma**d, d < 0, raises where it overflows
+        value = -(gamma**d) * tail_integral_real(tau, root / gamma, -d) / math.pi
+    except OverflowError:
+        value = math.inf
+    return _finite(value, "boutillier_kernel", gamma, s0, Y, t0, X)
 
 
 # --- finite-size convergence probe --------------------------------------------

@@ -194,6 +194,14 @@ def test_bulk_tail_at_large_k(capsys):
     assert float(out) == pytest.approx(0.64724817053755433, abs=1e-12)
 
 
+def test_bulk_value_outside_a_double_is_an_error_line(capsys):
+    # (1 + i nu t)^1100 overflows: one error line and exit 2
+    code = run("bulk --k 2 --S 2 --s0 1100 --X 0.5".split())
+    out, err = _capture(capsys)
+    assert code == 2 and out == ""
+    assert err == "error: bulk_kernel(1.7320508075688772, 1100, 0.0, 0, 0.5) is outside the range of a double\n"
+
+
 def test_bulk_probe_table(capsys):
     argv = "bulk --k 2 --S 2 --s0 0 --t0 0 --X 0.5 --Y -0.25 --probe-p 8,16".split()
     assert run(argv) == 0

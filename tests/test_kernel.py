@@ -4,6 +4,7 @@ import collections
 import hashlib
 import math
 import sys
+import tracemalloc
 from math import factorial
 
 import mpmath as mp
@@ -868,6 +869,58 @@ def test_tower_overflow_raises_instead_of_nan():
     dens = line_density(ctx, 512, xs)
     assert np.all(np.isfinite(dens))
     assert dens[1] == pytest.approx(kernel_matrix(ctx, 512, xs[1:], 512, xs[1:])[0, 0], rel=1e-12)
+
+
+# sha256 of the same-line values below, computed before the tower wrote its
+# steps into its own rows, and how many of the values raised
+_SAME_DIGESTS = {
+    (64, 192): ("d84813fb9340c3b0b537b4e658ed3a34be9f9bb2c27cc62e146e90bbc03d646e", 0),
+    (256, 768): ("d7331ca1e57dc8a0ca61ee2b7d8735892c0f45c2d5fbcc3c1565c69b3af59a90", 88),
+    (1024, 3072): ("91a77f34f687710f23a2598da2beb331274df665449d5e161a6a9de21bf7889c", 1),
+}
+
+
+@pytest.mark.parametrize("p,q", list(_SAME_DIGESTS))
+def test_same_line_values_match_the_pinned_digest(p, q):
+    # bit-identity of every float the tower feeds: on every 4th line, the
+    # same-line block, the line density and the expected count, at 8 seeded
+    # positions and the far-out ones; at (1024, 3072) line 512 alone, whose
+    # density at 0.998 takes the scaled-column path.  A value that raises is
+    # hashed by its OverflowError message.
+    ctx = kernel_context(HexagonSpec(p, q))
+    if p == 1024:
+        lines, xs = [512], np.array([0.3, 0.998])
+    else:
+        lines, xs = range(1, p + q, 4), np.concatenate([np.random.default_rng(p + q).random(8), _FAR])
+    digest, raised = hashlib.sha256(), 0
+    for t in lines:
+        for value in (
+            lambda: kernel_matrix(ctx, t, xs, t, xs),
+            lambda: line_density(ctx, t, xs),
+            lambda: np.float64(expected_count(ctx, t)),
+        ):
+            try:
+                digest.update(value().tobytes())
+            except OverflowError as err:
+                digest.update(str(err).encode())
+                raised += 1
+    assert (digest.hexdigest(), raised) == _SAME_DIGESTS[p, q]
+
+
+def test_tower_holds_no_step_table():
+    # each step is written into the row it becomes, so building a tower
+    # allocates little beyond the tower itself (a separate step table would
+    # double it)
+    ctx = kernel_context(HexagonSpec(256, 768))
+    x = kernel_module._gauss_legendre_unit(513)[0]
+    for t in (256, 512):
+        tracemalloc.start()
+        try:
+            psi = _tower(ctx.lines[t - 1], x)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * psi.nbytes, (t, peak / psi.nbytes)
 
 
 def test_count_identity_every_line_256_768():

@@ -1,6 +1,7 @@
 """Global band, limit density, and translation-invariant bulk kernels."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -304,6 +305,30 @@ def test_bulk_forms_refuse_non_finite_input(bad):
         tail_integral_real(bad, 1.0, 2)
     with pytest.raises(ValueError, match="finite tau and finite nu != 0"):
         tail_integral_real(0.5, bad, 2)
+
+
+@pytest.mark.parametrize(
+    "f,args",
+    [
+        (bulk_kernel, (2.0, 1100, 0.0, 0, 0.5)),  # (1 + 2it)^1100 overflows
+        (bulk_kernel, (1e300, 2, 0.0, 0, 0.5)),  # about -1e600
+        (tail_integral_real, (1.0, 1e200, 2)),  # about 1e-400
+        (boutillier_kernel, (1e-300, 0, 0.0, 3, 0.5)),  # gamma^-3 = 1e900
+    ],
+)
+def test_values_outside_a_double_raise_naming_the_call(f, args):
+    # an OverflowError with the call's arguments, and no RuntimeWarning first
+    # (the test configuration makes warnings errors)
+    msg = re.escape(f"{f.__name__}{args!r} is outside the range of a double")
+    with pytest.raises(OverflowError, match=f"^{msg}$"):
+        f(*args)
+
+
+def test_bulk_forms_refuse_a_phase_outside_a_double():
+    # X - Y = 2e308 overflows the phase
+    for f, a in ((bulk_kernel, math.sqrt(3.0)), (boutillier_kernel, 0.5)):
+        with pytest.raises(ValueError, match=r"must be finite reals with pi \(X - Y\) finite"):
+            f(a, 0, -1e308, 0, 1e308)
 
 
 def test_gamma_form_matches_after_rescale_in_determinants():
