@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -28,9 +27,7 @@ from . import checks, scaling
 from . import hexagon as hx
 from .kernel import kernel_context, kernel_eval, line_density, npoint_correlation
 from .model import HexagonSpec
-from .oracle import oracle_deviation
-from .sampler import RandomStream, _dirichlet_batch, sample_positions
-from .stats import ks_statistic
+from .sampler import RandomStream, sample_positions
 
 __all__ = ["main", "run"]
 
@@ -243,133 +240,16 @@ def _cmd_bulk(args) -> int:
     return 0
 
 
-# --- validation suites -----------------------------------------------------------
-
-
-def _check(rows, suite, name, measure, threshold, ok) -> None:
-    rows.append((suite, name, "pass" if ok else "fail", float(measure), float(threshold)))
-
-
-def _suite_kernel(level: str, rows: list) -> None:
-    ctx = kernel_context(HexagonSpec(1, 1))
-    xs = (np.arange(31) + 0.5) / 31
-    dev = float(np.max(np.abs(line_density(ctx, 1, xs) - 1.0)))
-    _check(rows, "kernel", "unit_case_constant", dev, 1e-12, dev < 1e-12)
-
-    dev = checks.two_line_form_error(31)
-    _check(rows, "kernel", "two_line_density_forms", dev, 1e-10, dev < 1e-10)
-
-    worst = checks.count_identity_error([HexagonSpec(2, 2)])
-    _check(rows, "kernel", "count_identity", worst, 1e-8, worst < 1e-8)
-
-    if level == "full":
-        devs = [oracle_deviation(HexagonSpec(2, 3), m, checks.REFINEMENT_PROBES) for m in (50, 100, 200)]
-        ok = devs[0] > devs[1] > devs[2] and devs[2] < 0.02
-        _check(rows, "kernel", "oracle_refinement", devs[2], 0.02, ok)
-    else:
-        probes = [(1, 0.3, 1, 0.7), (1, 0.4, 2, 0.6), (2, 0.6, 1, 0.2)]
-        deva, devb = [oracle_deviation(HexagonSpec(1, 2), m, probes) for m in (40, 80)]
-        _check(rows, "kernel", "oracle_refinement", devb, deva, devb < deva)
-
-
-def _suite_sampler(level: str, rows: list) -> None:
-    n = 5000 if level == "full" else 1500
-    spec = HexagonSpec(2, 3)
-    try:
-        rejected = checks.interlacing_rejections(spec, 200, 7)
-    except RuntimeError:
-        # The sampler refuses a whole draw that fails its own interlacing
-        # check; every other row of this suite samples too, so stop here.
-        _check(rows, "sampler", "interlacing_holds", 200.0, 0.0, False)
-        return
-
-    ks = checks.first_line_ks(spec, n, 1)
-    band = 1.63 / math.sqrt(n)
-    _check(rows, "sampler", "first_line_beta_ks", ks, band, ks < band)
-    _check(rows, "sampler", "interlacing_holds", float(rejected), 0.0, rejected == 0)
-
-    a = sample_positions(RandomStream(99), spec, 300)
-    b = sample_positions(RandomStream(99), spec, 300)
-    same = all(np.array_equal(x, y) for x, y in zip(a, b))
-    _check(rows, "sampler", "seed_determinism", 0.0 if same else 1.0, 0.0, same)
-
-    draws = _dirichlet_batch(RandomStream(5).generator, (1, 1), 400)[:, 0]
-    ksu = ks_statistic(draws, lambda x: np.clip(x, 0.0, 1.0))
-    bandu = 1.63 / math.sqrt(draws.size)
-    _check(rows, "sampler", "dirichlet_uniform_component", ksu, bandu, ksu < bandu)
-
-
-def _suite_discrete(level: str, rows: list) -> None:
-    frozen = {(1, 1, 1): 2, (1, 1, 2): 3, (2, 1, 1): 3}
-    worst_ok = True
-    for (n, p, q), want in frozen.items():
-        got = len(hx.enumerate_configurations(hx.DiscreteHexagon(n, p, q)))
-        worst_ok = worst_ok and got == want
-    _check(rows, "discrete", "frozen_counts", 0.0 if worst_ok else 1.0, 0.0, worst_ok)
-
-    count_ok, marginal_ok = checks.lattice_identities(hx.DiscreteHexagon(2, 2, 2), (2,), (1, 2, 3))
-    _check(rows, "discrete", "left_count_closed_form", 0.0 if count_ok else 1.0, 0.0, count_ok)
-    _check(rows, "discrete", "hahn_proportionality", 0.0 if marginal_ok else 1.0, 0.0, marginal_ok)
-
-    na = len(hx.enumerate_configurations(hx.DiscreteHexagon(1, 1, 2)))
-    nb = len(hx.enumerate_configurations(hx.DiscreteHexagon(1, 2, 1)))
-    _check(rows, "discrete", "reflection_counts", float(abs(na - nb)), 0.0, na == nb)
-
-
-def _suite_scaling(level: str, rows: list) -> None:
-    k = 2.0
-    c0, d0 = scaling.support_interval(k, 0.0)
-    c2, d2 = scaling.support_interval(k, 2.0 + k)
-    dev = max(abs(c0 - 0.25), abs(d0 - 0.25), abs(c2 - 0.75), abs(d2 - 0.75))
-    _check(rows, "scaling", "degenerate_endpoints", dev, 1e-14, dev < 1e-14)
-
-    worst = 0.0
-    for kk in (0.5, 1.0, 2.0, 3.5):
-        for S in np.linspace(0.05, 2.0 + kk - 0.05, 17):
-            a, b = scaling.region_parameters(kk, float(S))
-            csum = ((2 + a + b) ** 2 + (a * a - b * b)) / (2 + a + b) ** 2
-            spread = 4.0 * math.sqrt((1 + a) * (1 + b) * (1 + a + b)) / (2 + a + b) ** 2
-            c, d = scaling.support_interval(kk, float(S))
-            worst = max(worst, abs(csum - (c + d)), abs(spread - (d - c)))
-    _check(rows, "scaling", "endpoint_route_consistency", worst, 1e-12, worst < 1e-12)
-
-    nu = scaling.scaling_context(2.0, 2.0).nu
-    worst = 0.0
-    for tau in (0.25, 0.5, 1.0, 1.75):
-        val = scaling.bulk_kernel(nu, 0, 0.0, 0, tau)
-        worst = max(worst, abs(val - math.sin(math.pi * tau) / (math.pi * tau)))
-    _check(rows, "scaling", "sine_reduction", worst, 1e-9, worst < 1e-9)
-
-    worst = checks.form_identity_gap(3, [2] * (4 if level == "quick" else 12))
-    _check(rows, "scaling", "gamma_form_det_identity", worst, 1e-8, worst < 1e-8)
-
-    p = 32 if level == "full" else 16
-    probe = scaling.bulk_convergence_probe(
-        2.0, 2.0, p, [(0, 0, 0.6, -0.4), (0, 0, 1.1, 0.3)]
-    )
-    worst = max(r.abs_err for r in probe)
-    bound = 0.05 if level == "full" else 0.12
-    _check(rows, "scaling", "same_line_bulk_convergence", worst, bound, worst < bound)
-
-
-_SUITES = {
-    "kernel": _suite_kernel,
-    "sampler": _suite_sampler,
-    "discrete": _suite_discrete,
-    "scaling": _suite_scaling,
-}
+# --- validation ------------------------------------------------------------------
 
 
 def _cmd_validate(args) -> int:
-    rows: list = []
-    for name in _SUITES if args.suite == "all" else [args.suite]:
-        _SUITES[name](args.level, rows)
-    _emit_rows(
-        args,
-        ("suite", "check", "status", "measure", "threshold"),
-        rows,
-        {"level": args.level},
-    )
+    rows = [
+        (suite, check, "pass" if ok else "fail", float(measure), float(threshold))
+        for suite in (checks.SUITES if args.suite == "all" else [args.suite])
+        for check, measure, threshold, ok in checks.SUITES[suite](args.level)
+    ]
+    _emit_rows(args, ("suite", "check", "status", "measure", "threshold"), rows, {"level": args.level})
     return 0 if all(r[2] == "pass" for r in rows) else 1
 
 
@@ -447,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp)
 
     sp = sub.add_parser("validate", help="run built-in cross-module validation suites")
-    sp.add_argument("--suite", choices=("all", *_SUITES), default="all")
+    sp.add_argument("--suite", choices=("all", *checks.SUITES), default="all")
     sp.add_argument("--level", choices=("quick", "full"), default="quick")
     _add_output_flags(sp)
 

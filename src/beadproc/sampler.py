@@ -123,8 +123,9 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     land strictly inside the bracket (or is NaN) becomes a bisection step,
     and an entry freezes once its step is at most 4 ulps or its bracket has
     closed, so every zero depends on its own row alone.  Weights are
-    non-negative.  A zero nearer a pole than its bracket's inward offset is
-    clamped to the bracket end.  Prefix and suffix sums of the weights
+    non-negative, of any scale: each row is first scaled by an exact power
+    of four to a sum in [0.5, 2), which keeps its zeros.  A zero nearer a
+    pole than its bracket's inward offset is clamped to the bracket end.  Prefix and suffix sums of the weights
     settle the sign of ``f`` at nearly every end; only a row with an end they
     leave open evaluates ``f`` at its ends, with the same bytes either way.
     Raises
@@ -134,6 +135,9 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     out.
     """
 
+    # sqrt(w), beta**2 in _eigen_start and the Newton sums then stay clear of
+    # overflow and subnormals; sampled rows sum to about 1 and keep their bytes.
+    weights = np.ldexp(weights, (-2 * (np.frexp(weights.sum(axis=1))[1] // 2))[:, None])
     # A zero needs a double strictly inside its gap: the midpoint, if any.
     mid_gap = 0.5 * (poles[:, 1:] + poles[:, :-1])
     no_room = ~((poles[:, :-1] < mid_gap) & (mid_gap < poles[:, 1:]))

@@ -31,8 +31,8 @@ def ks_statistic(samples, cdf: Callable) -> float:
     F = np.asarray(cdf(xs), dtype=float)
     if F.shape != xs.shape:
         raise ValueError(f"the reference CDF must return shape {xs.shape} for {n} samples, got {F.shape}")
-    if np.isnan(F).any():
-        raise ValueError("the reference CDF returned NaN")
+    if not np.isfinite(F).all():
+        raise ValueError("the reference CDF returned NaN or an infinite value")
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
 
@@ -43,7 +43,8 @@ def ks_statistic(samples, cdf: Callable) -> float:
 def beta_cdf(x, a: int, b: int):
     """Beta(a, b) CDF for integer shapes ``a, b >= 1``: the binomial tail
     ``P(Binomial(n, x) >= a) = sum_{j=a}^{n} C(n, j) x^j (1-x)^{n-j}``,
-    ``n = a + b - 1``.  Accepts scalars or arrays; NaN heights are refused.
+    ``n = a + b - 1``, capped at 1 against rounding.  Accepts scalars or
+    arrays; NaN heights are refused.
 
     The shapes go through :func:`~beadproc.model._index`, so bools and floats
     are refused; ``a + b <= 1030`` keeps every ``C(n, j)`` inside a double.
@@ -59,4 +60,5 @@ def beta_cdf(x, a: int, b: int):
     out = np.zeros_like(xc)
     for j in range(a, n + 1):
         out += float(math.comb(n, j)) * xc**j * (1.0 - xc) ** (n - j)
+    np.minimum(out, 1.0, out=out)  # the rounded terms can sum past 1
     return float(out[0]) if np.ndim(x) == 0 else out

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, seeds, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -316,6 +317,23 @@ def test_validate_suite_choices_are_all_and_the_suites(capsys):
     assert "--suite {all,kernel,sampler,discrete,scaling}" in out
     assert run("validate --suite bogus".split()) == 2
     _capture(capsys)
+
+
+# sha256 of ``validate --suite all`` stdout per level and format: every row's
+# measure, threshold and verdict, and their order, are pinned to the byte
+_VALIDATE_DIGESTS = {
+    ("quick", "csv"): "1b8fd38b07936bd6ab0bbde89f41adc48f5ee12a1437f42d97b02488bd3e94d5",
+    ("quick", "json"): "2f05e1a9375fafb0e717922243f02b308963143b8dcc9e2286a8f7d1cd037785",
+    ("full", "csv"): "ed9d4f8005c370820ae179dc19488eb69cf4b285f59e08c73afce19808b94a64",
+    ("full", "json"): "f9241be21ea09e67984ec340af010e08a1fc5996671dedea52a18d0d66fb7946",
+}
+
+
+@pytest.mark.parametrize("level,fmt", list(_VALIDATE_DIGESTS))
+def test_validate_output_matches_the_pinned_digest(level, fmt, capsys):
+    assert run(f"validate --suite all --level {level} --format {fmt}".split()) == 0
+    out, _ = _capture(capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == _VALIDATE_DIGESTS[level, fmt]
 
 
 def test_validate_single_suite(capsys):

@@ -223,6 +223,22 @@ def test_secular_newton_does_not_cycle(monkeypatch):
     _assert_matches_reference(poles, weights, sampler._secular_zeros_batch(poles, weights))
 
 
+@pytest.mark.parametrize(
+    "poles,weights",
+    [
+        ((0.0, 0.5, 1.0), np.array([0.2, 0.3, 0.5]) * 1e-160),
+        ((-1.0, -0.5, 0.0, 0.5, 1.0), np.arange(1, 6) * 5e-324),
+        ((0.0, 0.5, 1.0), np.array([0.2, 0.3, 0.5]) * 1e300),
+    ],
+    ids=["tiny", "subnormal", "huge"],
+)
+def test_unnormalized_weights_give_the_zeros_of_their_normalization(poles, weights):
+    # scaling the weights keeps the zeros; unscaled, these rows overflowed
+    # the eigenvalue start, and subnormal weights left Newton off its zero
+    poles, weights = np.array([poles]), weights[None]
+    _assert_matches_reference(poles, weights / weights.sum(), sampler._secular_zeros_batch(poles, weights))
+
+
 def test_secular_zeros_depend_only_on_their_row():
     poles, weights = _hard_batch(11)
     together = sampler._secular_zeros_batch(poles, weights)

@@ -52,6 +52,12 @@ def test_ks_rejects_nan():
         ks_statistic([0.2, 0.5], lambda x: np.full_like(x, np.nan))
 
 
+def test_ks_rejects_an_infinite_cdf_value():
+    # an infinite CDF value would make the distance infinite, not an error
+    with pytest.raises(ValueError, match="infinite"):
+        ks_statistic([0.2, 0.5], lambda x: np.full_like(x, np.inf))
+
+
 # --------------------------------------------------------- incomplete beta
 
 
@@ -69,6 +75,13 @@ def test_beta_cdf_against_binomial_tail(a, b):
         x = Fraction(num, 10)
         exact = float(_beta_cdf_exact(x, a, b))
         assert abs(beta_cdf(float(x), a, b) - exact) < 1e-12
+
+
+def test_beta_cdf_never_exceeds_one():
+    # past the bulk of Beta(100, 300) the 400 rounded binomial terms summed
+    # to as much as 1 + 2.2e-14 before the cap
+    assert beta_cdf(0.47156, 100, 300) == 1.0
+    assert np.max(beta_cdf(np.linspace(0.0, 1.0, 1001), 100, 300)) == 1.0
 
 
 def test_beta_cdf_edges_and_arrays():
