@@ -18,6 +18,15 @@ clamped to the bracket end; prefix and suffix sums of the weights rule that
 out for nearly every end without evaluating the resolvent sum there, with
 the same bytes as evaluating it.
 
+The solve works gap-major: a line's (batch, poles) arrays are transposed
+once, so every bracket and Newton operation runs on contiguous rows as long
+as the batch instead of on rows a few poles long.  Sums over the poles then
+run down the first axis, where numpy's own order depends on the shape (left
+to right while the other axes hold more than one element, pairwise once
+they collapse to one); :func:`_pole_sum` adds them in the order numpy adds a
+contiguous row, so each zero has the bytes of a row-by-row solve, whatever
+shares its call.
+
 Batched internally: all configurations of a chunk march through the lines
 together as (batch, beads) arrays, and each fixed-size chunk owns a spawned
 child stream, which makes output byte-identical for a given seed no matter
@@ -77,35 +86,68 @@ def _dirichlet_batch(rng: np.random.Generator, multiplicities: Sequence[int], ba
     mult = [_index(s, "multiplicity", 1) for s in multiplicities]
     if not mult:
         raise ValueError(f"multiplicities must be one or more positive integers, got {multiplicities}")
-    total = sum(mult)
-    e = rng.standard_exponential((batch, total))
-    offsets = np.cumsum([0] + mult[:-1])
-    g = np.add.reduceat(e, offsets, axis=1)
+    return _dirichlet_draw(rng, mult, batch)
+
+
+def _dirichlet_draw(rng: np.random.Generator, mult: list[int], batch: int) -> np.ndarray:
+    """:func:`_dirichlet_batch` for shapes already checked: a non-empty list of ints >= 1."""
+    e = rng.standard_exponential((batch, sum(mult)))
+    g = np.add.reduceat(e, np.cumsum([0] + mult[:-1]), axis=1)
     return g / g.sum(axis=1, keepdims=True)
 
 
-def _eigen_start(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Eigenvalues of ``diag(a)`` compressed onto ``sqrt(w)``-perp; (B, n) -> (B, n-1).
+def _pole_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=0)``, added in the order numpy adds a contiguous row.
+
+    numpy sums a contiguous row of n terms left to right below 8 terms, as
+    eight interleaved partial sums from 8 to 128 terms, and as the sum of
+    two 8-aligned halves above that.  Along axis 0 it adds left to right
+    whenever the other axes hold more than one element, and pairwise when
+    they collapse to one.  Following the row order here makes each sum
+    depend on its own column alone, bit for bit equal to summing that column
+    as a contiguous row, whatever else shares the array.
+    """
+    n = terms.shape[0]
+    if n < 8:
+        return np.add.reduce(terms)  # left to right either way
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pole_sum(terms[:half]) + _pole_sum(terms[half:])
+    m = n - n % 8
+    part = np.add.reduce(terms[:m].reshape((m // 8, 8) + terms.shape[1:]))
+    part = part[0::2] + part[1::2]
+    part = part[0::2] + part[1::2]
+    total = part[0] + part[1]
+    for row in terms[m:]:
+        total += row
+    return total
+
+
+def _eigen_start(poles: np.ndarray, weights: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``diag(a)`` compressed onto ``sqrt(w)``-perp; (n, B), (n, B), (B,) -> (n-1, B).
 
     The Householder reflector ``H = I - beta v v^T`` with ``v = u + |u| e1``
     maps ``u = sqrt(w)`` to ``-|u| e1``, so the trailing block of
     ``H diag(a) H`` acts on ``u``-perp.  That block is
     ``diag(a') + u' g^T + g u'^T`` with ``g = u' (kappa/2 - beta a')``,
     ``beta = 2 / v.v`` and ``kappa = beta^2 v^T diag(a) v``; its eigenvalues,
-    ascending, are the zeros of the resolvent sum, one per pole gap.
+    ascending, are the zeros of the resolvent sum, one per pole gap.  The
+    poles and weights come gap-major, one column per row of the batch, with
+    ``total`` the weights' :func:`_pole_sum`; the blocks go to ``eigvalsh`` as
+    (B, n-1, n-1).
     """
     u = np.sqrt(weights)
-    norm = np.sqrt(weights.sum(axis=1))
-    v0 = u[:, 0] + norm
+    norm = np.sqrt(total)
+    v0 = u[0] + norm
     beta = 1.0 / (norm * v0)
-    kappa = beta**2 * (poles[:, 0] * v0**2 + (poles[:, 1:] * weights[:, 1:]).sum(axis=1))
-    a, ut = poles[:, 1:], u[:, 1:]
-    g = ut * (0.5 * kappa[:, None] - beta[:, None] * a)
-    block = ut[:, :, None] * g[:, None, :]
+    kappa = beta**2 * (poles[0] * v0**2 + _pole_sum(poles[1:] * weights[1:]))
+    a, ut = poles[1:], u[1:]
+    g = ut * (0.5 * kappa - beta * a)
+    block = ut.T[:, :, None] * g.T[:, None, :]
     block += np.swapaxes(block, 1, 2)
-    diag = np.arange(a.shape[1])
-    block[:, diag, diag] += a
-    return eigvalsh(block)
+    diag = np.arange(a.shape[0])
+    block[:, diag, diag] += a.T
+    return eigvalsh(block).T
 
 
 def _resolvent(poles: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -124,36 +166,62 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     and an entry freezes once its step is at most 4 ulps or its bracket has
     closed, so every zero depends on its own row alone.  Weights are
     non-negative, of any scale: each row is first scaled by an exact power
-    of four to a sum in [0.5, 2), which keeps its zeros.  A zero nearer a
-    pole than its bracket's inward offset is clamped to the bracket end.  Prefix and suffix sums of the weights
+    of four to a sum in [0.5, 2), which keeps its zeros; a row whose sum
+    overflows a double is first brought down by its largest weight's power
+    of four.  A zero nearer a pole than its bracket's inward offset is
+    clamped to the bracket end.  Prefix and suffix sums of the weights
     settle the sign of ``f`` at nearly every end; only a row with an end they
     leave open evaluates ``f`` at its ends, with the same bytes either way.
-    Raises
-    ``RuntimeError`` naming the row and the gap if a gap holds no double
-    strictly between its poles, if a zero comes out non-finite or outside
-    its bracket, or if one is still moving when the ``_NEWTON_ITERS`` cap runs
-    out.
-    """
 
+    Inside, the work is gap-major: poles and weights are transposed once to
+    (n, B), and brackets, Newton state and pass 0's (n, n-1, B) resolvent
+    terms run on contiguous rows of the batch, where numpy's elementwise
+    loops are long, instead of on (B, n) rows only a few poles long.  Every
+    sum over the poles goes through :func:`_pole_sum`, in the order numpy
+    sums a row, so the zeros have the bytes of the row-major solve and do
+    not depend on how many rows or active entries share the call.  The
+    exact end evaluations keep :func:`_resolvent`'s (B, n) rows and numpy's
+    own row sums; the prefix and suffix sums run left to right in any layout.
+
+    Raises ``RuntimeError`` naming the row and the gap if a gap holds no
+    double strictly between its poles, if a zero comes out non-finite or
+    outside its bracket, or if one is still moving when the
+    ``_NEWTON_ITERS`` cap runs out.
+    """
+    batch = poles.shape[0]
+    poles = np.ascontiguousarray(poles.T)
+    weights = np.ascontiguousarray(weights.T)
     # sqrt(w), beta**2 in _eigen_start and the Newton sums then stay clear of
-    # overflow and subnormals; sampled rows sum to about 1 and keep their bytes.
-    weights = np.ldexp(weights, (-2 * (np.frexp(weights.sum(axis=1))[1] // 2))[:, None])
+    # overflow and subnormals.  Sampled rows sum to about 1: their shift is 0,
+    # so they keep their weights, their bytes and the sum taken here.
+    with np.errstate(over="ignore"):
+        total = _pole_sum(weights)
+    huge = np.isinf(total)
+    if huge.any():
+        # A sum past the largest double: first the largest weight's power of four.
+        weights = np.ldexp(weights, np.where(huge, -2 * (np.frexp(weights.max(axis=0))[1] // 2), 0))
+        total = _pole_sum(weights)
+    shift = -2 * (np.frexp(total)[1] // 2)
+    if shift.any():
+        weights = np.ldexp(weights, shift)
+        total = _pole_sum(weights)
+    below, above = poles[:-1], poles[1:]  # the poles of each gap, (n-1, B)
     # A zero needs a double strictly inside its gap: the midpoint, if any.
-    mid_gap = 0.5 * (poles[:, 1:] + poles[:, :-1])
-    no_room = ~((poles[:, :-1] < mid_gap) & (mid_gap < poles[:, 1:]))
+    mid_gap = 0.5 * (above + below)
+    no_room = ~((below < mid_gap) & (mid_gap < above))
     if no_room.any():
-        b, j = np.argwhere(no_room)[0]
+        b, j = np.argwhere(no_room.T)[0]
         raise RuntimeError(
-            f"secular bracket failed — gap {j + 1} ({float(poles[b, j])!r}, "
-            f"{float(poles[b, j + 1])!r}) of row {b} holds no double strictly between its poles"
+            f"secular bracket failed — gap {j + 1} ({float(poles[j, b])!r}, "
+            f"{float(poles[j + 1, b])!r}) of row {b} holds no double strictly between its poles"
         )
-    gap = poles[:, 1:] - poles[:, :-1]
+    gap = above - below
     # Inward offset: relative to the gap, but never below a few ulps of the
     # pole itself, or the endpoint rounds back onto the pole (division by zero).
-    off_lo = np.maximum(1e-14 * gap, 4.0 * np.spacing(np.abs(poles[:, :-1])))
-    off_hi = np.maximum(1e-14 * gap, 4.0 * np.spacing(np.abs(poles[:, 1:])))
-    lo = poles[:, :-1] + off_lo
-    hi = poles[:, 1:] - off_hi
+    off_lo = np.maximum(1e-14 * gap, 4.0 * np.spacing(np.abs(below)))
+    off_hi = np.maximum(1e-14 * gap, 4.0 * np.spacing(np.abs(above)))
+    lo = below + off_lo
+    hi = above - off_hi
     # A gap only a few ulps wide pins its zero completely; collapse the bracket.
     pinched = lo >= hi
     lo = np.where(pinched, mid_gap, lo)
@@ -177,25 +245,26 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # absolute.  Both sums add non-negative terms (total minus prefix would
     # cancel).  Rows with an end left unsettled, by NaN too, evaluate f at
     # both ends of every gap; pinched gaps need neither, as lo == hi.
-    prefix = np.cumsum(weights, axis=1)[:, :-1]
-    suffix = np.cumsum(weights[:, ::-1], axis=1)[:, -2::-1]
+    prefix = np.cumsum(weights, axis=0)[:-1]
+    suffix = np.cumsum(weights[::-1], axis=0)[-2::-1]
     tiny = np.finfo(float).tiny
     with np.errstate(all="ignore"):
-        sure_lo = weights[:, :-1] / (lo - poles[:, :-1]) > np.maximum(2.0 * suffix / (poles[:, 1:] - lo), tiny)
-        sure_hi = weights[:, 1:] / (poles[:, 1:] - hi) > np.maximum(2.0 * prefix / (hi - poles[:, :-1]), tiny)
+        sure_lo = weights[:-1] / (lo - below) > np.maximum(2.0 * suffix / (above - lo), tiny)
+        sure_hi = weights[1:] / (above - hi) > np.maximum(2.0 * prefix / (hi - below), tiny)
     settled = pinched | (sure_lo & sure_hi)
     if not settled.all():
-        rows = np.flatnonzero(~settled.all(axis=1))
-        ends = _resolvent(poles[rows], weights[rows], np.hstack([lo[rows], hi[rows]]))
+        rows = np.flatnonzero(~settled.all(axis=0))
+        ends = _resolvent(poles[:, rows].T, weights[:, rows].T, np.hstack([lo[:, rows].T, hi[:, rows].T]))
         flo, fhi = np.hsplit(ends, 2)
-        hi[rows] = np.where(flo <= 0.0, lo[rows], hi[rows])
-        lo[rows] = np.where(fhi >= 0.0, hi[rows], lo[rows])
+        hi[:, rows] = np.where(flo.T <= 0.0, lo[:, rows], hi[:, rows])
+        lo[:, rows] = np.where(fhi.T >= 0.0, hi[:, rows], lo[:, rows])
     if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
         raise RuntimeError("secular bracket failed — degenerate pole configuration")
 
-    # Entries are flattened to (B * (n-1),); ``act`` lists the unfrozen ones.
-    # The (entries, n) arrays are updated in place to keep peak memory down.
-    x = np.clip(_eigen_start(poles, weights), lo, hi).ravel()
+    # Entries are flattened gap-major to ((n-1) * B,), entry j * B + b for
+    # gap j of row b; ``act`` lists the unfrozen ones.  Each pass holds one
+    # term per pole and active entry, poles down the first axis.
+    x = np.clip(_eigen_start(poles, weights, total), lo, hi).ravel()
     left, right = lo.flatten(), hi.flatten()
     act = np.arange(x.size)
     for step in range(_NEWTON_ITERS):
@@ -204,30 +273,28 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
         xa, la, ha = x[act], left[act], right[act]
         with np.errstate(divide="ignore", invalid="ignore"):
             if step == 0:
-                # Every zero is active: the rows broadcast to (B, n-1, n)
+                # Every zero is active: the gaps broadcast to (n, n-1, B)
                 # without gathers, and the reciprocals at each gap's own
-                # poles are the two diagonals of the last two axes.
-                inv = xa.reshape(lo.shape)[:, :, None] - poles[:, None, :]
+                # poles are two diagonals of the first two axes.
+                inv = xa.reshape(lo.shape) - poles[:, None, :]
                 np.reciprocal(inv, out=inv)
                 wr = inv * weights[:, None, :]
-                below, above = inv.diagonal(0, 1, 2), inv.diagonal(1, 1, 2)
+                near_lo, near_hi = inv.diagonal(0, 0, 1).T, inv.diagonal(-1, 0, 1).T
             else:
-                ra, ja = np.divmod(act, gap.shape[1])
-                inv = poles[ra]
-                np.subtract(xa[:, None], inv, out=inv)
+                ja, ra = np.divmod(act, batch)
+                inv = xa - poles[:, ra]
                 np.reciprocal(inv, out=inv)
-                wr = weights[ra]
-                wr *= inv
+                wr = inv * weights[:, ra]
                 k = np.arange(act.size)
-                below, above = inv[k, ja], inv[k, ja + 1]
-            fa = wr.sum(axis=-1).ravel()
+                near_lo, near_hi = inv[ja, k], inv[ja + 1, k]
             # Newton on (x - a) f(x), a the nearer end of the gap: the factor
             # drops that pole's term from the derivative, so a start next to
             # a pole jumps to the zero instead of only doubling its distance
             # from the pole at every step.
-            inv -= np.where(np.abs(below) >= np.abs(above), below, above)[..., None]
+            inv -= np.where(np.abs(near_lo) >= np.abs(near_hi), near_lo, near_hi)
             inv *= wr
-            xn = xa + fa / inv.sum(axis=-1).ravel()
+            fa = _pole_sum(wr).ravel()
+            xn = xa + fa / _pole_sum(inv).ravel()
         la = np.where(fa > 0.0, xa, la)
         ha = np.where(fa < 0.0, xa, ha)
         # Every point visited becomes a bracket end or lies outside, so a
@@ -243,19 +310,21 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     zeros = x.reshape(lo.shape)
     bad = ~(np.isfinite(zeros) & (lo <= zeros) & (zeros <= hi))
     if bad.any():
-        b, j = np.argwhere(bad)[0]
+        b, j = np.argwhere(bad.T)[0]
         raise RuntimeError(
-            f"secular solve failed — gap {j + 1} ({float(poles[b, j])!r}, {float(poles[b, j + 1])!r}) "
-            f"of row {b}: zero {float(zeros[b, j])!r} is non-finite or outside "
-            f"[{float(lo[b, j])!r}, {float(hi[b, j])!r}]"
+            f"secular solve failed — gap {j + 1} ({float(poles[j, b])!r}, {float(poles[j + 1, b])!r}) "
+            f"of row {b}: zero {float(zeros[j, b])!r} is non-finite or outside "
+            f"[{float(lo[j, b])!r}, {float(hi[j, b])!r}]"
         )
     if act.size:
-        b, j = np.divmod(int(act[0]), gap.shape[1])
+        ja, ra = np.divmod(act, batch)
+        first = np.argmin(ra * lo.shape[0] + ja)  # in row order, as the rows are reported
+        b, j = int(ra[first]), int(ja[first])
         raise RuntimeError(
-            f"secular solve failed — gap {j + 1} ({float(poles[b, j])!r}, {float(poles[b, j + 1])!r}) "
-            f"of row {b}: zero {float(zeros[b, j])!r} still moving after {_NEWTON_ITERS} Newton steps"
+            f"secular solve failed — gap {j + 1} ({float(poles[j, b])!r}, {float(poles[j + 1, b])!r}) "
+            f"of row {b}: zero {float(zeros[j, b])!r} still moving after {_NEWTON_ITERS} Newton steps"
         )
-    return zeros
+    return zeros.T
 
 
 def _sample_lines_batch(rng: np.random.Generator, spec: HexagonSpec, batch: int) -> list[np.ndarray]:
@@ -263,7 +332,7 @@ def _sample_lines_batch(rng: np.random.Generator, spec: HexagonSpec, batch: int)
     p, q = spec.p, spec.q
     zeros_col = np.zeros((batch, 1))
     ones_col = np.ones((batch, 1))
-    prev = _dirichlet_batch(rng, (p, q), batch)[:, :1]
+    prev = _dirichlet_draw(rng, [p, q], batch)[:, :1]
     lines = [prev]
     for r in range(2, p + q):
         # Poles: the previous line, plus the anchor at 0 (multiplicity
@@ -271,8 +340,8 @@ def _sample_lines_batch(rng: np.random.Generator, spec: HexagonSpec, batch: int)
         below = [zeros_col] if r <= p else []
         above = [ones_col] if r <= q else []
         poles = np.hstack(below + [prev] + above)
-        mult = (p - r + 1,) * len(below) + (1,) * prev.shape[1] + (q - r + 1,) * len(above)
-        w = _dirichlet_batch(rng, mult, batch)
+        mult = [p - r + 1] * len(below) + [1] * prev.shape[1] + [q - r + 1] * len(above)
+        w = _dirichlet_draw(rng, mult, batch)
         try:
             prev = _secular_zeros_batch(poles, w)
         except RuntimeError as exc:

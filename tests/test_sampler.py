@@ -1,5 +1,6 @@
 """Random construction: Dirichlet weights, secular zeros, configuration sampling."""
 
+import hashlib
 import math
 import re
 
@@ -229,22 +230,74 @@ def test_secular_newton_does_not_cycle(monkeypatch):
         ((0.0, 0.5, 1.0), np.array([0.2, 0.3, 0.5]) * 1e-160),
         ((-1.0, -0.5, 0.0, 0.5, 1.0), np.arange(1, 6) * 5e-324),
         ((0.0, 0.5, 1.0), np.array([0.2, 0.3, 0.5]) * 1e300),
+        ((0.0, 0.5, 1.0), np.array([0.6, 0.9, 1.5]) * 1e308),
     ],
-    ids=["tiny", "subnormal", "huge"],
+    ids=["tiny", "subnormal", "huge", "sum-overflows"],
 )
 def test_unnormalized_weights_give_the_zeros_of_their_normalization(poles, weights):
     # scaling the weights keeps the zeros; unscaled, these rows overflowed
-    # the eigenvalue start, and subnormal weights left Newton off its zero
+    # the eigenvalue start, subnormal weights left Newton off its zero, and
+    # a weight sum past the largest double left its row unscaled
     poles, weights = np.array([poles]), weights[None]
-    _assert_matches_reference(poles, weights / weights.sum(), sampler._secular_zeros_batch(poles, weights))
+    # an exact power of two first, so the sum stays finite and the
+    # normalization has the bytes of weights / weights.sum() where that is finite
+    unit = np.ldexp(weights, -np.frexp(weights.max())[1])
+    _assert_matches_reference(poles, unit / unit.sum(), sampler._secular_zeros_batch(poles, weights))
 
 
-def test_secular_zeros_depend_only_on_their_row():
-    poles, weights = _hard_batch(11)
-    together = sampler._secular_zeros_batch(poles, weights)
-    for b in range(poles.shape[0]):
-        alone = sampler._secular_zeros_batch(poles[b : b + 1], weights[b : b + 1])
-        assert alone.tobytes() == together[b : b + 1].tobytes()
+def _record_pole_sums(monkeypatch):
+    # the shape of every sum over the poles, in call order
+    shapes, real = [], sampler._pole_sum
+
+    def recorded(terms):
+        shapes.append(terms.shape)
+        return real(terms)
+
+    monkeypatch.setattr(sampler, "_pole_sum", recorded)
+    return shapes
+
+
+def _active_after_pass_0(shapes):
+    """Entries one solve still polishes in Newton pass 1, read off its sums:
+    pass 0 sums (n, n-1, B) arrays, every later pass (n, active) ones."""
+    last = max(i for i, shape in enumerate(shapes) if len(shape) == 3)
+    return shapes[last + 1][1] if last + 1 < len(shapes) else 0
+
+
+def test_secular_zeros_depend_only_on_their_row(monkeypatch):
+    # numpy adds along an axis left to right while the other axes hold more
+    # than one element, and pairwise once they collapse to one; from 8 terms
+    # on the two differ.  Every sum over the poles keeps one order however
+    # many rows and active entries share it, on both sides of 8 and of 128
+    # terms, also for a row that leaves a single entry active after pass 0.
+    shapes = _record_pole_sums(monkeypatch)
+    single = set()
+    for n in (3, 7, 8, 9, 34, 130):
+        poles, weights = _hard_batch(11, n=n)
+        room = np.all(np.nextafter(poles[:, :-1], np.inf) < poles[:, 1:], axis=1)
+        poles, weights = poles[room], weights[room]
+        together = sampler._secular_zeros_batch(poles, weights)
+        for b in range(poles.shape[0]):
+            shapes.clear()
+            alone = sampler._secular_zeros_batch(poles[b : b + 1], weights[b : b + 1])
+            assert alone.tobytes() == together[b : b + 1].tobytes(), (n, b)
+            if _active_after_pass_0(shapes) == 1:
+                single.add(n)
+    assert {8, 9} <= single
+
+
+def test_pole_sum_adds_in_numpy_row_order():
+    # The solver sums over the poles down the first axis of gap-major arrays,
+    # in the order numpy sums a contiguous row, so each zero keeps the bytes
+    # of a row-major solve.  Mixed signs and magnitudes make the order show:
+    # a numpy release that sums rows differently fails here, instead of
+    # moving sample bytes without a word.
+    rng = np.random.default_rng(27)
+    for n in [*range(1, 141), 256, 513]:
+        rows = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (6, n))
+        for batch in (rows[:1], rows, rows.reshape(2, 3, n)):
+            got = sampler._pole_sum(np.ascontiguousarray(np.moveaxis(batch, -1, 0)))
+            assert got.tobytes() == batch.sum(axis=-1).tobytes(), (n, batch.shape)
 
 
 def _record_resolvent(monkeypatch):
@@ -400,6 +453,21 @@ def test_seed_determinism_is_bytewise():
     a = sample_positions(RandomStream(99), spec, count=2500)
     b = sample_positions(RandomStream(99), spec, count=2500)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+# sha256 of sample_positions on both sides of the 8-term boundary of numpy's
+# row sums: up to (4, 12) every line has fewer than 8 poles, from (7, 9) on
+# some have more.  Computed while the secular solve still ran on (B, n) rows.
+_SAMPLE_DIGEST = "aaa5de862e6136771311d01e7a4fcd3b251ee900f48d1264ef491277fc7281b7"
+
+
+def test_sample_bytes_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for (p, q), count in [((2, 3), 200), ((4, 12), 60), ((7, 9), 32), ((8, 24), 32), ((32, 96), 8)]:
+        for seed in (0, 1):
+            for line in sample_positions(RandomStream(seed), HexagonSpec(p=p, q=q), count):
+                digest.update(line.tobytes())
+    assert digest.hexdigest() == _SAMPLE_DIGEST
 
 
 def test_thread_count_does_not_change_the_draw():
