@@ -62,6 +62,13 @@ def _check_ks(k: float, S: float) -> None:
         raise ValueError(f"scaled label S must lie in [0, {2 + k}], got {S}")
 
 
+def _finite(value: float, name: str, *args) -> float:
+    # the value of name(*args), or OverflowError where it is not a finite double
+    if not math.isfinite(value):
+        raise OverflowError(f"{name}{args!r} is outside the range of a double")
+    return value
+
+
 def support_interval(k: float, S: float) -> tuple[float, float]:
     """Endpoints ``(c_S, d_S)`` of the macroscopic band on line label ``S``.
 
@@ -81,8 +88,8 @@ def region_parameters(k: float, S: float) -> tuple[float, float]:
     _check_ks(k, S)
     if S <= 0.0 or S >= 2.0 + k:
         raise ValueError("region parameters degenerate at S = 0 and S = 2+k")
-    if S <= 1.0:
-        return (1.0 - S) / S, (k + 1.0 - S) / S
+    if S <= 1.0:  # a <= b, so b is the one to leave a double as S -> 0
+        return (1.0 - S) / S, _finite((k + 1.0 - S) / S, "region_parameters", k, S)
     if S <= 1.0 + k:
         return S - 1.0, k + 1.0 - S
     return (S - 1.0) / (2.0 + k - S), (S - k - 1.0) / (2.0 + k - S)
@@ -142,7 +149,7 @@ def scaling_context(k: float, S: float) -> ScalingContext:
     if not 1.0 <= S <= k + 1.0:
         raise ValueError(f"plateau labels need 1 <= S <= {k + 1}, got {S}")
     c, d = support_interval(k, S)
-    nu = (2.0 + k) / k * math.sqrt((1.0 + k) / (S * (2.0 + k - S)))
+    nu = _finite((2.0 + k) / k * math.sqrt((1.0 + k) / (S * (2.0 + k - S))), "scaling_context", k, S)
     u_S = midpoint_density(k, S)
     return ScalingContext(
         k=k,
@@ -163,13 +170,6 @@ def gamma_parameter(k: float, S: float) -> float:
     return 1.0 / math.sqrt(1.0 + nu * nu)
 
 
-def _finite(value: float, name: str, *args) -> float:
-    # the value of name(*args), or OverflowError where it is not a finite double
-    if not math.isfinite(value):
-        raise OverflowError(f"{name}{args!r} is outside the range of a double")
-    return value
-
-
 # --- tail integrals ----------------------------------------------------------
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -184,14 +184,11 @@ def _e1_scaled(z: complex) -> complex:
     fraction does not converge in its 500 steps.  There the series terms
     nearly share one sign, so the series loses few digits and takes over.
     """
-    if z == 0:
-        raise ValueError("E_1 diverges at z = 0")
     if abs(z) > 4.0:
-        # modified Lentz on the even continued fraction 1/(z+1- 1/(z+3- 4/(z+5- ...)))
+        # modified Lentz on the even continued fraction 1/(z+1- 1/(z+3- 4/(z+5- ...)));
+        # f = z + 1 starts at least 3 from 0, so only c and d need the guard
         tiny = 1e-290
         f = z + 1.0
-        if f == 0:
-            f = tiny
         c, d = f, complex(0.0)
         for n in range(1, 500):
             a = -float(n * n)
@@ -256,6 +253,22 @@ def _check_bulk_positions(Y: float, X: float) -> None:
         raise ValueError(f"bulk positions Y, X must be finite reals with pi (X - Y) finite, got ({Y}, {X})")
 
 
+def _bulk_form(a: float, b: float, s0: int, t0: int, tau: float) -> float:
+    # int_0^1 Re(e^{i tau t} (a + i b t)^d) dt, d = s0 - t0, when d >= 0 or at
+    # the jump boundary tau == 0; minus the [1, inf) tail otherwise.  inf
+    # where a**d or the tail overflows, so the caller's _finite names its call.
+    d = _index(s0, "s0", None) - _index(t0, "t0", None)
+    if d >= 0 or tau == 0.0:
+        t, w = _gauss_legendre_unit(_BULK_NODES)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = (np.exp(1j * tau * t) * (a + 1j * b * t) ** d).real
+            return float(np.dot(w, vals))
+    try:
+        return -(a**d) * tail_integral_real(tau, b / a, -d)
+    except OverflowError:
+        return math.inf
+
+
 def bulk_kernel(nu: float, s0: int, Y: float, t0: int, X: float) -> float:
     """Translation-invariant bulk kernel at line offsets ``s0, t0``.
 
@@ -273,44 +286,21 @@ def bulk_kernel(nu: float, s0: int, Y: float, t0: int, X: float) -> float:
     if not 0.0 < nu < math.inf:
         raise ValueError(f"bulk kernel needs finite nu > 0, got {nu}")
     _check_bulk_positions(Y, X)
-    s0, t0 = _index(s0, "s0", None), _index(t0, "t0", None)
-    d = s0 - t0
-    tau = math.pi * (X - Y)
-    if d >= 0 or tau == 0.0:
-        t, w = _gauss_legendre_unit(_BULK_NODES)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = (np.exp(1j * tau * t) * (1.0 + 1j * nu * t) ** d).real
-            value = float(np.dot(w, vals))
-    else:
-        try:
-            value = -tail_integral_real(tau, nu, -d)
-        except OverflowError:
-            value = math.inf
+    value = _bulk_form(1.0, nu, s0, t0, math.pi * (X - Y))
     return _finite(value, "bulk_kernel", nu, s0, Y, t0, X)
 
 
 def boutillier_kernel(gamma: float, s0: int, Y: float, t0: int, X: float) -> float:
     """One-parameter bulk kernel ``J_gamma``; equivalent to :func:`bulk_kernel`
     after the rescale ``pi * J(s0, pi Y; t0, pi X) = gamma^{s0-t0} K*`` —
-    the gamma powers conjugate away in determinants.  Raises ``OverflowError``
-    where the value is outside the range of a double."""
+    the gamma powers conjugate away in determinants.  Same coincident-point
+    convention as :func:`bulk_kernel`, so the rescale identity holds pointwise
+    including at ``X == Y``.  Raises ``OverflowError`` where the value is
+    outside the range of a double."""
     if not -1.0 < gamma < 1.0 or gamma == 0.0:
         raise ValueError(f"gamma must lie in (-1, 1) and be nonzero, got {gamma}")
     _check_bulk_positions(Y, X)
-    s0, t0 = _index(s0, "s0", None), _index(t0, "t0", None)
-    d = s0 - t0
-    root = math.sqrt(1.0 - gamma * gamma)
-    tau = X - Y
-    if d >= 0 or tau == 0.0:
-        # same coincident-point convention as bulk_kernel, so the rescale
-        # identity holds pointwise including at X == Y
-        t, w = _gauss_legendre_unit(_BULK_NODES)
-        vals = (np.exp(1j * tau * t) * (gamma + 1j * root * t) ** d).real
-        return float(np.dot(w, vals)) / math.pi
-    try:  # gamma**d, d < 0, raises where it overflows
-        value = -(gamma**d) * tail_integral_real(tau, root / gamma, -d) / math.pi
-    except OverflowError:
-        value = math.inf
+    value = _bulk_form(gamma, math.sqrt(1.0 - gamma * gamma), s0, t0, X - Y) / math.pi
     return _finite(value, "boutillier_kernel", gamma, s0, Y, t0, X)
 
 

@@ -203,6 +203,14 @@ def test_bulk_value_outside_a_double_is_an_error_line(capsys):
     assert err == "error: bulk_kernel(1.7320508075688772, 1100, 0.0, 0, 0.5) is outside the range of a double\n"
 
 
+def test_gamma_form_value_outside_a_double_is_an_error_line(capsys):
+    # gamma^(s0 - t0) = gamma^-1100 overflows in the J form
+    code = run("bulk --k 2 --S 2 --t0 1100 --gamma-form".split())
+    out, err = _capture(capsys)
+    assert code == 2 and out == ""
+    assert err == "error: boutillier_kernel(0.5000000000000001, 0, 0.0, 1100, 0.0) is outside the range of a double\n"
+
+
 def test_bulk_probe_table(capsys):
     argv = "bulk --k 2 --S 2 --s0 0 --t0 0 --X 0.5 --Y -0.25 --probe-p 8,16".split()
     assert run(argv) == 0

@@ -314,6 +314,11 @@ def test_bulk_forms_refuse_non_finite_input(bad):
         (bulk_kernel, (1e300, 2, 0.0, 0, 0.5)),  # about -1e600
         (tail_integral_real, (1.0, 1e200, 2)),  # about 1e-400
         (boutillier_kernel, (1e-300, 0, 0.0, 3, 0.5)),  # gamma^-3 = 1e900
+        (boutillier_kernel, (0.5, 0, 0.0, 1100, 0.0)),  # gamma^-1100 = 2^1100, on the [0, 1] integral
+        (boutillier_kernel, (0.5, 0, 0.3, 1100, 0.3)),  # the same at X == Y != 0
+        (bulk_kernel, (1e200, 0, 0.0, 2, 0.5)),  # the tail itself overflows
+        (region_parameters, (2.0, 1e-310)),  # (k + 1 - S)/S = 3e310
+        (scaling_context, (1e-320, 1.0)),  # (2 + k)/k = 2e320 in nu
     ],
 )
 def test_values_outside_a_double_raise_naming_the_call(f, args):
