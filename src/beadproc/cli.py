@@ -66,15 +66,13 @@ def _make_stream(args) -> RandomStream:
 # --- sample -------------------------------------------------------------------
 
 
-def _svg_document(spec: HexagonSpec, rows) -> str:
+def _svg_document(spec: HexagonSpec, beads: Sequence[tuple[int, int]], xs: np.ndarray) -> str:
+    """The figure of ``xs`` (one row per configuration, columns ``beads``)."""
     p = spec.p
     k = (spec.q - spec.p) / spec.p
     span = spec.p + spec.q  # boundary curves run over t in [0, p+q]
     sx, sy, m = 42.0, 340.0, 30.0
     width, height = 2 * m + span * sx, 2 * m + sy
-
-    def xy(t: float, pos: float) -> tuple[float, float]:
-        return m + t * sx, m + (1.0 - pos) * sy
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
@@ -82,25 +80,19 @@ def _svg_document(spec: HexagonSpec, rows) -> str:
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
     for t in spec.lines():
-        x0, y0 = xy(t, 0.0)
-        _, y1 = xy(t, 1.0)
+        x0 = m + t * sx
         parts.append(
-            f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{y1:.2f}" '
+            f'<line x1="{x0:.2f}" y1="{m + sy:.2f}" x2="{x0:.2f}" y2="{m:.2f}" '
             'stroke="#cccccc" stroke-width="1"/>'
         )
-    for name, pick in (("lower", 0), ("upper", 1)):
-        pts = []
-        for i in range(256):
-            S = (2.0 + k) * i / 255.0
-            cd = scaling.support_interval(k, S)
-            px, py = xy(p * S, cd[pick])
-            pts.append(f"{px:.2f},{py:.2f}")
-        parts.append(
-            f'<polyline fill="none" stroke="#d62728" stroke-width="1.5" points="{" ".join(pts)}"/>'
-        )
-    for _, t, _, pos in rows:
-        cx, cy = xy(t, pos)
-        parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2.2" fill="#1f77b4"/>')
+    Ss = [(2.0 + k) * i / 255.0 for i in range(256)]
+    bands = [scaling.support_interval(k, S) for S in Ss]
+    for pick in (0, 1):  # lower, then upper boundary
+        pts = " ".join(f"{m + p * S * sx:.2f},{m + (1.0 - cd[pick]) * sy:.2f}" for S, cd in zip(Ss, bands))
+        parts.append(f'<polyline fill="none" stroke="#d62728" stroke-width="1.5" points="{pts}"/>')
+    # one circle template per bead of a configuration, filled with every row's y
+    circles = [f'<circle cx="{m + t * sx:.2f}" cy="%.2f" r="2.2" fill="#1f77b4"/>' for t, _ in beads]
+    parts.append("\n".join(circles * xs.shape[0]) % tuple((m + (1.0 - xs) * sy).ravel().tolist()))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -108,18 +100,25 @@ def _svg_document(spec: HexagonSpec, rows) -> str:
 def _cmd_sample(args) -> int:
     spec = HexagonSpec(args.p, args.q)
     stream = _make_stream(args)
-    lines = [line.tolist() for line in sample_positions(stream, spec, args.count, threads=args.threads)]
-    rows = [
-        (s, t, i, x)
-        for s in range(args.count)
-        for t in spec.lines()
-        for i, x in enumerate(lines[t - 1][s], start=1)
-    ]
-    seed = args.seed if args.seed is not None else stream.entropy
-    _emit_rows(args, ("sample", "line", "index", "position"), rows, {"p": spec.p, "q": spec.q}, seed)
+    lines = sample_positions(stream, spec, args.count, threads=args.threads)
+    # column j of xs is bead (line, index) = beads[j]; row s is configuration s
+    beads = [(t, i) for t in spec.lines() for i in range(1, lines[t - 1].shape[1] + 1)]
+    xs = np.concatenate(lines, axis=1)
+    cols = ("sample", "line", "index", "position")
+    if args.format == "json":
+        seed = args.seed if args.seed is not None else stream.entropy
+        rows = [(s, t, i, x) for s, row in enumerate(xs.tolist()) for (t, i), x in zip(beads, row)]
+        _emit_rows(args, cols, rows, {"p": spec.p, "q": spec.q}, seed)
+    else:
+        # one row template per configuration: its sample number goes in
+        # first, leaving a %.17g slot per bead for the positions
+        row = "".join(f"%d,{t},{i},%%.17g\n" for t, i in beads)
+        numbers = tuple(s for s in range(args.count) for _ in beads)
+        body = ("".join([row] * args.count) % numbers) % tuple(xs.ravel().tolist())
+        _write_text(args.out, ",".join(cols) + "\n" + body)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_svg_document(spec, rows))
+            fh.write(_svg_document(spec, beads, xs))
     return 0
 
 
@@ -165,10 +164,10 @@ def _cmd_correlate(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     hexa = hx.DiscreteHexagon(args.n, args.p, args.q)
-    configs = hx.enumerate_configurations(hexa)
     if args.total_only:
-        _write_text(args.out, f"{len(configs)}\n")
+        _write_text(args.out, f"{hx._total(hexa)}\n")
         return 0
+    configs = hx.enumerate_configurations(hexa)
     rows = [
         (s, t, i, x)
         for s, cfg in enumerate(configs)

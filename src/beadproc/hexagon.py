@@ -8,6 +8,11 @@ is padded with a virtual bead just below its floor; on down-steps the upper
 line is padded just above its ceiling; consecutive (padded) lines then
 interleave strictly.
 
+Counts, left counts and line marginals come from one transfer over the
+lines: a forward pass counts the fillings before each line state and a
+backward pass those after it.  The depth-first walk over whole
+configurations is kept for listing them.
+
 Everything in this module is exact integer / rational arithmetic — the
 statements it checks are identities, not approximations — and state spaces
 are tiny by design (enumeration budget enforced).
@@ -30,10 +35,8 @@ __all__ = [
     "lattice_particles_per_line",
     "line_sites",
     "enumerate_configurations",
-    "left_count",
     "left_count_closed_form",
     "hahn_marginal_unnormalized",
-    "bruteforce_marginal",
 ]
 
 _BUDGET = 16  # n*p*q cap for enumeration entry points
@@ -122,27 +125,38 @@ def _next_lines(hexa: DiscreteHexagon, t: int, current: tuple[int, ...]):
             yield cand
 
 
-def _enumerate(
-    hexa: DiscreteHexagon, pinned: dict[int, tuple[int, ...]] | None = None, stop: int | None = None
-):
-    """DFS over lines ``0..stop`` (default ``p + q``); ``pinned`` forces given tuples on given lines."""
-    nl = hexa.p + hexa.q if stop is None else stop
-    partial: list[tuple[int, ...]] = [()]
-    out = []
+def _transfer(hexa: DiscreteHexagon) -> tuple[list[dict], list[dict]]:
+    """Per line ``t = 0..p+q``, ``(forward[t], backward[t])``: dicts from each
+    reachable line-``t`` tuple to the number of fillings of lines ``0..t-1``
+    and of lines ``t+1..p+q`` that it admits.
 
-    def walk(t: int) -> None:
-        if t == nl:
-            out.append(tuple(partial))
-            return
-        for cand in _next_lines(hexa, t, partial[-1]):
-            if pinned is not None and t + 1 in pinned and cand != pinned[t + 1]:
-                continue
-            partial.append(cand)
-            walk(t + 1)
-            partial.pop()
+    The number of configurations with line ``t`` equal to ``xs`` is
+    ``forward[t][xs] * backward[t][xs]``; the total is ``forward[p+q][()]``.
+    """
+    nl = hexa.p + hexa.q
+    forward: list[dict] = [{(): 1}]
+    edges = []
+    for t in range(nl):
+        ahead: dict = {}
+        succ = {}
+        for cur, ways in forward[t].items():
+            succ[cur] = nxt = tuple(_next_lines(hexa, t, cur))
+            for cand in nxt:
+                ahead[cand] = ahead.get(cand, 0) + ways
+        edges.append(succ)
+        forward.append(ahead)
+    backward: list[dict] = [{(): 1}]  # line p+q holds no bead: one state
+    for succ in reversed(edges):
+        behind = backward[-1]
+        backward.append({cur: sum(behind[cand] for cand in nxt) for cur, nxt in succ.items()})
+    backward.reverse()
+    return forward, backward
 
-    walk(0)
-    return out
+
+def _total(hexa: DiscreteHexagon) -> int:
+    """Number of configurations, counted by the transfer within the budget."""
+    _check_budget(hexa)
+    return _transfer(hexa)[0][-1][()]
 
 
 def _check_budget(hexa: DiscreteHexagon) -> None:
@@ -156,22 +170,25 @@ def enumerate_configurations(hexa: DiscreteHexagon) -> list[tuple[tuple[int, ...
     """Every configuration of the lattice model, each exactly once.
 
     A configuration is a tuple of lines ``t = 0..p+q``, each the tuple of its
-    real (non-virtual) bead positions, decreasing.
+    real (non-virtual) bead positions, decreasing; depth first, in
+    ``_next_lines`` order.
     """
     _check_budget(hexa)
-    return _enumerate(hexa)
+    nl = hexa.p + hexa.q
+    partial: list[tuple[int, ...]] = [()]
+    out = []
 
+    def walk(t: int) -> None:
+        if t == nl:
+            out.append(tuple(partial))
+            return
+        for cand in _next_lines(hexa, t, partial[-1]):
+            partial.append(cand)
+            walk(t + 1)
+            partial.pop()
 
-def left_count(hexa: DiscreteHexagon, t: int, xs: Sequence[int]) -> int:
-    """Number of fillings of lines ``1..t-1`` compatible with line ``t = xs``.
-
-    Defined on the up-ramp ``t <= p`` (where ``xs`` has length ``t``); the
-    closed form :func:`left_count_closed_form` must match this exactly.
-    """
-    _check_budget(hexa)
-    t = _index(t, "line t", 1, min(hexa.p, hexa.q))
-    xs = _validate_line(hexa, t, xs)
-    return len(_enumerate(hexa, pinned={t: xs}, stop=t))
+    walk(0)
+    return out
 
 
 def left_count_closed_form(t: int, xs: Sequence[int]) -> Fraction:
@@ -206,9 +223,3 @@ def hahn_marginal_unnormalized(hexa: DiscreteHexagon, t: int, xs: Sequence[int])
             weight *= x - b + 2 * k
     return vand2 * weight
 
-
-def bruteforce_marginal(hexa: DiscreteHexagon, t: int, xs: Sequence[int]) -> int:
-    """Exact count of configurations whose line ``t`` equals ``xs``."""
-    _check_budget(hexa)
-    xs = _validate_line(hexa, t, xs)
-    return len(_enumerate(hexa, pinned={t: xs}))

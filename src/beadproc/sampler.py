@@ -105,11 +105,12 @@ def _pole_sum(terms: np.ndarray) -> np.ndarray:
     whenever the other axes hold more than one element, and pairwise when
     they collapse to one.  Following the row order here makes each sum
     depend on its own column alone, bit for bit equal to summing that column
-    as a contiguous row, whatever else shares the array.
+    as a contiguous row, whatever else shares the array.  A single column
+    already is that row, so numpy adds it directly.
     """
     n = terms.shape[0]
-    if n < 8:
-        return np.add.reduce(terms)  # left to right either way
+    if n < 8 or terms[0].size == 1:
+        return np.add.reduce(terms)  # left to right, or one contiguous row
     if n > 128:
         half = n // 2 - n // 2 % 8
         return _pole_sum(terms[:half]) + _pole_sum(terms[half:])

@@ -166,7 +166,9 @@ def scaling_context(k: float, S: float) -> ScalingContext:
 
 def gamma_parameter(k: float, S: float) -> float:
     """Anisotropy parameter of ``J_gamma``: ``1/sqrt(1 + nu^2)``."""
-    nu = scaling_context(k, S).nu
+    nu = float(scaling_context(k, S).nu)  # a Python float: nu * nu overflows to inf without a warning
+    if math.isinf(nu * nu):  # nu > 1.3e154, where 1 + nu^2 rounds to nu^2 anyway
+        return 1.0 / nu
     return 1.0 / math.sqrt(1.0 + nu * nu)
 
 

@@ -20,10 +20,8 @@ import pytest
 from beadproc.hexagon import (
     DiscreteHexagon,
     boundary_positions,
-    bruteforce_marginal,
     hahn_marginal_unnormalized,
     lattice_particles_per_line,
-    left_count,
     left_count_closed_form,
     line_sites,
 )
@@ -39,6 +37,7 @@ from beadproc.scaling import (
     tail_integral_real,
 )
 from beadproc.stats import beta_cdf
+from lattice_counts import bruteforce_marginal, left_count
 
 SPEC = HexagonSpec(2, 3)  # lines 1..4
 CTX = kernel_context(SPEC)

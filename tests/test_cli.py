@@ -117,6 +117,22 @@ def test_sample_out_file_and_svg(tmp_path, capsys):
     assert "<rect" in svg and 'fill="white"' in svg
 
 
+# sha256 of both files the README's figure invocation writes: every CSV row,
+# bead circle and boundary point is pinned to the byte
+_FIGURE_DIGESTS = {
+    "beads.csv": "824e3f0b33b0cdf8d63d977c02d18781fe1293aa3da1d1c597c7d7f1c7578f68",
+    "beads.svg": "3f4475bfb2616b42193ae5fa6737fccead4a07cf6b3244fb00b60fcf22774c9d",
+}
+
+
+def test_figure_files_match_the_pinned_digests(tmp_path, capsys):
+    argv = f"sample --p 4 --q 12 --count 60 --seed 7 --out {tmp_path / 'beads.csv'} --svg {tmp_path / 'beads.svg'}"
+    assert run(argv.split()) == 0
+    _capture(capsys)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _FIGURE_DIGESTS}
+    assert got == _FIGURE_DIGESTS
+
+
 # --------------------------------------------------------------- enumerate
 
 
@@ -209,6 +225,14 @@ def test_gamma_form_value_outside_a_double_is_an_error_line(capsys):
     out, err = _capture(capsys)
     assert code == 2 and out == ""
     assert err == "error: boutillier_kernel(0.5000000000000001, 0, 0.0, 1100, 0.0) is outside the range of a double\n"
+
+
+def test_gamma_form_with_nu_squared_past_a_double(capsys):
+    # nu = 2e160 at k = 1e-160: gamma = 5e-161 is small but valid
+    assert run("bulk --k 1e-160 --S 1 --gamma-form".split()) == 0
+    out, err = _capture(capsys)
+    assert err == ""
+    assert out == format(beadproc.scaling.boutillier_kernel(5e-161, 0, 0.0, 0, 0.0), ".17g") + "\n"
 
 
 def test_bulk_probe_table(capsys):

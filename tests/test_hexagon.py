@@ -3,23 +3,23 @@
 import itertools
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from beadproc import hexagon
+from beadproc import checks, hexagon
 from beadproc.hexagon import (
     BudgetExceededError,
     DiscreteHexagon,
     boundary_positions,
-    bruteforce_marginal,
     enumerate_configurations,
     hahn_marginal_unnormalized,
     lattice_particles_per_line,
-    left_count,
     left_count_closed_form,
     line_sites,
 )
+from lattice_counts import bruteforce_marginal, left_count
 
 
 def _all_lines(hexa: DiscreteHexagon, t: int):
@@ -230,3 +230,48 @@ def test_marginal_validation():
         bruteforce_marginal(hexa, 6, (0,))  # line out of range
     with pytest.raises(BudgetExceededError):
         bruteforce_marginal(DiscreteHexagon(5, 2, 2), 1, (0,))
+
+
+# ----------------------------------------------------------------- transfer
+
+
+def _budget_hexagons():
+    sizes = range(1, hexagon._BUDGET + 1)
+    npqs = itertools.product(sizes, sizes, sizes)
+    return [DiscreteHexagon(*npq) for npq in npqs if math.prod(npq) <= hexagon._BUDGET]
+
+
+def test_transfer_matches_enumeration_tallies():
+    # every hexagon inside the budget, mirrors included: the total, every
+    # line's marginals and every up-ramp line's left counts, against the listing
+    for hexa in _budget_hexagons():
+        configs = enumerate_configurations(hexa)
+        forward, backward = hexagon._transfer(hexa)
+        assert forward[-1][()] == len(configs), hexa
+        for t in range(hexa.p + hexa.q + 1):
+            tally = Counter(cfg[t] for cfg in configs)
+            got = {xs: forward[t][xs] * backward[t][xs] for xs in forward[t]}
+            assert {xs: c for xs, c in got.items() if c} == tally, (hexa, t)
+        for t in range(1, min(hexa.p, hexa.q) + 1):
+            prefixes = Counter(cfg[t] for cfg in {cfg[: t + 1] for cfg in configs})
+            assert forward[t] == prefixes, (hexa, t)
+
+
+def test_lattice_identities_runs_one_transfer(monkeypatch):
+    calls = []
+
+    def counted(hexa):
+        calls.append(hexa)
+        return transfer(hexa)
+
+    transfer = hexagon._transfer
+    monkeypatch.setattr(hexagon, "_transfer", counted)
+    hexa = DiscreteHexagon(2, 2, 2)
+    assert checks.lattice_identities(hexa, (2,), (1, 2, 3)) == (True, True)
+    assert calls == [hexa]
+    calls.clear()
+    assert checks.lattice_identities(hexa, range(1, 3), range(5)) == (True, True)
+    assert calls == [hexa]
+    # the count lines keep left_count's range check
+    with pytest.raises(ValueError, match=r"^line t must be an integer in 1\.\.2, got 3$"):
+        checks.lattice_identities(hexa, (3,), ())

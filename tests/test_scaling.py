@@ -201,6 +201,14 @@ def test_gamma_parameter_values():
     assert abs(gamma_parameter(3.0, 1.5) - 1.0 / math.sqrt(1.0 + nu * nu)) < 1e-14
 
 
+def test_gamma_parameter_past_the_square_overflow():
+    # nu = 2e160: nu * nu overflows, yet gamma = 1/nu is a normal double
+    nu = scaling_context(1e-160, 1.0).nu
+    assert nu == 2e160
+    assert gamma_parameter(1e-160, 1.0) == 1.0 / math.hypot(1.0, nu) == 5e-161
+    assert gamma_parameter(np.float64(1e-160), 1.0) == 5e-161  # no overflow warning either
+
+
 # ------------------------------------------------------------- tail integral
 
 
