@@ -3,15 +3,16 @@
 Holes of ``n`` non-intersecting lattice paths across a hexagon with side
 parameters ``(p, q)`` form interlaced bead columns on lines ``t = 0..p+q``:
 line ``t`` carries ``min(t, p, q, p+q-t)`` beads on the step-2 sublattice
-between ``b(t)`` and ``a(t)``.  On up-steps of the bead count the lower line
-is padded with a virtual bead just below its floor; on down-steps the upper
-line is padded just above its ceiling; consecutive (padded) lines then
-interleave strictly.
+between ``b(t)`` and ``a(t)``.  Consecutive lines have opposite parity, and
+each bead of line ``t+1`` sits strictly inside one gap of line ``t``, padded
+with a virtual bead just above the next ceiling where the ceiling rises and
+just below the next floor where the floor falls.  So the lines that may
+follow a line are built, as a product of one range per gap, not searched.
 
 Counts, left counts and line marginals come from one transfer over the
 lines: a forward pass counts the fillings before each line state and a
-backward pass those after it.  The depth-first walk over whole
-configurations is kept for listing them.
+backward pass those after it.  Whole configurations are listed level by
+level, each partial configuration extended by every next line.
 
 Everything in this module is exact integer / rational arithmetic — the
 statements it checks are identities, not approximations — and state spaces
@@ -96,33 +97,19 @@ def _validate_line(hexa: DiscreteHexagon, t: int, xs: Sequence[int]) -> tuple[in
     return xs
 
 
-def _interleaves(u: Sequence[int], v: Sequence[int]) -> bool:
-    # equal lengths; v sits strictly above u slotwise and within u's gaps
-    return all(u[j] < v[j] for j in range(len(u))) and all(
-        v[j + 1] < u[j] for j in range(len(u) - 1)
-    )
-
-
 def _next_lines(hexa: DiscreteHexagon, t: int, current: tuple[int, ...]):
-    """All admissible line-(t+1) tuples given line ``t`` (virtual padding applied).
+    """All admissible line-(t+1) tuples given line ``t``: a product of gap ranges.
 
-    Up- and down-steps carry their orientation in the virtual bead; on plateau
-    steps (equal counts, no padding) the beads drift with the window, so the
-    interleaving direction follows the ceiling: above when it rises, below
-    when it falls (the mirrored hexagon's plateau).
+    ``current`` is padded with a virtual bead at ``a(t+1) + 1`` if the
+    ceiling rises and at ``b(t+1) - 1`` if the floor falls; each gap of the
+    padded line holds exactly one bead of the next line, on the opposite
+    parity, strictly between the gap's ends.  Each gap's range decreases, so
+    the tuples come in decreasing lexicographic order.
     """
-    r_cur = lattice_particles_per_line(hexa, t)
-    r_nxt = lattice_particles_per_line(hexa, t + 1)
     a_cur, b_cur = boundary_positions(hexa, t)
-    a_nxt, _ = boundary_positions(hexa, t + 1)
-    u = current + ((b_cur - 2,) if r_nxt == r_cur + 1 else ())
-    pad_top = r_nxt == r_cur - 1
-    below = r_nxt == r_cur and a_nxt < a_cur
-    sites = tuple(reversed(line_sites(hexa, t + 1)))  # decreasing
-    for cand in itertools.combinations(sites, r_nxt):
-        v = ((a_nxt + 2,) + cand) if pad_top else cand
-        if _interleaves(v, u) if below else _interleaves(u, v):
-            yield cand
+    a, b = boundary_positions(hexa, t + 1)
+    padded = ((a + 1,) if a > a_cur else ()) + current + ((b - 1,) if b < b_cur else ())
+    return itertools.product(*(range(hi - 1, lo, -2) for hi, lo in zip(padded, padded[1:])))
 
 
 def _transfer(hexa: DiscreteHexagon) -> tuple[list[dict], list[dict]]:
@@ -170,25 +157,15 @@ def enumerate_configurations(hexa: DiscreteHexagon) -> list[tuple[tuple[int, ...
     """Every configuration of the lattice model, each exactly once.
 
     A configuration is a tuple of lines ``t = 0..p+q``, each the tuple of its
-    real (non-virtual) bead positions, decreasing; depth first, in
+    real (non-virtual) bead positions, decreasing.  The list is built level
+    by level, each partial configuration followed by its next lines in
     ``_next_lines`` order.
     """
     _check_budget(hexa)
-    nl = hexa.p + hexa.q
-    partial: list[tuple[int, ...]] = [()]
-    out = []
-
-    def walk(t: int) -> None:
-        if t == nl:
-            out.append(tuple(partial))
-            return
-        for cand in _next_lines(hexa, t, partial[-1]):
-            partial.append(cand)
-            walk(t + 1)
-            partial.pop()
-
-    walk(0)
-    return out
+    configs = [((),)]
+    for t in range(hexa.p + hexa.q):
+        configs = [cfg + (c,) for cfg in configs for c in _next_lines(hexa, t, cfg[-1])]
+    return configs
 
 
 def left_count_closed_form(t: int, xs: Sequence[int]) -> Fraction:

@@ -19,7 +19,7 @@ from beadproc.hexagon import (
     left_count_closed_form,
     line_sites,
 )
-from lattice_counts import bruteforce_marginal, left_count
+from lattice_counts import bruteforce_marginal, left_count, reference_configurations, reference_next_lines
 
 
 def _all_lines(hexa: DiscreteHexagon, t: int):
@@ -27,6 +27,12 @@ def _all_lines(hexa: DiscreteHexagon, t: int):
     r = lattice_particles_per_line(hexa, t)
     sites = sorted(line_sites(hexa, t), reverse=True)
     return [xs for xs in itertools.combinations(sites, r)]
+
+
+def _macmahon(n: int, p: int, q: int) -> Fraction:
+    """Plane partitions in an n x p x q box: prod (i+j+k-1)/(i+j+k-2)."""
+    boxes = itertools.product(range(1, n + 1), range(1, p + 1), range(1, q + 1))
+    return math.prod((Fraction(i + j + k - 1, i + j + k - 2) for i, j, k in boxes), start=Fraction(1))
 
 
 # ----------------------------------------------------------------- geometry
@@ -94,9 +100,7 @@ def test_counts_equal_macmahon_box_formula():
     for n, p, q in itertools.product(sizes, sizes, sizes):
         if n * p * q > hexagon._BUDGET:
             continue
-        boxes = itertools.product(range(1, n + 1), range(1, p + 1), range(1, q + 1))
-        want = math.prod((Fraction(i + j + k - 1, i + j + k - 2) for i, j, k in boxes), start=Fraction(1))
-        assert len(enumerate_configurations(DiscreteHexagon(n, p, q))) == want, (n, p, q)
+        assert len(enumerate_configurations(DiscreteHexagon(n, p, q))) == _macmahon(n, p, q), (n, p, q)
 
 
 def test_reflection_symmetry_of_counts():
@@ -255,6 +259,36 @@ def test_transfer_matches_enumeration_tallies():
         for t in range(1, min(hexa.p, hexa.q) + 1):
             prefixes = Counter(cfg[t] for cfg in {cfg[: t + 1] for cfg in configs})
             assert forward[t] == prefixes, (hexa, t)
+
+
+@pytest.mark.parametrize(
+    "n,p,q,total",
+    [(4, 4, 4, 232848), (5, 5, 5, 267227532), (8, 3, 3, 259545), (16, 2, 3, 276165), (5, 3, 8, 61408347)],
+)
+def test_transfer_counts_macmahon_past_the_budget(n, p, q, total):
+    # the transfer itself has no budget; only its entry points check one
+    assert total == _macmahon(n, p, q)
+    assert hexagon._transfer(DiscreteHexagon(n, p, q))[0][-1][()] == total
+
+
+def test_next_lines_match_the_reference_search():
+    # every reachable line state of every budget hexagon (mirrors included)
+    # and of two past the budget: the same successor tuples, in order
+    for hexa in _budget_hexagons() + [DiscreteHexagon(3, 3, 3), DiscreteHexagon(8, 3, 3)]:
+        states = [()]
+        for t in range(hexa.p + hexa.q):
+            reached = {}
+            for cur in states:
+                want = tuple(reference_next_lines(hexa, t, cur))
+                assert tuple(hexagon._next_lines(hexa, t, cur)) == want, (hexa, t, cur)
+                reached.update(dict.fromkeys(want))
+            states = list(reached)
+        assert states == [()], hexa
+
+
+def test_enumeration_matches_the_reference_walk():
+    for hexa in _budget_hexagons():
+        assert enumerate_configurations(hexa) == reference_configurations(hexa), hexa
 
 
 def test_lattice_identities_runs_one_transfer(monkeypatch):
