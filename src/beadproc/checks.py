@@ -19,7 +19,7 @@ from . import hexagon as hx
 from .kernel import expected_count, kernel_context, line_density
 from .model import HexagonSpec, _index, interlacing_breaks, particles_per_line
 from .oracle import oracle_deviation
-from .sampler import RandomStream, _dirichlet_batch, sample_positions
+from .sampler import RandomStream, _dirichlet_draw, sample_positions
 from .scaling import (
     boutillier_kernel, bulk_convergence_probe, bulk_kernel, gamma_parameter, region_parameters, scaling_context,
     support_interval,
@@ -212,7 +212,7 @@ def _sampler_suite(level: str) -> Iterator[tuple]:
     b = sample_positions(RandomStream(99), spec, 300)
     yield _exact("seed_determinism", all(np.array_equal(x, y) for x, y in zip(a, b)))
 
-    draws = _dirichlet_batch(RandomStream(5).generator, (1, 1), 400)[:, 0]
+    draws = _dirichlet_draw(RandomStream(5).generator, (1, 1), 400)[:, 0]
     ks = ks_statistic(draws, lambda x: np.clip(x, 0.0, 1.0))
     yield _below("dirichlet_uniform_component", ks, 1.63 / math.sqrt(draws.size))
 

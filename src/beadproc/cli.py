@@ -229,12 +229,13 @@ def _cmd_bulk(args) -> int:
             {"k": args.k, "S": args.S},
         )
         return 0
-    ctx = scaling.scaling_context(args.k, args.S)
     if args.gamma_form:
         g = scaling.gamma_parameter(args.k, args.S)
         val = scaling.boutillier_kernel(g, args.s0, args.Y, args.t0, args.X)
     else:
-        val = scaling.bulk_kernel(ctx.nu, args.s0, args.Y, args.t0, args.X)
+        # nu alone: scaling_context's A = e^(pi/nu) leaves a double from k ~ 2e5
+        nu = scaling._nu(args.k, args.S, "scaling_context")
+        val = scaling.bulk_kernel(nu, args.s0, args.Y, args.t0, args.X)
     _write_text(args.out, _fmt(val) + "\n")
     return 0
 

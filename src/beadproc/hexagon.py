@@ -11,8 +11,10 @@ follow a line are built, as a product of one range per gap, not searched.
 
 Counts, left counts and line marginals come from one transfer over the
 lines: a forward pass counts the fillings before each line state and a
-backward pass those after it.  Whole configurations are listed level by
-level, each partial configuration extended by every next line.
+backward pass those after it, building each state's next lines again rather
+than storing them, so the transfer keeps counts, not edges.  Whole
+configurations are listed level by level, each partial configuration
+extended by every next line.
 
 Everything in this module is exact integer / rational arithmetic — the
 statements it checks are identities, not approximations — and state spaces
@@ -97,19 +99,39 @@ def _validate_line(hexa: DiscreteHexagon, t: int, xs: Sequence[int]) -> tuple[in
     return xs
 
 
-def _next_lines(hexa: DiscreteHexagon, t: int, current: tuple[int, ...]):
-    """All admissible line-(t+1) tuples given line ``t``: a product of gap ranges.
+def _paddings(hexa: DiscreteHexagon) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Per line ``t = 0..p+q-1``, the virtual beads ``(top, bottom)`` that pad
+    it before line ``t+1``: ``(a(t+1) + 1,)`` if the ceiling rises and
+    ``(b(t+1) - 1,)`` if the floor falls, else ``()``."""
+    ends = [boundary_positions(hexa, t) for t in range(hexa.p + hexa.q + 1)]
+    return [
+        ((a + 1,) if a > a_cur else (), (b - 1,) if b < b_cur else ())
+        for (a_cur, b_cur), (a, b) in zip(ends, ends[1:])
+    ]
 
-    ``current`` is padded with a virtual bead at ``a(t+1) + 1`` if the
-    ceiling rises and at ``b(t+1) - 1`` if the floor falls; each gap of the
-    padded line holds exactly one bead of the next line, on the opposite
-    parity, strictly between the gap's ends.  Each gap's range decreases, so
-    the tuples come in decreasing lexicographic order.
+
+def _next_lines(pad: tuple[tuple[int, ...], tuple[int, ...]], current: tuple[int, ...]):
+    """All admissible next-line tuples after ``current``: a product of gap ranges.
+
+    ``pad`` is the line's entry of :func:`_paddings`.  Each gap of the padded
+    line holds exactly one bead of the next line, on the opposite parity,
+    strictly between the gap's ends.  Each gap's range decreases, so the
+    tuples come in decreasing lexicographic order.
     """
-    a_cur, b_cur = boundary_positions(hexa, t)
-    a, b = boundary_positions(hexa, t + 1)
-    padded = ((a + 1,) if a > a_cur else ()) + current + ((b - 1,) if b < b_cur else ())
+    padded = pad[0] + current + pad[1]
     return itertools.product(*(range(hi - 1, lo, -2) for hi, lo in zip(padded, padded[1:])))
+
+
+def _forward(pads: list) -> list[dict]:
+    # per line, each reachable tuple -> the number of fillings of the lines before it
+    forward: list[dict] = [{(): 1}]
+    for pad in pads:
+        ahead: dict = {}
+        for cur, ways in forward[-1].items():
+            for cand in _next_lines(pad, cur):
+                ahead[cand] = ahead.get(cand, 0) + ways
+        forward.append(ahead)
+    return forward
 
 
 def _transfer(hexa: DiscreteHexagon) -> tuple[list[dict], list[dict]]:
@@ -119,31 +141,23 @@ def _transfer(hexa: DiscreteHexagon) -> tuple[list[dict], list[dict]]:
 
     The number of configurations with line ``t`` equal to ``xs`` is
     ``forward[t][xs] * backward[t][xs]``; the total is ``forward[p+q][()]``.
+    Only counts are kept: the backward pass builds each state's next lines
+    again instead of storing them from the forward pass.
     """
-    nl = hexa.p + hexa.q
-    forward: list[dict] = [{(): 1}]
-    edges = []
-    for t in range(nl):
-        ahead: dict = {}
-        succ = {}
-        for cur, ways in forward[t].items():
-            succ[cur] = nxt = tuple(_next_lines(hexa, t, cur))
-            for cand in nxt:
-                ahead[cand] = ahead.get(cand, 0) + ways
-        edges.append(succ)
-        forward.append(ahead)
+    pads = _paddings(hexa)
+    forward = _forward(pads)
     backward: list[dict] = [{(): 1}]  # line p+q holds no bead: one state
-    for succ in reversed(edges):
+    for pad, states in zip(reversed(pads), reversed(forward[:-1])):
         behind = backward[-1]
-        backward.append({cur: sum(behind[cand] for cand in nxt) for cur, nxt in succ.items()})
+        backward.append({cur: sum(behind[cand] for cand in _next_lines(pad, cur)) for cur in states})
     backward.reverse()
     return forward, backward
 
 
 def _total(hexa: DiscreteHexagon) -> int:
-    """Number of configurations, counted by the transfer within the budget."""
+    """Number of configurations, counted by the forward pass within the budget."""
     _check_budget(hexa)
-    return _transfer(hexa)[0][-1][()]
+    return _forward(_paddings(hexa))[-1][()]
 
 
 def _check_budget(hexa: DiscreteHexagon) -> None:
@@ -163,8 +177,8 @@ def enumerate_configurations(hexa: DiscreteHexagon) -> list[tuple[tuple[int, ...
     """
     _check_budget(hexa)
     configs = [((),)]
-    for t in range(hexa.p + hexa.q):
-        configs = [cfg + (c,) for cfg in configs for c in _next_lines(hexa, t, cfg[-1])]
+    for pad in _paddings(hexa):
+        configs = [cfg + (c,) for cfg in configs for c in _next_lines(pad, cfg[-1])]
     return configs
 
 

@@ -97,12 +97,7 @@ class KernelContext:
 
 def _line_data(spec: HexagonSpec, t: int, logfact: np.ndarray) -> _LineData:
     p, q = spec.p, spec.q
-    if t <= p:
-        pa, pb, ea, eb = p - t, q - t, p - t, q - t
-    elif t <= q:
-        pa, pb, ea, eb = t - p, q - t, 0, q - t
-    else:
-        pa, pb, ea, eb = t - p, t - q, 0, 0
+    pa, pb, ea, eb = abs(p - t), abs(q - t), max(p - t, 0), max(q - t, 0)
     r, s = particles_per_line(spec, t), pa + pb
     # Jacobi matrix of the weight (1-z)^pa (1+z)^pb on (-1, 1); at n = 0,
     # b is (pb - pa) / (s + 2), which the maximum keeps finite for s = 0

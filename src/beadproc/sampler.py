@@ -81,18 +81,10 @@ class RandomStream:
         return [RandomStream(_seq=child) for child in self.seq.spawn(_index(n, "n", 0))]
 
 
-def _dirichlet_batch(rng: np.random.Generator, multiplicities: Sequence[int], batch: int) -> np.ndarray:
-    """(batch, n) Dirichlet draws with integer shapes, via sums of exponentials."""
-    mult = [_index(s, "multiplicity", 1) for s in multiplicities]
-    if not mult:
-        raise ValueError(f"multiplicities must be one or more positive integers, got {multiplicities}")
-    return _dirichlet_draw(rng, mult, batch)
-
-
-def _dirichlet_draw(rng: np.random.Generator, mult: list[int], batch: int) -> np.ndarray:
-    """:func:`_dirichlet_batch` for shapes already checked: a non-empty list of ints >= 1."""
+def _dirichlet_draw(rng: np.random.Generator, mult: Sequence[int], batch: int) -> np.ndarray:
+    """(batch, n) Dirichlet draws with integer shapes ``mult``, one or more, each >= 1; via sums of exponentials."""
     e = rng.standard_exponential((batch, sum(mult)))
-    g = np.add.reduceat(e, np.cumsum([0] + mult[:-1]), axis=1)
+    g = np.add.reduceat(e, np.cumsum([0, *mult[:-1]]), axis=1)
     return g / g.sum(axis=1, keepdims=True)
 
 
@@ -151,10 +143,10 @@ def _eigen_start(poles: np.ndarray, weights: np.ndarray, total: np.ndarray) -> n
     return eigvalsh(block).T
 
 
-def _resolvent(poles: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``sum_i w_i/(x - a_i)`` at the points of each row; (B, n), (B, n), (B, k) -> (B, k)."""
+def _bracket_ends(poles: np.ndarray, weights: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``sum_i w_i/(x - a_i)`` at both ends x of every gap; (n, B), (n, B), (2, n-1, B) -> (2, n-1, B)."""
     with np.errstate(divide="ignore"):
-        return (weights[:, None, :] / (x[:, :, None] - poles[:, None, :])).sum(axis=2)
+        return _pole_sum(weights[:, None, None] / (ends - poles[:, None, None]))
 
 
 def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -175,14 +167,13 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     leave open evaluates ``f`` at its ends, with the same bytes either way.
 
     Inside, the work is gap-major: poles and weights are transposed once to
-    (n, B), and brackets, Newton state and pass 0's (n, n-1, B) resolvent
-    terms run on contiguous rows of the batch, where numpy's elementwise
-    loops are long, instead of on (B, n) rows only a few poles long.  Every
-    sum over the poles goes through :func:`_pole_sum`, in the order numpy
-    sums a row, so the zeros have the bytes of the row-major solve and do
-    not depend on how many rows or active entries share the call.  The
-    exact end evaluations keep :func:`_resolvent`'s (B, n) rows and numpy's
-    own row sums; the prefix and suffix sums run left to right in any layout.
+    (n, B), and brackets, end evaluations, Newton state and pass 0's
+    (n, n-1, B) resolvent terms run on contiguous rows of the batch, where
+    numpy's elementwise loops are long, instead of on (B, n) rows only a few
+    poles long.  Every sum over the poles goes through :func:`_pole_sum`, in
+    the order numpy sums a row, so the zeros have the bytes of the row-major
+    solve and do not depend on how many rows or active entries share the
+    call; the prefix and suffix sums run left to right in any layout.
 
     Raises ``RuntimeError`` naming the row and the gap if a gap holds no
     double strictly between its poles, if a zero comes out non-finite or
@@ -255,10 +246,10 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     settled = pinched | (sure_lo & sure_hi)
     if not settled.all():
         rows = np.flatnonzero(~settled.all(axis=0))
-        ends = _resolvent(poles[:, rows].T, weights[:, rows].T, np.hstack([lo[:, rows].T, hi[:, rows].T]))
-        flo, fhi = np.hsplit(ends, 2)
-        hi[:, rows] = np.where(flo.T <= 0.0, lo[:, rows], hi[:, rows])
-        lo[:, rows] = np.where(fhi.T >= 0.0, hi[:, rows], lo[:, rows])
+        lo_r, hi_r = lo[:, rows], hi[:, rows]
+        flo, fhi = _bracket_ends(poles[:, rows], weights[:, rows], np.stack([lo_r, hi_r]))
+        hi_r = np.where(flo <= 0.0, lo_r, hi_r)
+        hi[:, rows], lo[:, rows] = hi_r, np.where(fhi >= 0.0, hi_r, lo_r)
     if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
         raise RuntimeError("secular bracket failed — degenerate pole configuration")
 

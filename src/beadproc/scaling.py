@@ -16,9 +16,10 @@ line label ``S = t/p``:
   in determinants, so no correlation depends on it.
 
 The tail integrals reduce exactly to the scaled complex exponential integral
-``e^z E_1(z)`` (series near the origin and near the negative real axis,
-modified-Lentz continued fraction elsewhere) plus a short upward recurrence;
-no truncation is involved.
+``e^z E_d(z)``: ``E_1`` (series near the origin and near the negative real
+axis, modified-Lentz continued fraction elsewhere) plus a short upward
+recurrence where that recurrence keeps its digits, the continued fraction of
+``E_d`` itself elsewhere; no truncation is involved.
 """
 
 from __future__ import annotations
@@ -140,16 +141,30 @@ class ScalingContext:
     B: float
 
 
-def scaling_context(k: float, S: float) -> ScalingContext:
-    """All midpoint constants, with ``A = e^{pi/nu}`` and ``B = pi u_S / nu``;
-    needs ``k > 0`` and the plateau ``1 <= S <= k+1``."""
+def _nu(k: float, S: float, name: str) -> float:
+    # nu at the band midpoint of a plateau label, for the call name(k, S);
+    # the bulk kernels need no other midpoint constant
     _check_ks(k, S)
     if k <= 0:
         raise ValueError("bulk constants need k > 0 (p = q makes nu infinite)")
     if not 1.0 <= S <= k + 1.0:
         raise ValueError(f"plateau labels need 1 <= S <= {k + 1}, got {S}")
+    return _finite((2.0 + k) / k * math.sqrt((1.0 + k) / (S * (2.0 + k - S))), name, k, S)
+
+
+def scaling_context(k: float, S: float) -> ScalingContext:
+    """All midpoint constants, with ``A = e^{pi/nu}`` and ``B = pi u_S / nu``;
+    needs ``k > 0`` and the plateau ``1 <= S <= k+1``.  Raises
+    ``OverflowError`` where ``nu`` or ``A`` is outside the range of a double:
+    ``A`` leaves it once ``nu < 0.00443``, from about ``k = 2e5`` at the
+    plateau midpoint.  :func:`bulk_kernel` and :func:`gamma_parameter` need
+    only ``nu``, which is a double for every ``k <= 1e6``."""
+    nu = _nu(k, S, "scaling_context")
+    try:
+        A = math.exp(math.pi / nu)
+    except OverflowError:
+        raise OverflowError(f"scaling_context{(k, S)!r} is outside the range of a double") from None
     c, d = support_interval(k, S)
-    nu = _finite((2.0 + k) / k * math.sqrt((1.0 + k) / (S * (2.0 + k - S))), "scaling_context", k, S)
     u_S = midpoint_density(k, S)
     return ScalingContext(
         k=k,
@@ -159,14 +174,14 @@ def scaling_context(k: float, S: float) -> ScalingContext:
         X_S=0.5 * (c + d),
         u_S=u_S,
         nu=nu,
-        A=math.exp(math.pi / nu),
+        A=A,
         B=math.pi / nu * u_S,  # this order keeps B = 2 exact at k = S = 2
     )
 
 
 def gamma_parameter(k: float, S: float) -> float:
     """Anisotropy parameter of ``J_gamma``: ``1/sqrt(1 + nu^2)``."""
-    nu = float(scaling_context(k, S).nu)  # a Python float: nu * nu overflows to inf without a warning
+    nu = float(_nu(k, S, "gamma_parameter"))  # a Python float: nu * nu overflows to inf without a warning
     if math.isinf(nu * nu):  # nu > 1.3e154, where 1 + nu^2 rounds to nu^2 anyway
         return 1.0 / nu
     return 1.0 / math.sqrt(1.0 + nu * nu)
@@ -178,6 +193,33 @@ _EULER_GAMMA = 0.5772156649015328606
 _E1_TERMS = 200  # series cap; the series converges within it for every |z| <= 70
 
 
+def _en_fraction(z: complex, n: int, steps: int) -> complex | None:
+    """``e^z E_n(z)`` by its continued fraction, or ``None`` if that has not
+    converged within ``steps`` steps."""
+    # modified Lentz on the even continued fraction
+    # 1/(z+n- 1n/(z+n+2- 2(n+1)/(z+n+4- ...))); f = z + n is off 0 for every
+    # z served (|z| > 4 for E_1, Im z = -tau != 0 for the tails), so only c
+    # and d need the guard
+    tiny = 1e-290
+    f = z + n
+    c, d = f, complex(0.0)
+    for i in range(1, steps):
+        a = -float(i * (i + n - 1))
+        b = z + 2.0 * i + n
+        d = b + a * d
+        if d == 0:
+            d = tiny
+        c = b + a / c
+        if c == 0:
+            c = tiny
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return 1.0 / f
+    return None
+
+
 def _e1_scaled(z: complex) -> complex:
     """``e^z E_1(z)`` off the branch cut (-inf, 0].
 
@@ -187,25 +229,9 @@ def _e1_scaled(z: complex) -> complex:
     nearly share one sign, so the series loses few digits and takes over.
     """
     if abs(z) > 4.0:
-        # modified Lentz on the even continued fraction 1/(z+1- 1/(z+3- 4/(z+5- ...)));
-        # f = z + 1 starts at least 3 from 0, so only c and d need the guard
-        tiny = 1e-290
-        f = z + 1.0
-        c, d = f, complex(0.0)
-        for n in range(1, 500):
-            a = -float(n * n)
-            b = z + 2.0 * n + 1.0
-            d = b + a * d
-            if d == 0:
-                d = tiny
-            c = b + a / c
-            if c == 0:
-                c = tiny
-            d = 1.0 / d
-            delta = c * d
-            f *= delta
-            if abs(delta - 1.0) < 1e-16:
-                return 1.0 / f
+        value = _en_fraction(z, 1, 500)
+        if value is not None:
+            return value
     total = complex(0.0)
     term = complex(1.0)
     for n in range(1, _E1_TERMS):
@@ -223,10 +249,15 @@ def _e1_scaled(z: complex) -> complex:
 def tail_integral_real(tau: float, nu: float, d: int) -> float:
     """``Re(int_1^inf e^{i tau t} (1 + i nu t)^{-d} dt)`` for integer ``d >= 1``.
 
-    Exact reduction: substitute onto the shifted ray, peel powers by the
-    integration-by-parts recurrence, and close with the scaled exponential
-    integral.  No truncation anywhere, hence no truncation tolerance.  Raises
-    ``OverflowError`` where the value is outside the range of a double.
+    Exact reduction: substitute onto the shifted ray, where the integral is
+    the scaled exponential integral ``e^z E_d(z)``, ``z = -tau/nu - i tau``.
+    ``E_1`` closes it, and the integration-by-parts recurrence climbs to
+    ``d`` while the rounding error it multiplies by ``|z| / (j - 1)`` at step
+    ``j`` stays small; otherwise the continued fraction of ``E_d`` gives it
+    directly.  No truncation anywhere, hence no truncation tolerance.
+    Raises ``ValueError`` naming tau, nu and d where that fraction does not
+    converge either (mostly ``d`` near ``|z|`` with ``tau nu`` below 0.002),
+    and ``OverflowError`` where the value is outside the range of a double.
     """
     d = _index(d, "tail power d", 1)
     if not (math.isfinite(tau) and math.isfinite(nu)) or nu == 0.0:
@@ -238,9 +269,24 @@ def tail_integral_real(tau: float, nu: float, d: int) -> float:
     else:
         beta = 1j * nu / (1.0 + 1j * nu)
         z = complex(-tau / nu, -tau)
-        g = _e1_scaled(z) / beta
-        for j in range(2, d + 1):
-            g = (1.0 + 1j * tau * g) / (beta * (j - 1))
+        # g_j = e^z E_j(z) / beta.  The recurrence multiplies the error of
+        # g_1 by |z|^(d-1) / (d-1)! and loses about eps times that, give or
+        # take a factor 100:
+        # it serves up to 1e3.  Past that the fraction serves, in up to 2^17
+        # steps (about 0.2 s); near d ~ |z| it needs about 300 |z| / Im(z)^2
+        # of them, 300 / (tau nu), and far fewer elsewhere.
+        if d == 1 or (d - 1) * math.log(abs(z)) - math.lgamma(d) <= math.log(1e3):
+            g = _e1_scaled(z) / beta
+            for j in range(2, d + 1):
+                g = (1.0 + 1j * tau * g) / (beta * (j - 1))
+        else:
+            h = _en_fraction(z, d, 1 << 17) if cmath.isfinite(z) else None
+            if h is None:
+                raise ValueError(
+                    f"tail integral out of reach at tau = {tau}, nu = {nu}, d = {d}: the recurrence "
+                    "would lose too many digits and the continued fraction does not converge"
+                )
+            g = h / beta
         value = (cmath.exp(1j * tau) * (1.0 + 1j * nu) ** (-d) * g).real
     return _finite(value, "tail_integral_real", tau, nu, d)
 

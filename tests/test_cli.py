@@ -211,6 +211,28 @@ def test_bulk_tail_at_large_k(capsys):
     assert float(out) == pytest.approx(0.64724817053755433, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "args,want",
+    [
+        # the upward recurrence printed -2450387807433324 and 1.08257; the
+        # figures are mpmath quadosc of the tail
+        ("--k 10000 --S 5001 --t0 30 --X 1", 0.22276804484987991),
+        ("--k 1000 --S 501 --t0 30 --X 1", 0.72633558081558976),
+    ],
+)
+def test_bulk_tail_far_from_its_recurrence(args, want, capsys):
+    assert run(["bulk", *args.split()]) == 0
+    out, _ = _capture(capsys)
+    assert float(out) == pytest.approx(want, rel=1e-8)
+
+
+def test_bulk_at_the_aspect_ratio_cap(capsys):
+    # A = e^(pi/nu) overflows at k = 1e6, which the bulk kernel does not need
+    assert run("bulk --k 1e6 --S 500001 --s0 1 --X 0.25".split()) == 0
+    out, err = _capture(capsys)
+    assert err == "" and math.isfinite(float(out))
+
+
 def test_bulk_value_outside_a_double_is_an_error_line(capsys):
     # (1 + i nu t)^1100 overflows: one error line and exit 2
     code = run("bulk --k 2 --S 2 --s0 1100 --X 0.5".split())

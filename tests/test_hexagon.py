@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -271,16 +272,63 @@ def test_transfer_counts_macmahon_past_the_budget(n, p, q, total):
     assert hexagon._transfer(DiscreteHexagon(n, p, q))[0][-1][()] == total
 
 
+def test_transfer_keeps_counts_not_edges():
+    # the traced peak is what the two count lists retain, give or take; it
+    # was about 5x while the forward pass stored every state's successors
+    hexa = DiscreteHexagon(24, 2, 3)
+    tracemalloc.start()
+    try:
+        result = hexagon._transfer(hexa)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result[0][-1][()] == _macmahon(24, 2, 3)
+    assert peak <= 1.5 * retained, (peak, retained)
+
+
+def test_transfer_reads_each_boundary_once(monkeypatch):
+    calls = []
+    real = hexagon.boundary_positions
+
+    def counted(hexa, t):
+        calls.append(t)
+        return real(hexa, t)
+
+    monkeypatch.setattr(hexagon, "boundary_positions", counted)
+    for hexa in (DiscreteHexagon(2, 2, 2), DiscreteHexagon(3, 2, 4), DiscreteHexagon(2, 4, 2)):
+        calls.clear()
+        hexagon._transfer(hexa)
+        assert len(calls) <= hexa.p + hexa.q + 1, (hexa, calls)
+
+
+def test_total_runs_only_the_forward_pass(monkeypatch):
+    # one _next_lines call per state of lines 0..p+q-1, none for a backward pass
+    calls = []
+    real = hexagon._next_lines
+
+    def counted(pad, current):
+        calls.append(current)
+        return real(pad, current)
+
+    monkeypatch.setattr(hexagon, "_next_lines", counted)
+    for n, p, q in [(2, 2, 2), (4, 2, 2), (2, 2, 4), (1, 4, 4)]:
+        hexa = DiscreteHexagon(n, p, q)
+        forward = hexagon._transfer(hexa)[0]
+        calls.clear()
+        assert hexagon._total(hexa) == _macmahon(n, p, q)
+        assert len(calls) == sum(len(states) for states in forward[:-1]), hexa
+
+
 def test_next_lines_match_the_reference_search():
     # every reachable line state of every budget hexagon (mirrors included)
     # and of two past the budget: the same successor tuples, in order
     for hexa in _budget_hexagons() + [DiscreteHexagon(3, 3, 3), DiscreteHexagon(8, 3, 3)]:
         states = [()]
-        for t in range(hexa.p + hexa.q):
+        for t, pad in enumerate(hexagon._paddings(hexa)):
             reached = {}
             for cur in states:
                 want = tuple(reference_next_lines(hexa, t, cur))
-                assert tuple(hexagon._next_lines(hexa, t, cur)) == want, (hexa, t, cur)
+                assert tuple(hexagon._next_lines(pad, cur)) == want, (hexa, t, cur)
                 reached.update(dict.fromkeys(want))
             states = list(reached)
         assert states == [()], hexa

@@ -13,7 +13,7 @@ from beadproc import checks, sampler
 from beadproc.cli import run
 from beadproc.kernel import kernel_context, line_density
 from beadproc.model import HexagonSpec, interlacing_breaks, particles_per_line
-from beadproc.sampler import RandomStream, _dirichlet_batch, sample_positions
+from beadproc.sampler import RandomStream, _dirichlet_draw, sample_positions
 from beadproc.stats import ks_statistic
 from secular_reference import SecularProblem, secular_brackets, secular_zeros, secular_zeros_bisect, unsettled_rows
 
@@ -24,7 +24,7 @@ from secular_reference import SecularProblem, secular_brackets, secular_zeros, s
 def test_dirichlet_component_sum_is_one():
     stream = RandomStream(7)
     for mult in [(1, 1), (4, 12), (2, 1, 1, 3)]:
-        v = _dirichlet_batch(stream.generator, mult, 1)
+        v = _dirichlet_draw(stream.generator, mult, 1)
         assert v.shape == (1, len(mult))
         assert np.all(v > 0.0)
         assert abs(v.sum() - 1.0) < 1e-13
@@ -34,7 +34,7 @@ def test_dirichlet_unit_multiplicities_first_component_uniform():
     stream = RandomStream(11)
     # one batch takes the stream's exponentials in the order 10_000 single
     # draws would, so these are the same draws
-    draws = _dirichlet_batch(stream.generator, (1, 1), 10_000)[:, 0]
+    draws = _dirichlet_draw(stream.generator, (1, 1), 10_000)[:, 0]
     assert ks_statistic(draws, lambda x: x) < 0.02
 
 
@@ -42,19 +42,9 @@ def test_dirichlet_first_component_mean():
     # mean of component 1 is s_1 / sum(s); for (4, 12) that is 1/4
     stream = RandomStream(13)
     n = 20_000
-    draws = _dirichlet_batch(stream.generator, (4, 12), n)[:, 0]
+    draws = _dirichlet_draw(stream.generator, (4, 12), n)[:, 0]
     var = 4 * 12 / (16.0**2 * 17.0)  # Beta(4,12) variance
     assert abs(draws.mean() - 0.25) < 3.0 * math.sqrt(var / n)
-
-
-def test_dirichlet_rejects_zero_multiplicity():
-    rng = RandomStream(1).generator
-    with pytest.raises(ValueError):
-        _dirichlet_batch(rng, (1, 0, 2), 1)
-    with pytest.raises(ValueError, match="multiplicities must be one or more positive integers"):
-        _dirichlet_batch(rng, (), 1)
-    with pytest.raises(TypeError, match=r"^multiplicity must be an integer >= 1, got 1\.5$"):
-        _dirichlet_batch(rng, (1.5, 2), 1)  # not floored to Dirichlet(1, 2)
 
 
 # ------------------------------------------------------------ secular zeros
@@ -292,23 +282,26 @@ def test_pole_sum_adds_in_numpy_row_order():
     # of a row-major solve.  Mixed signs and magnitudes make the order show:
     # a numpy release that sums rows differently fails here, instead of
     # moving sample bytes without a word.
+    # The (n, 2, n-1, k) case is the bracket-end evaluation of k rows.
     rng = np.random.default_rng(27)
     for n in [*range(1, 141), 256, 513]:
         rows = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (6, n))
-        for batch in (rows[:1], rows, rows.reshape(2, 3, n)):
+        ends = rng.standard_normal((2, n - 1, 3, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (2, n - 1, 3, n))
+        for batch in (rows[:1], rows, rows.reshape(2, 3, n), ends):
             got = sampler._pole_sum(np.ascontiguousarray(np.moveaxis(batch, -1, 0)))
             assert got.tobytes() == batch.sum(axis=-1).tobytes(), (n, batch.shape)
 
 
-def _record_resolvent(monkeypatch):
-    # the pole rows of every exact bracket-end evaluation, one list per call
-    calls, real = [], sampler._resolvent
+def _record_bracket_ends(monkeypatch):
+    # the pole rows of every exact bracket-end evaluation, one list per call;
+    # the evaluation takes them gap-major, one row per column
+    calls, real = [], sampler._bracket_ends
 
-    def recorded(poles, weights, x):
-        calls.append(poles.tolist())
-        return real(poles, weights, x)
+    def recorded(poles, weights, ends):
+        calls.append(poles.T.tolist())
+        return real(poles, weights, ends)
 
-    monkeypatch.setattr(sampler, "_resolvent", recorded)
+    monkeypatch.setattr(sampler, "_bracket_ends", recorded)
     return calls
 
 
@@ -332,7 +325,7 @@ def test_clamped_zeros_survive_the_weight_test(monkeypatch):
     # gap, the zero is that end bit for bit, and a row with a clamp always
     # went through the exact evaluation: the weights never settle an end
     # whose f has the clamping sign.
-    calls = _record_resolvent(monkeypatch)
+    calls = _record_bracket_ends(monkeypatch)
     kinds = set()
     for seed in range(40):
         poles, weights = _clamp_batch(seed)
@@ -353,7 +346,7 @@ def test_clamped_zeros_survive_the_weight_test(monkeypatch):
 
 def test_sampled_brackets_need_no_exact_end_evaluation(monkeypatch):
     # the work gate: sampled weights settle every bracket end
-    calls = _record_resolvent(monkeypatch)
+    calls = _record_bracket_ends(monkeypatch)
     sample_positions(RandomStream(7), HexagonSpec(p=4, q=12), count=60)
     sample_positions(RandomStream(3), HexagonSpec(p=32, q=96), count=32)
     assert calls == []
@@ -362,7 +355,7 @@ def test_sampled_brackets_need_no_exact_end_evaluation(monkeypatch):
 def test_only_unsettled_rows_evaluate_their_ends(monkeypatch):
     # on the hard batches about half the rows have an end the weights leave
     # unsettled; those rows, and no others, take one exact evaluation
-    calls = _record_resolvent(monkeypatch)
+    calls = _record_bracket_ends(monkeypatch)
     for seed in range(6):
         poles, weights = _hard_batch(seed)
         calls.clear()

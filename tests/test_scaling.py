@@ -201,6 +201,15 @@ def test_gamma_parameter_values():
     assert abs(gamma_parameter(3.0, 1.5) - 1.0 / math.sqrt(1.0 + nu * nu)) < 1e-14
 
 
+def test_nu_alone_serves_k_up_to_the_cap():
+    # A = e^(pi/nu) leaves a double from k ~ 2e5 at mid-plateau; gamma needs only nu
+    nu_squared = 4.0 * 250001.0 / 2.5e5**2  # nu = 2 sqrt(1 + k) / k at S = 1 + k/2
+    assert gamma_parameter(2.5e5, 125001.0) == pytest.approx(1.0 / math.sqrt(1.0 + nu_squared), rel=1e-14)
+    message = r"^scaling_context\(1000000\.0, 500001\.0\) is outside the range of a double$"
+    with pytest.raises(OverflowError, match=message):
+        scaling_context(1e6, 500001.0)
+
+
 def test_gamma_parameter_past_the_square_overflow():
     # nu = 2e160: nu * nu overflows, yet gamma = 1/nu is a normal double
     nu = scaling_context(1e-160, 1.0).nu
@@ -212,30 +221,69 @@ def test_gamma_parameter_past_the_square_overflow():
 # ------------------------------------------------------------- tail integral
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+def _bulk_tail(k, d, X):
+    # the tail of bulk_kernel at the plateau midpoint S = 1 + k/2, offset d = t0 - s0
+    return pytest.param(math.pi * X, scaling_context(k, 1.0 + k / 2.0).nu, d, id=f"k={k:g}-d={d}-X={X}")
+
+
 @pytest.mark.parametrize(
-    "tau,nu",
+    "tau,nu,d",
     [
-        (0.0, 0.8),
-        (0.7, 0.8),
-        (-1.3, 1.7320508075688772),
-        # nu at mid-plateau, S = 1 + k/2, for k = 20, 50 and 100; at the last
-        # two the continued fraction does not converge and the series serves
-        (1.5, 0.45825756949558405),
-        (1.5, 0.285657137141714),
-        (1.5, 0.2009975124224178),
+        (tau, nu, d)
+        for tau, nu in [
+            (0.0, 0.8),
+            (0.7, 0.8),
+            (-1.3, 1.7320508075688772),
+            # nu at mid-plateau, S = 1 + k/2, for k = 20, 50 and 100; at the last
+            # two the continued fraction does not converge and the series serves
+            (1.5, 0.45825756949558405),
+            (1.5, 0.285657137141714),
+            (1.5, 0.2009975124224178),
+        ]
+        for d in [1, 2, 3]
+    ]
+    # Bulk tails, some where the upward recurrence would multiply its rounding
+    # error by up to 2e18 (k = 1e3, d = 30, X = 1) and 5e32 (k = 1e4, d = 30,
+    # X = 1); the continued fraction of E_d serves there instead.
+    + [
+        _bulk_tail(k, d, X)
+        for k, d, X in [
+            (2, 8, 0.25),
+            (2, 30, 1),
+            (50, 8, 1),
+            (50, 30, 0.25),
+            (1e3, 8, 1),
+            (1e3, 30, 1),
+            (1e4, 1, 0.25),
+            (1e4, 8, 0.25),
+            (1e4, 30, 0.25),
+            (1e4, 30, 1),
+        ]
     ],
 )
-def test_tail_integral_against_quadrature(d, tau, nu):
+def test_tail_integral_against_quadrature(tau, nu, d):
     def f(t):
         return mp.re(mp.e ** (1j * tau * t) * (1 + 1j * nu * t) ** (-d))
 
     if tau == 0.0:
-        expected = mp.quad(f, [1, mp.inf])
+        expected = float(mp.quad(f, [1, mp.inf]))
     else:
-        expected = mp.quadosc(f, [1, mp.inf], omega=abs(tau))
+        expected = float(mp.quadosc(f, [1, mp.inf], omega=abs(tau)))
     got = tail_integral_real(tau, nu, d)
-    assert abs(got - float(expected)) < 1e-12
+    assert abs(got - expected) < 1e-12
+    assert abs(got - expected) <= 1e-8 * abs(expected)
+
+
+def test_tail_far_below_its_recurrence_is_not_garbage():
+    # z = -1e50 - i: the upward recurrence returned 9.3e33; the value is
+    # Re(i e^i) = -sin 1 to within nu
+    assert abs(tail_integral_real(1.0, 1e-50, 2) + math.sin(1.0)) <= 1e-15
+
+
+def test_tail_out_of_reach_names_its_arguments():
+    # tau nu = 6e-5: the fraction would need about 5e6 steps
+    with pytest.raises(ValueError, match=r"^tail integral out of reach at tau = 0\.03, nu = 0\.002, d = 8: "):
+        tail_integral_real(0.03, 0.002, 8)
 
 
 # Near the negative real axis, with 4 < |z| < 42, the continued fraction runs
