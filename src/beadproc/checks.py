@@ -90,9 +90,10 @@ def lattice_identities(
 
     Returns ``(count_ok, marginal_ok)``: the left counts equal their closed
     form on every configuration of each of ``count_lines``, and the exact
-    line marginal is one constant times the Hahn weight on each non-empty line
-    of ``marginal_lines`` (zero where the weight is zero).  Both come from
-    one transfer over the hexagon.
+    line marginal is one constant times the Hahn weight on each of
+    ``marginal_lines``.  The weight is a product of positive factors, and a
+    line with no bead (0 or p + q) has one configuration, so one ratio.
+    Both come from one transfer over the hexagon.
     """
     hx._check_budget(hexa)
     forward, backward = hx._transfer(hexa)
@@ -108,16 +109,10 @@ def lattice_identities(
     )
     marginal_ok = True
     for t in marginal_lines:
-        if hx.lattice_particles_per_line(hexa, t) == 0:
-            continue
-        ratios = set()
-        for xs in configs(t):
-            brute = forward[t].get(xs, 0) * backward[t].get(xs, 0)
-            weight = hx.hahn_marginal_unnormalized(hexa, t, xs)
-            if weight == 0:
-                marginal_ok = marginal_ok and brute == 0
-            else:
-                ratios.add(Fraction(brute, weight))
+        ratios = {
+            Fraction(forward[t].get(xs, 0) * backward[t].get(xs, 0), hx.hahn_marginal_unnormalized(hexa, t, xs))
+            for xs in configs(t)
+        }
         marginal_ok = marginal_ok and len(ratios) == 1
     return count_ok, marginal_ok
 

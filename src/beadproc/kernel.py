@@ -504,7 +504,7 @@ def line_density(ctx: KernelContext, t: int, xs):
     # kernel_matrix scales its tower, and a value still not finite raises.
     lx, l1x, G, psi = _tower(d, xs_arr)
     sq = np.einsum("ni,ni->i", psi, psi)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         big = ~np.isfinite(sq)
         if big.any():
             cols = psi[:, big]

@@ -149,6 +149,12 @@ def _bracket_ends(poles: np.ndarray, weights: np.ndarray, ends: np.ndarray) -> n
         return _pole_sum(weights[:, None, None] / (ends - poles[:, None, None]))
 
 
+def _gap_failure(stage: str, poles: np.ndarray, j: int, b: int, detail: str) -> RuntimeError:
+    """``secular <stage> failed — gap j+1 (a_j, a_j+1) of row b`` and ``detail``; poles gap-major."""
+    a_lo, a_hi = float(poles[j, b]), float(poles[j + 1, b])
+    return RuntimeError(f"secular {stage} failed — gap {j + 1} ({a_lo!r}, {a_hi!r}) of row {b}{detail}")
+
+
 def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Zeros of ``sum_i w_i/(x - a_i)`` per row; shapes (B, n) -> (B, n-1).
 
@@ -158,13 +164,13 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     land strictly inside the bracket (or is NaN) becomes a bisection step,
     and an entry freezes once its step is at most 4 ulps or its bracket has
     closed, so every zero depends on its own row alone.  Weights are
-    non-negative, of any scale: each row is first scaled by an exact power
-    of four to a sum in [0.5, 2), which keeps its zeros; a row whose sum
-    overflows a double is first brought down by its largest weight's power
-    of four.  A zero nearer a pole than its bracket's inward offset is
-    clamped to the bracket end.  Prefix and suffix sums of the weights
-    settle the sign of ``f`` at nearly every end; only a row with an end they
-    leave open evaluates ``f`` at its ends, with the same bytes either way.
+    non-negative and sum to 1 within rounding, as :func:`_dirichlet_draw`
+    draws them, which keeps ``sqrt(w)``, ``beta**2`` in :func:`_eigen_start`
+    and the Newton sums clear of overflow and subnormals.  A zero nearer a
+    pole than its bracket's inward offset is clamped to the bracket end.
+    Prefix and suffix sums of the weights settle the sign of ``f`` at nearly
+    every end; only a row with an end they leave open evaluates ``f`` at its
+    ends, with the same bytes either way.
 
     Inside, the work is gap-major: poles and weights are transposed once to
     (n, B), and brackets, end evaluations, Newton state and pass 0's
@@ -175,38 +181,28 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     solve and do not depend on how many rows or active entries share the
     call; the prefix and suffix sums run left to right in any layout.
 
-    Raises ``RuntimeError`` naming the row and the gap if a gap holds no
-    double strictly between its poles, if a zero comes out non-finite or
-    outside its bracket, or if one is still moving when the
-    ``_NEWTON_ITERS`` cap runs out.
+    Raises ``ValueError`` naming the row and its sum if a row's weights sum
+    to a value outside [0.5, 2), NaN included.  Raises ``RuntimeError``
+    naming the row and the gap if a gap holds no double strictly between its
+    poles, if a zero comes out non-finite or outside its bracket, or if one
+    is still moving when the ``_NEWTON_ITERS`` cap runs out.
     """
     batch = poles.shape[0]
     poles = np.ascontiguousarray(poles.T)
     weights = np.ascontiguousarray(weights.T)
-    # sqrt(w), beta**2 in _eigen_start and the Newton sums then stay clear of
-    # overflow and subnormals.  Sampled rows sum to about 1: their shift is 0,
-    # so they keep their weights, their bytes and the sum taken here.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a refused row may sum past the largest double
         total = _pole_sum(weights)
-    huge = np.isinf(total)
-    if huge.any():
-        # A sum past the largest double: first the largest weight's power of four.
-        weights = np.ldexp(weights, np.where(huge, -2 * (np.frexp(weights.max(axis=0))[1] // 2), 0))
-        total = _pole_sum(weights)
-    shift = -2 * (np.frexp(total)[1] // 2)
-    if shift.any():
-        weights = np.ldexp(weights, shift)
-        total = _pole_sum(weights)
+    off_one = ~((0.5 <= total) & (total < 2.0))
+    if off_one.any():
+        b = np.flatnonzero(off_one)[0]
+        raise ValueError(f"secular solve needs weights summing to 1; row {b} sums to {float(total[b])!r}")
     below, above = poles[:-1], poles[1:]  # the poles of each gap, (n-1, B)
     # A zero needs a double strictly inside its gap: the midpoint, if any.
     mid_gap = 0.5 * (above + below)
     no_room = ~((below < mid_gap) & (mid_gap < above))
     if no_room.any():
         b, j = np.argwhere(no_room.T)[0]
-        raise RuntimeError(
-            f"secular bracket failed — gap {j + 1} ({float(poles[j, b])!r}, "
-            f"{float(poles[j + 1, b])!r}) of row {b} holds no double strictly between its poles"
-        )
+        raise _gap_failure("bracket", poles, j, b, " holds no double strictly between its poles")
     gap = above - below
     # Inward offset: relative to the gap, but never below a few ulps of the
     # pole itself, or the endpoint rounds back onto the pole (division by zero).
@@ -250,8 +246,6 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
         flo, fhi = _bracket_ends(poles[:, rows], weights[:, rows], np.stack([lo_r, hi_r]))
         hi_r = np.where(flo <= 0.0, lo_r, hi_r)
         hi[:, rows], lo[:, rows] = hi_r, np.where(fhi >= 0.0, hi_r, lo_r)
-    if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
-        raise RuntimeError("secular bracket failed — degenerate pole configuration")
 
     # Entries are flattened gap-major to ((n-1) * B,), entry j * B + b for
     # gap j of row b; ``act`` lists the unfrozen ones.  Each pass holds one
@@ -303,19 +297,12 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     bad = ~(np.isfinite(zeros) & (lo <= zeros) & (zeros <= hi))
     if bad.any():
         b, j = np.argwhere(bad.T)[0]
-        raise RuntimeError(
-            f"secular solve failed — gap {j + 1} ({float(poles[j, b])!r}, {float(poles[j + 1, b])!r}) "
-            f"of row {b}: zero {float(zeros[j, b])!r} is non-finite or outside "
-            f"[{float(lo[j, b])!r}, {float(hi[j, b])!r}]"
-        )
-    if act.size:
-        ja, ra = np.divmod(act, batch)
-        first = np.argmin(ra * lo.shape[0] + ja)  # in row order, as the rows are reported
-        b, j = int(ra[first]), int(ja[first])
-        raise RuntimeError(
-            f"secular solve failed — gap {j + 1} ({float(poles[j, b])!r}, {float(poles[j + 1, b])!r}) "
-            f"of row {b}: zero {float(zeros[j, b])!r} still moving after {_NEWTON_ITERS} Newton steps"
-        )
+        outside = f"is non-finite or outside [{float(lo[j, b])!r}, {float(hi[j, b])!r}]"
+        raise _gap_failure("solve", poles, j, b, f": zero {float(zeros[j, b])!r} {outside}")
+    if act.size:  # the first in row order, as the rows are reported
+        b, j = divmod(int(np.min(act % batch * lo.shape[0] + act // batch)), lo.shape[0])
+        moving = f"still moving after {_NEWTON_ITERS} Newton steps"
+        raise _gap_failure("solve", poles, j, b, f": zero {float(zeros[j, b])!r} {moving}")
     return zeros.T
 
 

@@ -195,14 +195,24 @@ _E1_TERMS = 200  # series cap; the series converges within it for every |z| <= 7
 
 def _en_fraction(z: complex, n: int, steps: int) -> complex | None:
     """``e^z E_n(z)`` by its continued fraction, or ``None`` if that has not
-    converged within ``steps`` steps."""
+    converged within ``steps`` steps.
+
+    A step factor ``delta`` that rounds to 1 ends the fraction.  Far from
+    the origin (``|z| ~ 1e19`` and beyond) the factors differ from 1 by less
+    than an ulp and can round to a neighbour of 1 instead, the same one step
+    after step; multiplying each in would drift ``f`` by an ulp a step.  So
+    a factor repeated 8 times in a row ends it too, with ``f`` as it stood
+    after the first of them.  Runs of repeats that end in a factor of 1 are
+    shorter (at most 6 seen, over ``nu`` from 0.01 to 100), so they keep
+    their bytes.
+    """
     # modified Lentz on the even continued fraction
     # 1/(z+n- 1n/(z+n+2- 2(n+1)/(z+n+4- ...))); f = z + n is off 0 for every
     # z served (|z| > 4 for E_1, Im z = -tau != 0 for the tails), so only c
     # and d need the guard
     tiny = 1e-290
     f = z + n
-    c, d = f, complex(0.0)
+    c, d, last = f, complex(0.0), None
     for i in range(1, steps):
         a = -float(i * (i + n - 1))
         b = z + 2.0 * i + n
@@ -217,6 +227,10 @@ def _en_fraction(z: complex, n: int, steps: int) -> complex | None:
         f *= delta
         if abs(delta - 1.0) < 1e-16:
             return 1.0 / f
+        if delta != last:
+            last, settled, repeats = delta, f, 0
+        elif (repeats := repeats + 1) == 8:
+            return 1.0 / settled
     return None
 
 
@@ -254,7 +268,9 @@ def tail_integral_real(tau: float, nu: float, d: int) -> float:
     ``E_1`` closes it, and the integration-by-parts recurrence climbs to
     ``d`` while the rounding error it multiplies by ``|z| / (j - 1)`` at step
     ``j`` stays small; otherwise the continued fraction of ``E_d`` gives it
-    directly.  No truncation anywhere, hence no truncation tolerance.
+    directly.  No truncation anywhere, hence no truncation tolerance.  Where
+    ``tau/nu`` overflows, the value is ``-sin(tau)/tau``, the first
+    integration-by-parts term: the rest is below ``d nu / tau^2`` of it.
     Raises ``ValueError`` naming tau, nu and d where that fraction does not
     converge either (mostly ``d`` near ``|z|`` with ``tau nu`` below 0.002),
     and ``OverflowError`` where the value is outside the range of a double.
@@ -266,6 +282,8 @@ def tail_integral_real(tau: float, nu: float, d: int) -> float:
         value = (0.5 * math.pi - math.atan(abs(nu))) / abs(nu)
     elif tau == 0.0:
         value = ((1 + 1j * nu) ** (1 - d)).imag / ((d - 1) * nu)
+    elif math.isinf(tau / nu):
+        value = -math.sin(tau) / tau
     else:
         beta = 1j * nu / (1.0 + 1j * nu)
         z = complex(-tau / nu, -tau)
@@ -280,7 +298,7 @@ def tail_integral_real(tau: float, nu: float, d: int) -> float:
             for j in range(2, d + 1):
                 g = (1.0 + 1j * tau * g) / (beta * (j - 1))
         else:
-            h = _en_fraction(z, d, 1 << 17) if cmath.isfinite(z) else None
+            h = _en_fraction(z, d, 1 << 17)
             if h is None:
                 raise ValueError(
                     f"tail integral out of reach at tau = {tau}, nu = {nu}, d = {d}: the recurrence "

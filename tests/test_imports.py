@@ -9,7 +9,8 @@ module, must be read by the package itself or by a script, so the package
 does not export code that only tests run; such code lives next to the test
 references in ``tests/``.  And no package module but ``model`` calls
 ``operator.index`` or tests for bools: ``model._index`` is the one integer
-check.
+check.  And a package module reads another module's private name only
+where the pair is listed in ``PRIVATE_READS``, with its reason.
 """
 
 import ast
@@ -91,3 +92,51 @@ def test_integer_arguments_are_checked_only_in_model():
     modules = sorted((ROOT / "src/beadproc").glob("*.py"))
     assert integer_checks(ROOT / "src/beadproc/model.py")
     assert [hit for f in modules if f.name != "model.py" for hit in integer_checks(f)] == []
+
+
+# Each reader's reads of other modules' private names, with the reason.
+# ``model._index``, the one integer check, is open to every module.
+PRIVATE_READS = {
+    "cli": {
+        "hexagon._total": "`enumerate --total-only` counts without listing",
+        "scaling._nu": "`bulk` needs nu alone, past the k where scaling_context's A overflows",
+    },
+    "checks": {
+        "hexagon._check_budget": "lattice_identities refuses a hexagon past the budget before its transfer",
+        "hexagon._total": "validate's frozen counts count without listing",
+        "hexagon._transfer": "lattice_identities reads the counts the transfer keeps",
+        "sampler._dirichlet_draw": "validate checks the sampler's own Dirichlet draw",
+    },
+    "oracle": {"kernel._check_positions": "probe positions are refused as kernel positions are"},
+    "scaling": {"kernel._gauss_legendre_unit": "the bulk forms share the kernel's cached nodes"},
+}
+
+
+def private_reads(path: Path) -> set[str]:
+    """``"module._name"`` for each private name of another package module that ``path`` reads,
+    by ``from .module import _name`` or as ``module._name`` on an imported module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    package = {f.stem for f in path.parent.glob("*.py")}
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name in package:
+                    modules[alias.asname or alias.name] = alias.name
+                elif node.module in package and alias.name.startswith("_"):
+                    reads.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if node.attr.startswith("_") and not node.attr.startswith("__"):
+                reads.add(f"{modules[node.value.id]}.{node.attr}")
+    return reads - {"model._index"}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    # one module per decision: a module that needs another's private name
+    # gets it by a listed pair, so adding one is a visible edit with a reason
+    modules = sorted((ROOT / "src/beadproc").glob("*.py"))
+    found = {f.stem: private_reads(f) for f in modules}
+    assert {stem: reads for stem, reads in found.items() if reads} == {
+        stem: set(pairs) for stem, pairs in PRIVATE_READS.items()
+    }

@@ -848,6 +848,21 @@ def test_cross_overflow_names_its_place():
         kernel_matrix(ctx, 256, [0.5], 1, [0.5])
 
 
+def test_line_density_past_a_double_raises_without_a_warning(monkeypatch):
+    # the tower's exponent shifted by 1000 puts every density past a double:
+    # an OverflowError, not numpy's overflow warning first (the test
+    # configuration makes warnings errors)
+    tower = kernel_module._tower
+
+    def shifted(d, x):
+        lx, l1x, G, psi = tower(d, x)
+        return lx, l1x, G + 1000.0, psi
+
+    monkeypatch.setattr(kernel_module, "_tower", shifted)
+    with pytest.raises(OverflowError, match=r"^Jacobi tower \(0, 1\) of degree 1 outgrows a double at x = 0\.3$"):
+        line_density(kernel_context(HexagonSpec(2, 3)), 2, [0.3, 0.6])
+
+
 def test_overflowing_entry_raises_with_its_place():
     # K(384, y; 384, x) = -2.199e319 at (256, 768) by the 60-digit reference
     y, x = 0.010953, 0.973261

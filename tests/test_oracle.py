@@ -10,7 +10,7 @@ import pytest
 
 from beadproc.kernel import kernel_context, kernel_eval
 from beadproc.model import HexagonSpec, interlacing_breaks, particles_per_line
-from beadproc import checks
+from beadproc import checks, oracle
 from beadproc.oracle import grid_points, oracle_deviation
 from dense_oracle import dense_conditional_kernel, discrete_kernel, moment_matrix, subset_weight
 
@@ -127,6 +127,19 @@ def test_oracle_deviation_checks_its_probes():
     probes = [(1, 0.3, 2, 0.7), (2, 0.6, 1, 0.2)]
     numpy_lines = [(np.int64(s), y, np.int32(t), x) for s, y, t, x in probes]
     assert oracle_deviation(spec, 8, numpy_lines) == oracle_deviation(spec, 8, probes)
+
+
+def test_singular_contraction_raises(monkeypatch):
+    # a source-sink contraction with no inverse: refused before any solve
+    hat_blocks = oracle._hat_blocks
+
+    def singular(spec, m):
+        paths, G, H, M = hat_blocks(spec, m)
+        return paths, G, H, np.zeros_like(M)
+
+    monkeypatch.setattr(oracle, "_hat_blocks", singular)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^source-sink contraction is numerically singular \(condition ~inf\)$"):
+        oracle_deviation(HexagonSpec(2, 3), 8, [(1, 0.3, 2, 0.6)])
 
 
 def test_refinement_two_lines():

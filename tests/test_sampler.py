@@ -224,15 +224,25 @@ def test_secular_newton_does_not_cycle(monkeypatch):
     ],
     ids=["tiny", "subnormal", "huge", "sum-overflows"],
 )
-def test_unnormalized_weights_give_the_zeros_of_their_normalization(poles, weights):
-    # scaling the weights keeps the zeros; unscaled, these rows overflowed
-    # the eigenvalue start, subnormal weights left Newton off its zero, and
-    # a weight sum past the largest double left its row unscaled
-    poles, weights = np.array([poles]), weights[None]
-    # an exact power of two first, so the sum stays finite and the
-    # normalization has the bytes of weights / weights.sum() where that is finite
-    unit = np.ldexp(weights, -np.frexp(weights.max())[1])
-    _assert_matches_reference(poles, unit / unit.sum(), sampler._secular_zeros_batch(poles, weights))
+def test_unnormalized_weights_are_refused(poles, weights):
+    # the solve takes Dirichlet rows, which sum to 1; a row whose sum is off
+    # by a factor of two or more is named with its sum, not rescaled
+    with np.errstate(over="ignore"):
+        total = float(weights.sum())
+    with pytest.raises(ValueError, match=rf"row 0 sums to {re.escape(repr(total))}$"):
+        sampler._secular_zeros_batch(np.array([poles]), weights[None])
+
+
+def test_weight_sums_are_taken_from_one_half_up_to_two():
+    poles = np.array([[0.0, 0.5, 1.0]] * 2)
+    unit = np.array([0.2, 0.3, 0.5])
+    zeros = sampler._secular_zeros_batch(poles[:1], unit[None])
+    for scale in (0.5, math.nextafter(2.0, 0.0)):
+        got = sampler._secular_zeros_batch(poles, np.array([unit, scale * unit]))
+        assert np.allclose(got, zeros, rtol=1e-14, atol=0.0), scale
+    for scale, total in ((2.0, "2.0"), (np.nan, "nan")):
+        with pytest.raises(ValueError, match=rf"row 1 sums to {total}$"):
+            sampler._secular_zeros_batch(poles, np.array([unit, scale * unit]))
 
 
 def _record_pole_sums(monkeypatch):

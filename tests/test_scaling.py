@@ -280,6 +280,28 @@ def test_tail_far_below_its_recurrence_is_not_garbage():
     assert abs(tail_integral_real(1.0, 1e-50, 2) + math.sin(1.0)) <= 1e-15
 
 
+def test_tail_at_small_nu_matches_mpmath():
+    # From nu ~ 1e-19 the continued fraction's step factors round to a
+    # neighbour of 1, the same one step after step.  Stopping only at a factor
+    # of exactly 1 raised for 347 of these 2601 calls (for d = 1 naming an
+    # internal z), and drifted the rest, by 1.4e-13 at (0.3, 1e-20, 2).
+    for tau in (0.3, 1.0, 2.5):
+        for e in range(20, 309):
+            nu = 10.0**-e
+            with mp.workdps(40):
+                z = mp.mpc(-mp.mpf(tau) / nu, -tau)
+                scale = mp.exp(1j * tau) * (1 + 1j * mp.mpf(nu)) * mp.exp(z) / (1j * mp.mpf(nu))
+                wants = [mp.re(scale * (1 + 1j * mp.mpf(nu)) ** -d * mp.expint(d, z)) for d in (1, 2, 5)]
+            for d, want in zip((1, 2, 5), wants):
+                assert abs(tail_integral_real(tau, nu, d) - want) <= 1e-15 * abs(want), (tau, e, d)
+
+
+def test_tail_where_tau_over_nu_overflows_is_its_first_term():
+    # z is not finite; the rest of the integration by parts is below d nu / tau^2
+    for d in (1, 2, 5):
+        assert abs(tail_integral_real(1.0, 1e-320, d) + math.sin(1.0)) <= math.ulp(math.sin(1.0))
+
+
 def test_tail_out_of_reach_names_its_arguments():
     # tau nu = 6e-5: the fraction would need about 5e6 steps
     with pytest.raises(ValueError, match=r"^tail integral out of reach at tau = 0\.03, nu = 0\.002, d = 8: "):
