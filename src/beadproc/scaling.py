@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -142,8 +143,8 @@ class ScalingContext:
 
 
 def _nu(k: float, S: float, name: str) -> float:
-    # nu at the band midpoint of a plateau label, for the call name(k, S);
-    # the bulk kernels need no other midpoint constant
+    # nu at the band midpoint of a plateau label; an OverflowError prints
+    # name followed by (k, S).  The bulk kernels need no other midpoint constant
     _check_ks(k, S)
     if k <= 0:
         raise ValueError("bulk constants need k > 0 (p = q makes nu infinite)")
@@ -152,13 +153,17 @@ def _nu(k: float, S: float, name: str) -> float:
     return _finite((2.0 + k) / k * math.sqrt((1.0 + k) / (S * (2.0 + k - S))), name, k, S)
 
 
+# typed: a context keeps its caller's k and S as given, and True is not 1.0
+@lru_cache(maxsize=8, typed=True)
 def scaling_context(k: float, S: float) -> ScalingContext:
     """All midpoint constants, with ``A = e^{pi/nu}`` and ``B = pi u_S / nu``;
     needs ``k > 0`` and the plateau ``1 <= S <= k+1``.  Raises
     ``OverflowError`` where ``nu`` or ``A`` is outside the range of a double:
     ``A`` leaves it once ``nu < 0.00443``, from about ``k = 2e5`` at the
     plateau midpoint.  :func:`bulk_kernel` and :func:`gamma_parameter` need
-    only ``nu``, which is a double for every ``k <= 1e6``."""
+    only ``nu``, which is a double for every ``k <= 1e6``.  Memoized, as
+    :func:`~beadproc.kernel.kernel_context` is, so a probe over several ``p``
+    builds one context; a refused ``(k, S)`` raises on every call."""
     nu = _nu(k, S, "scaling_context")
     try:
         A = math.exp(math.pi / nu)

@@ -241,12 +241,12 @@ def test_bulk_value_outside_a_double_is_an_error_line(capsys):
     assert err == "error: bulk_kernel(1.7320508075688772, 1100, 0.0, 0, 0.5) is outside the range of a double\n"
 
 
-def test_bulk_nu_outside_a_double_names_the_bulk_kernel(capsys):
-    # nu = (2 + k)/k = 2e320: the error names the call the command makes
+def test_bulk_nu_outside_a_double_names_nu_and_its_arguments(capsys):
+    # nu = (2 + k)/k = 2e320: the error names the value and the (k, S) it comes from
     code = run("bulk --k 1e-320 --S 1".split())
     out, err = _capture(capsys)
     assert code == 2 and out == ""
-    assert err == "error: bulk_kernel(1e-320, 1.0) is outside the range of a double\n"
+    assert err == "error: nu at (k, S) = (1e-320, 1.0) is outside the range of a double\n"
 
 
 def test_gamma_form_value_outside_a_double_is_an_error_line(capsys):

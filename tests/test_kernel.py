@@ -656,6 +656,39 @@ def test_kernel_context_is_shared_and_read_only():
         ctx.lines[2].a[1] = 0.0
 
 
+@pytest.mark.parametrize("p,q", [(7, 9), (64, 192), (256, 768), (1024, 3072)])
+def test_mirror_lines_share_one_off_diagonal_and_no_diagonal_table(p, q):
+    # line p+q-t swaps pa and pb, which leaves a unchanged and flips b; each
+    # line's a and b are bit for bit the Jacobi coefficients of its own
+    # (pa, pb), as a per-line table would hold them
+    ctx = kernel_context(HexagonSpec(p, q))
+    for t, d in enumerate(ctx.lines, start=1):
+        pa, pb, s = abs(p - t), abs(q - t), abs(p - t) + abs(q - t)
+        n = np.arange(d.r - 1)
+        m = n + 1
+        a = np.sqrt(4.0 * m * (m + pa) * (m + pb) * (m + s) / ((2 * m + s) ** 2 * (2 * m + s + 1.0) * (2 * m + s - 1)))
+        b = (pb * pb - pa * pa) / (np.maximum(2 * n + s, 1) * (2 * n + s + 2))
+        if 2 * t > p + q:
+            assert d.a is ctx.lines[p + q - t - 1].a, t
+        assert d.a.tobytes() == a.tobytes(), t
+        assert not d.a.flags.writeable and not d.den.flags.writeable, t
+        assert ((d.pb * d.pb - d.pa * d.pa) / d.den).tobytes() == b.tobytes(), t
+
+
+def test_kernel_context_holds_a_quarter_of_two_tables_per_line():
+    # at (256, 768) one a per mirror pair is 0.75 MiB; an a and a b on every
+    # line held 3.4 MiB
+    build = kernel_module.kernel_context.__wrapped__  # past the cache, so the context is built here
+    tracemalloc.start()
+    try:
+        ctx = build(HexagonSpec(256, 768))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(ctx.lines) == 1023
+    assert held <= 1.5 * 2**20, held / 2**20
+
+
 # Probe positions for the mpmath comparisons: three seeded ones plus points
 # far outside every line's oscillatory band, down to 1e-9 from either end.
 _FAR = (1e-9, 0.002, 0.5, 0.998, 1.0 - 1e-9)

@@ -210,6 +210,19 @@ def test_nu_alone_serves_k_up_to_the_cap():
         scaling_context(1e6, 500001.0)
 
 
+def test_scaling_context_is_memoized_and_a_refusal_is_not():
+    ctx = scaling_context(2.0, 1.5)
+    assert scaling_context(2.0, 1.5) is ctx
+    # typed: an int k has its own context, which keeps k as the caller gave it
+    assert scaling_context(1, 1) is not scaling_context(1.0, 1.0)
+    assert scaling_context(1.0, 1.0).k == 1.0 and type(scaling_context(1, 1).k) is int
+    for _ in range(2):
+        with pytest.raises(OverflowError, match=r"^scaling_context\(1000000\.0, 500001\.0\)"):
+            scaling_context(1e6, 500001.0)
+        with pytest.raises(ValueError, match="plateau labels"):
+            scaling_context(2.0, 0.5)
+
+
 def test_gamma_parameter_past_the_square_overflow():
     # nu = 2e160: nu * nu overflows, yet gamma = 1/nu is a normal double
     nu = scaling_context(1e-160, 1.0).nu
