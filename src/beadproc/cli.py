@@ -67,7 +67,7 @@ def _make_stream(args) -> RandomStream:
 
 
 def _svg_document(spec: HexagonSpec, beads: Sequence[tuple[int, int]], xs: np.ndarray) -> str:
-    """The figure of ``xs`` (one row per configuration, columns ``beads``)."""
+    """The figure of ``xs`` (one row per configuration, columns ``beads``) over the band ``_band(k, 256)``."""
     p = spec.p
     k = (spec.q - spec.p) / spec.p
     span = spec.p + spec.q  # boundary curves run over t in [0, p+q]
@@ -85,10 +85,9 @@ def _svg_document(spec: HexagonSpec, beads: Sequence[tuple[int, int]], xs: np.nd
             f'<line x1="{x0:.2f}" y1="{m + sy:.2f}" x2="{x0:.2f}" y2="{m:.2f}" '
             'stroke="#cccccc" stroke-width="1"/>'
         )
-    Ss = [(2.0 + k) * i / 255.0 for i in range(256)]
-    bands = [scaling.support_interval(k, S) for S in Ss]
-    for pick in (0, 1):  # lower, then upper boundary
-        pts = " ".join(f"{m + p * S * sx:.2f},{m + (1.0 - cd[pick]) * sy:.2f}" for S, cd in zip(Ss, bands))
+    band = _band(k, 256)
+    for pick in (1, 2):  # lower, then upper boundary
+        pts = " ".join(f"{m + p * row[0] * sx:.2f},{m + (1.0 - row[pick]) * sy:.2f}" for row in band)
         parts.append(f'<polyline fill="none" stroke="#d62728" stroke-width="1.5" points="{pts}"/>')
     # one circle template per bead of a configuration, filled with every row's y
     circles = [f'<circle cx="{m + t * sx:.2f}" cy="%.2f" r="2.2" fill="#1f77b4"/>' for t, _ in beads]
@@ -117,8 +116,9 @@ def _cmd_sample(args) -> int:
         body = ("".join([row] * args.count) % numbers) % tuple(xs.ravel().tolist())
         _write_text(args.out, ",".join(cols) + "\n" + body)
     if args.svg:
+        svg = _svg_document(spec, beads, xs)  # before the file opens: a failure leaves no empty file
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_svg_document(spec, beads, xs))
+            fh.write(svg)
     return 0
 
 
@@ -186,16 +186,17 @@ def _cmd_enumerate(args) -> int:
 # --- scaling --------------------------------------------------------------------
 
 
+def _band(k: float, points: int) -> list[tuple[float, float, float]]:
+    """Rows ``(S, c_S, d_S)`` at ``points`` evenly spaced labels from S = 0 to
+    exactly S = 2 + k; the last grid label can round an ulp past 2 + k."""
+    top = 2.0 + k
+    return [(S, *scaling.support_interval(k, S)) for S in (min(top * i / (points - 1), top) for i in range(points))]
+
+
 def _cmd_limit_shape(args) -> int:
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
-    ks = args.k
-    rows = []
-    for i in range(args.points):
-        S = (2.0 + ks) * i / (args.points - 1)
-        c, d = scaling.support_interval(ks, S)
-        rows.append((float(S), float(c), float(d)))
-    _emit_rows(args, ("S", "c", "d"), rows, {"k": ks})
+    _emit_rows(args, ("S", "c", "d"), _band(args.k, args.points), {"k": args.k})
     return 0
 
 
@@ -214,14 +215,12 @@ def _parse_probe_ps(values: Sequence[str]) -> list[int]:
 
 def _cmd_bulk(args) -> int:
     if args.probe_p:
-        ps = _parse_probe_ps(args.probe_p)
         offsets = [(args.s0, args.t0, args.X, args.Y)]
-        rows = []
-        for p in ps:
-            (row,) = scaling.bulk_convergence_probe(args.k, args.S, p, offsets)
-            rows.append(
-                (p, row.s0, row.t0, row.X, row.Y, row.normalized, row.limit, row.abs_err)
-            )
+        rows = [
+            (p, row.s0, row.t0, row.X, row.Y, row.normalized, row.limit, row.abs_err)
+            for p in _parse_probe_ps(args.probe_p)  # every p is checked before the first probe
+            for row in scaling.bulk_convergence_probe(args.k, args.S, p, offsets)
+        ]
         _emit_rows(
             args,
             ("p", "s0", "t0", "X", "Y", "normalized", "limit", "abs_err"),
@@ -256,61 +255,47 @@ def _cmd_validate(args) -> int:
 # --- parser ----------------------------------------------------------------------
 
 
-def _add_output_flags(sp) -> None:
-    sp.add_argument("--out", default=None, help="output path (default: stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    # shared flags, each declared once: the fan, the output path, a table's path and format
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--p", type=int, required=True)
+    spec.add_argument("--q", type=int, required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default: stdout)")
+    table = argparse.ArgumentParser(add_help=False, parents=[out])
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
+
     parser = argparse.ArgumentParser(prog="beadproc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("sample", help="draw configurations")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
+    sp = sub.add_parser("sample", parents=[spec, table], help="draw configurations")
     sp.add_argument("--count", type=int, default=1)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--svg", default=None, help="also write an SVG rendering to this path")
-    _add_output_flags(sp)
 
-    sp = sub.add_parser("kernel", help="evaluate the exact kernel at one point pair")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
+    sp = sub.add_parser("kernel", parents=[spec, out], help="evaluate the exact kernel at one point pair")
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--y", type=float, required=True)
     sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("density", help="one-line density on a midpoint grid")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
+    sp = sub.add_parser("density", parents=[spec, table], help="one-line density on a midpoint grid")
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--points", type=int, default=101)
-    _add_output_flags(sp)
 
-    sp = sub.add_parser("correlate", help="n-point correlation determinant")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument(
-        "--point", action="append", required=True, help="LINE:POSITION, repeatable"
-    )
-    sp.add_argument("--out", default=None)
+    sp = sub.add_parser("correlate", parents=[spec, out], help="n-point correlation determinant")
+    sp.add_argument("--point", action="append", required=True, help="LINE:POSITION, repeatable")
 
-    sp = sub.add_parser("enumerate", help="enumerate the small lattice model")
+    sp = sub.add_parser("enumerate", parents=[spec, table], help="enumerate the small lattice model")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--total-only", action="store_true")
-    _add_output_flags(sp)
 
-    sp = sub.add_parser("limit-shape", help="support band endpoints over the fan")
+    sp = sub.add_parser("limit-shape", parents=[table], help="support band endpoints over the fan")
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--points", type=int, default=257)
-    _add_output_flags(sp)
 
-    sp = sub.add_parser("bulk", help="bulk kernel values and convergence probes")
+    sp = sub.add_parser("bulk", parents=[table], help="bulk kernel values and convergence probes")
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--S", type=float, required=True)
     sp.add_argument("--s0", type=int, default=0)
@@ -324,12 +309,10 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         help="p values for the probe; repeat the flag or give a comma list",
     )
-    _add_output_flags(sp)
 
-    sp = sub.add_parser("validate", help="run built-in cross-module validation suites")
+    sp = sub.add_parser("validate", parents=[table], help="run built-in cross-module validation suites")
     sp.add_argument("--suite", choices=("all", *checks.SUITES), default="all")
     sp.add_argument("--level", choices=("quick", "full"), default="quick")
-    _add_output_flags(sp)
 
     return parser
 

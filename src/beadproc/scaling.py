@@ -19,7 +19,9 @@ The tail integrals reduce exactly to the scaled complex exponential integral
 ``e^z E_d(z)``: ``E_1`` (series near the origin and near the negative real
 axis, modified-Lentz continued fraction elsewhere) plus a short upward
 recurrence where that recurrence keeps its digits, the continued fraction of
-``E_d`` itself elsewhere; no truncation is involved.
+``E_d`` itself elsewhere; no truncation is involved.  Where that fraction
+gives up too, the tail is the half line's residue less the [0, 1] integral,
+by the bulk forms' quadrature.
 """
 
 from __future__ import annotations
@@ -274,11 +276,13 @@ def tail_integral_real(tau: float, nu: float, d: int) -> float:
     ``d`` while the rounding error it multiplies by ``|z| / (j - 1)`` at step
     ``j`` stays small; otherwise the continued fraction of ``E_d`` gives it
     directly.  No truncation anywhere, hence no truncation tolerance.  Where
-    ``tau/nu`` overflows, the value is ``-sin(tau)/tau``, the first
-    integration-by-parts term: the rest is below ``d nu / tau^2`` of it.
-    Raises ``ValueError`` naming tau, nu and d where that fraction does not
-    converge either (mostly ``d`` near ``|z|`` with ``tau nu`` below 0.002),
-    and ``OverflowError`` where the value is outside the range of a double.
+    that fraction does not converge either (mostly ``d`` near ``|z|`` with
+    ``tau nu`` below 0.002), the tail is the residue of the whole half line
+    less its [0, 1] part (:func:`_tail_by_residue`).  Where ``tau/nu``
+    overflows, the value is ``-sin(tau)/tau``, the first integration-by-parts
+    term: the rest is below ``d nu / tau^2`` of it.  Raises ``ValueError``
+    naming tau, nu and d where the residue form's two terms cancel, and
+    ``OverflowError`` where the value is outside the range of a double.
     """
     d = _index(d, "tail power d", 1)
     if not (math.isfinite(tau) and math.isfinite(nu)) or nu == 0.0:
@@ -304,14 +308,36 @@ def tail_integral_real(tau: float, nu: float, d: int) -> float:
                 g = (1.0 + 1j * tau * g) / (beta * (j - 1))
         else:
             h = _en_fraction(z, d, 1 << 17)
-            if h is None:
-                raise ValueError(
-                    f"tail integral out of reach at tau = {tau}, nu = {nu}, d = {d}: the recurrence "
-                    "would lose too many digits and the continued fraction does not converge"
-                )
-            g = h / beta
-        value = (cmath.exp(1j * tau) * (1.0 + 1j * nu) ** (-d) * g).real
+            g = None if h is None else h / beta
+        if g is None:  # the fraction gave up too
+            value = _tail_by_residue(tau, nu, d)
+        else:
+            value = (cmath.exp(1j * tau) * (1.0 + 1j * nu) ** (-d) * g).real
     return _finite(value, "tail_integral_real", tau, nu, d)
+
+
+def _tail_by_residue(tau: float, nu: float, d: int) -> float:
+    """The tail of order ``d >= 2`` as the half-line integral ``R`` less its
+    [0, 1] part ``H``.
+
+    Closing the contour through the pole at ``t = i/nu``, with
+    ``Re f(-t) = Re f(t)``, gives
+    ``R = pi |tau|^(d-1) e^(-tau/nu) / (|nu|^d (d-1)!)`` where ``tau/nu > 0``
+    and 0 otherwise; it is taken in logs, as ``nu^d`` and ``(d-1)!`` leave a
+    double.  ``H`` is the bulk forms' [0, 1] rule.  Raises ``ValueError``
+    naming tau, nu and d where the two cancel to below 1e-3 of the larger.
+    """
+    r = 0.0
+    if tau / nu > 0.0:
+        log_r = (d - 1) * math.log(abs(tau)) - tau / nu - d * math.log(abs(nu)) - math.lgamma(d)
+        r = math.pi * math.exp(log_r) if log_r < 709.0 else math.inf  # inf: _finite names the call
+    h = _unit_integral(1.0, nu, -d, tau)
+    if abs(r - h) < 1e-3 * max(abs(r), abs(h)):
+        raise ValueError(
+            f"tail integral out of reach at tau = {tau}, nu = {nu}, d = {d}: the recurrence would lose "
+            "too many digits, the continued fraction does not converge and the residue form cancels"
+        )
+    return r - h
 
 
 # --- bulk kernels -------------------------------------------------------------
@@ -324,16 +350,22 @@ def _check_bulk_positions(Y: float, X: float) -> None:
         raise ValueError(f"bulk positions Y, X must be finite reals with pi (X - Y) finite, got ({Y}, {X})")
 
 
+def _unit_integral(a: float, b: float, d: int, tau: float) -> float:
+    # int_0^1 Re(e^{i tau t} (a + i b t)^d) dt by the _BULK_NODES rule; inf or
+    # nan where a power overflows
+    t, w = _gauss_legendre_unit(_BULK_NODES)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = (np.exp(1j * tau * t) * (a + 1j * b * t) ** d).real
+        return float(np.dot(w, vals))
+
+
 def _bulk_form(a: float, b: float, s0: int, t0: int, tau: float) -> float:
     # int_0^1 Re(e^{i tau t} (a + i b t)^d) dt, d = s0 - t0, when d >= 0 or at
     # the jump boundary tau == 0; minus the [1, inf) tail otherwise.  inf
     # where a**d or the tail overflows, so the caller's _finite names its call.
     d = _index(s0, "s0", None) - _index(t0, "t0", None)
     if d >= 0 or tau == 0.0:
-        t, w = _gauss_legendre_unit(_BULK_NODES)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = (np.exp(1j * tau * t) * (a + 1j * b * t) ** d).real
-            return float(np.dot(w, vals))
+        return _unit_integral(a, b, d, tau)
     try:
         return -(a**d) * tail_integral_real(tau, b / a, -d)
     except OverflowError:

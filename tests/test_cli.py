@@ -8,11 +8,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import beadproc
 from beadproc import cli
 from beadproc.cli import run
+from beadproc.model import HexagonSpec
 
 
 def _capture(capsys):
@@ -133,6 +135,24 @@ def test_figure_files_match_the_pinned_digests(tmp_path, capsys):
     assert got == _FIGURE_DIGESTS
 
 
+def test_svg_band_ends_on_the_last_line_label():
+    # at (171, 511) the grid's last label (2 + k) * 255 / 255.0 rounds an ulp
+    # past 2 + k, which support_interval refuses
+    svg = cli._svg_document(HexagonSpec(171, 511), [], np.empty((0, 0)))
+    assert svg.count("<polyline") == 2
+
+
+def test_a_failing_svg_leaves_no_file(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise ValueError("no figure")
+
+    monkeypatch.setattr(cli, "_svg_document", refuse)
+    svg_path = tmp_path / "beads.svg"
+    assert run(f"sample --p 1 --q 2 --seed 1 --svg {svg_path}".split()) == 2
+    assert _capture(capsys)[1] == "error: no figure\n"
+    assert not svg_path.exists()
+
+
 # --------------------------------------------------------------- enumerate
 
 
@@ -170,6 +190,19 @@ def test_limit_shape_rows(capsys):
     last = [float(v) for v in lines[3].split(",")]
     assert first == pytest.approx([0.0, 0.25, 0.25], abs=1e-12)
     assert last == pytest.approx([4.0, 0.75, 0.75], abs=1e-12)
+
+
+@pytest.mark.parametrize("k,points", [(0.6, 100), (0.7, 7)])
+def test_limit_shape_ends_exactly_on_the_last_label(k, points, capsys):
+    # (2 + k) * (points - 1) / (points - 1) rounds an ulp past 2 + k here;
+    # the last row is the closed band (k + 1)/(k + 2)
+    assert run(f"limit-shape --k {k} --points {points}".split()) == 0
+    lines = _capture(capsys)[0].splitlines()
+    assert len(lines) == points + 1
+    S, c, d = (float(v) for v in lines[-1].split(","))
+    assert S == 2.0 + k and c == d == pytest.approx((k + 1.0) / (k + 2.0), rel=1e-15)
+    if k == 0.6:
+        assert lines[-1] == "2.6000000000000001,0.61538461538461531,0.61538461538461531"
 
 
 @pytest.mark.parametrize(
@@ -224,6 +257,15 @@ def test_bulk_tail_far_from_its_recurrence(args, want, capsys):
     assert run(["bulk", *args.split()]) == 0
     out, _ = _capture(capsys)
     assert float(out) == pytest.approx(want, rel=1e-8)
+
+
+def test_bulk_tail_where_the_fraction_gives_up(capsys):
+    # tau nu = 6e-5 with d = 8 near |z|: the residue form serves; the figure is
+    # mpmath's expint at 50 digits
+    assert run("bulk --k 1e6 --S 500001 --t0 8 --X 0.01".split()) == 0
+    out, err = _capture(capsys)
+    assert err == ""
+    assert float(out) == pytest.approx(-10.0828165717211838, rel=1e-12)
 
 
 def test_bulk_at_the_aspect_ratio_cap(capsys):
@@ -350,6 +392,41 @@ def test_tables_are_written_in_the_documented_format(argv, types, capsys):
                 assert field == str(int(field)) and int(field) == value
             else:
                 assert field == value
+
+
+# ------------------------------------------------------------- flag table
+
+# One short command per subcommand; each takes --out, and only the tables
+# take --format.
+_COMMANDS = {
+    "sample": "sample --p 1 --q 2 --seed 1",
+    "kernel": "kernel --p 1 --q 2 --s 1 --t 1 --y 0.25 --x 0.25",
+    "density": "density --p 1 --q 2 --t 1 --points 3",
+    "correlate": "correlate --p 1 --q 2 --point 1:0.25",
+    "enumerate": "enumerate --n 1 --p 1 --q 1",
+    "limit-shape": "limit-shape --k 2 --points 3",
+    "bulk": "bulk --k 2 --S 2",
+    "validate": "validate --suite discrete",
+}
+
+
+def test_every_subcommand_has_help_and_writes_out(tmp_path, capsys):
+    assert run(["--help"]) == 0
+    assert "{" + ",".join(_COMMANDS) + "}" in _capture(capsys)[0]
+    for name, argv in _COMMANDS.items():
+        assert run([name, "--help"]) == 0
+        assert "--out" in _capture(capsys)[0]
+        path = tmp_path / f"{name}.txt"
+        assert run(argv.split() + ["--out", str(path)]) == 0
+        assert _capture(capsys)[0] == ""
+        assert path.read_text()
+
+
+@pytest.mark.parametrize("name", ["kernel", "correlate"])
+def test_single_value_commands_take_no_format(name, capsys):
+    assert run(_COMMANDS[name].split() + ["--format", "json"]) == 2
+    out, err = _capture(capsys)
+    assert out == "" and "unrecognized arguments: --format json" in err
 
 
 # ---------------------------------------------------------------- validate

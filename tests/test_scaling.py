@@ -315,10 +315,33 @@ def test_tail_where_tau_over_nu_overflows_is_its_first_term():
         assert abs(tail_integral_real(1.0, 1e-320, d) + math.sin(1.0)) <= math.ulp(math.sin(1.0))
 
 
+def _tail_mpmath(tau, nu, d):
+    # the tail through E_d at 50 digits
+    with mp.workdps(50):
+        z = mp.mpc(-mp.mpf(tau) / nu, -tau)
+        scale = mp.exp(1j * tau) * (1 + 1j * mp.mpf(nu)) * mp.exp(z) / (1j * mp.mpf(nu))
+        return float(mp.re(scale * (1 + 1j * mp.mpf(nu)) ** -d * mp.expint(d, z)))
+
+
+@pytest.mark.parametrize("tau,nu,d", [(0.03, 0.002, 8), (-0.03, -0.002, 8), (0.1, 0.0013, 75), (0.0075, 1e-4, 80)])
+def test_tail_where_the_fraction_gives_up_is_the_residue_form(tau, nu, d, monkeypatch):
+    # tau nu <= 1.3e-4 with d near tau/nu: the fraction would need 2e6 steps
+    # or more, and the residue of the half line less its [0, 1] part serves
+    calls = []
+    residue = scaling._tail_by_residue
+    monkeypatch.setattr(scaling, "_tail_by_residue", lambda *a: calls.append(a) or residue(*a))
+    got = tail_integral_real(tau, nu, d)
+    assert calls == [(tau, nu, d)]
+    assert abs(got - _tail_mpmath(tau, nu, d)) <= 1e-12 * abs(got)
+
+
 def test_tail_out_of_reach_names_its_arguments():
-    # tau nu = 6e-5: the fraction would need about 5e6 steps
-    with pytest.raises(ValueError, match=r"^tail integral out of reach at tau = 0\.03, nu = 0\.002, d = 8: "):
-        tail_integral_real(0.03, 0.002, 8)
+    # next to a zero of the tail (mpmath: -5.3e-16) the residue form's two
+    # terms, both near 1, cancel to +3.3e-16: no digit of the value is left
+    with pytest.raises(
+        ValueError, match=r"^tail integral out of reach at tau = 0\.039395667836596704, nu = 0\.002, d = 8: "
+    ):
+        tail_integral_real(0.039395667836596704, 0.002, 8)
 
 
 # Near the negative real axis, with 4 < |z| < 42, the continued fraction runs
