@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -93,26 +94,25 @@ def lattice_identities(
     line marginal is one constant times the Hahn weight on each of
     ``marginal_lines``.  The weight is a product of positive factors, and a
     line with no bead (0 or p + q) has one configuration, so one ratio.
-    Both come from one transfer over the hexagon.
+    Both are tallies of one listing, by line-``t`` tuple: a left count tallies
+    the distinct prefixes ``cfg[:t+1]``, a marginal the configurations.  The
+    listing checks the budget first; every line's range is checked next.
     """
-    hx._check_budget(hexa)
-    forward, backward = hx._transfer(hexa)
+    configs = hx.enumerate_configurations(hexa)
+    count_lines = [_index(t, "line t", 1, min(hexa.p, hexa.q)) for t in count_lines]
+    marginal_lines = [_index(t, "line t", 0, hexa.p + hexa.q) for t in marginal_lines]
 
-    def configs(t):
+    def lines(t):
         sites = sorted(hx.line_sites(hexa, t), reverse=True)
         return itertools.combinations(sites, hx.lattice_particles_per_line(hexa, t))
 
-    count_ok = all(
-        forward[t].get(xs, 0) == hx.left_count_closed_form(t, xs)
-        for t in count_lines
-        for xs in configs(_index(t, "line t", 1, min(hexa.p, hexa.q)))
-    )
-    marginal_ok = True
+    count_ok = marginal_ok = True
+    for t in count_lines:
+        left = Counter(cfg[t] for cfg in {cfg[: t + 1] for cfg in configs})
+        count_ok = count_ok and all(left[xs] == hx.left_count_closed_form(t, xs) for xs in lines(t))
     for t in marginal_lines:
-        ratios = {
-            Fraction(forward[t].get(xs, 0) * backward[t].get(xs, 0), hx.hahn_marginal_unnormalized(hexa, t, xs))
-            for xs in configs(t)
-        }
+        tally = Counter(cfg[t] for cfg in configs)
+        ratios = {Fraction(tally[xs], hx.hahn_marginal_unnormalized(hexa, t, xs)) for xs in lines(t)}
         marginal_ok = marginal_ok and len(ratios) == 1
     return count_ok, marginal_ok
 
@@ -214,7 +214,7 @@ def _sampler_suite(level: str) -> Iterator[tuple]:
 
 def _discrete_suite(level: str) -> Iterator[tuple]:
     def count(n, p, q):
-        return hx._total(hx.DiscreteHexagon(n, p, q))
+        return len(hx.enumerate_configurations(hx.DiscreteHexagon(n, p, q)))
 
     frozen = {(1, 1, 1): 2, (1, 1, 2): 3, (2, 1, 1): 3}
     yield _exact("frozen_counts", all(count(*npq) == want for npq, want in frozen.items()))

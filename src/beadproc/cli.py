@@ -163,11 +163,10 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    hexa = hx.DiscreteHexagon(args.n, args.p, args.q)
+    configs = hx.enumerate_configurations(hx.DiscreteHexagon(args.n, args.p, args.q))
     if args.total_only:
-        _write_text(args.out, f"{hx._total(hexa)}\n")
+        _write_text(args.out, f"{len(configs)}\n")
         return 0
-    configs = hx.enumerate_configurations(hexa)
     rows = [
         (s, t, i, x)
         for s, cfg in enumerate(configs)

@@ -9,12 +9,10 @@ with a virtual bead just above the next ceiling where the ceiling rises and
 just below the next floor where the floor falls.  So the lines that may
 follow a line are built, as a product of one range per gap, not searched.
 
-Counts, left counts and line marginals come from one transfer over the
-lines: a forward pass counts the fillings before each line state and a
-backward pass those after it, building each state's next lines again rather
-than storing them, so the transfer keeps counts, not edges.  Whole
-configurations are listed level by level, each partial configuration
-extended by every next line.
+Whole configurations are listed level by level, each partial configuration
+extended by every next line.  Totals, left counts and line marginals are
+tallies of that listing: inside the budget it holds at most 105
+configurations, at (2, 2, 4) and its two rotations.
 
 Everything in this module is exact integer / rational arithmetic — the
 statements it checks are identities, not approximations — and state spaces
@@ -42,7 +40,7 @@ __all__ = [
     "hahn_marginal_unnormalized",
 ]
 
-_BUDGET = 16  # n*p*q cap for enumeration entry points
+_BUDGET = 16  # n*p*q cap for enumerate_configurations
 
 
 class BudgetExceededError(ValueError):
@@ -122,60 +120,18 @@ def _next_lines(pad: tuple[tuple[int, ...], tuple[int, ...]], current: tuple[int
     return itertools.product(*(range(hi - 1, lo, -2) for hi, lo in zip(padded, padded[1:])))
 
 
-def _forward(pads: list) -> list[dict]:
-    # per line, each reachable tuple -> the number of fillings of the lines before it
-    forward: list[dict] = [{(): 1}]
-    for pad in pads:
-        ahead: dict = {}
-        for cur, ways in forward[-1].items():
-            for cand in _next_lines(pad, cur):
-                ahead[cand] = ahead.get(cand, 0) + ways
-        forward.append(ahead)
-    return forward
-
-
-def _transfer(hexa: DiscreteHexagon) -> tuple[list[dict], list[dict]]:
-    """Per line ``t = 0..p+q``, ``(forward[t], backward[t])``: dicts from each
-    reachable line-``t`` tuple to the number of fillings of lines ``0..t-1``
-    and of lines ``t+1..p+q`` that it admits.
-
-    The number of configurations with line ``t`` equal to ``xs`` is
-    ``forward[t][xs] * backward[t][xs]``; the total is ``forward[p+q][()]``.
-    Only counts are kept: the backward pass builds each state's next lines
-    again instead of storing them from the forward pass.
-    """
-    pads = _paddings(hexa)
-    forward = _forward(pads)
-    backward: list[dict] = [{(): 1}]  # line p+q holds no bead: one state
-    for pad, states in zip(reversed(pads), reversed(forward[:-1])):
-        behind = backward[-1]
-        backward.append({cur: sum(behind[cand] for cand in _next_lines(pad, cur)) for cur in states})
-    backward.reverse()
-    return forward, backward
-
-
-def _total(hexa: DiscreteHexagon) -> int:
-    """Number of configurations, counted by the forward pass within the budget."""
-    _check_budget(hexa)
-    return _forward(_paddings(hexa))[-1][()]
-
-
-def _check_budget(hexa: DiscreteHexagon) -> None:
-    if hexa.n * hexa.p * hexa.q > _BUDGET:
-        raise BudgetExceededError(
-            f"n*p*q = {hexa.n * hexa.p * hexa.q} exceeds the enumeration budget {_BUDGET}"
-        )
-
-
 def enumerate_configurations(hexa: DiscreteHexagon) -> list[tuple[tuple[int, ...], ...]]:
     """Every configuration of the lattice model, each exactly once.
 
     A configuration is a tuple of lines ``t = 0..p+q``, each the tuple of its
     real (non-virtual) bead positions, decreasing.  The list is built level
     by level, each partial configuration followed by its next lines in
-    ``_next_lines`` order.
+    ``_next_lines`` order.  Raises :class:`BudgetExceededError` past the
+    enumeration budget, before any work.
     """
-    _check_budget(hexa)
+    size = hexa.n * hexa.p * hexa.q
+    if size > _BUDGET:
+        raise BudgetExceededError(f"n*p*q = {size} exceeds the enumeration budget {_BUDGET}")
     configs = [((),)]
     for pad in _paddings(hexa):
         configs = [cfg + (c,) for cfg in configs for c in _next_lines(pad, cfg[-1])]

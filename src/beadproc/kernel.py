@@ -449,25 +449,28 @@ def _scale_columns(psi: np.ndarray, G: np.ndarray) -> np.ndarray:
 def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
     """Kernel block ``K(s, y_i; t, x_j)`` for arrays of positions.
 
-    Rows carry line ``s``, columns line ``t``.  A same-line block (``s = t``)
-    comes from the orthonormal float recurrence, run once over the distinct
-    union of ``ys`` and ``xs``; a cross-line block (``s != t``) returns each
-    entry as its exact rational value correctly rounded, from one loop of
-    rungs: fixed-point rungs, each point at its own precision, while their
-    error bounds leave the rounding open, then the exact integers (see the
-    module docstring).  The coincident-point convention of the ``s < t``
-    propagator term is strict: it vanishes when ``y >= x``.  Raises
-    ``OverflowError`` when an entry lies beyond the range of a double, naming
-    the first such entry in row order.  Lines go through
-    :func:`~beadproc.model._index`, so numpy integers are taken as Python
-    ints, which the exact arithmetic needs.
+    Rows carry line ``s``, columns line ``t``; ``ys`` and ``xs`` are each a
+    scalar or a 1-D array, and any other shape raises ``ValueError`` before
+    any work.  A same-line block (``s = t``) comes from the orthonormal float
+    recurrence, run once over the distinct union of ``ys`` and ``xs``; a
+    cross-line block (``s != t``) returns each entry as its exact rational
+    value correctly rounded, from one loop of rungs: fixed-point rungs, each
+    point at its own precision, while their error bounds leave the rounding
+    open, then the exact integers (see the module docstring).  The
+    coincident-point convention of the ``s < t`` propagator term is strict:
+    it vanishes when ``y >= x``.  Raises ``OverflowError`` when an entry lies
+    beyond the range of a double, naming the first such entry in row order.
+    Lines go through :func:`~beadproc.model._index`, so numpy integers are
+    taken as Python ints, which the exact arithmetic needs.
     """
     spec = ctx.spec
     s, t = _index(s, "line s", 1, spec.n_lines), _index(t, "line t", 1, spec.n_lines)
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    _check_positions("row", ys)
-    _check_positions("column", xs)
+    for name, arr in (("row", ys), ("column", xs)):
+        if arr.ndim > 1:
+            raise ValueError(f"{name} positions must be a scalar or a 1-D array, got shape {arr.shape}")
+        _check_positions(name, arr)
 
     if s != t:
         return _cross_block(spec, s, ys, t, xs)
@@ -525,9 +528,14 @@ def kernel_eval(ctx: KernelContext, s, y, t, x):
 
 
 def line_density(ctx: KernelContext, t: int, xs):
-    """Diagonal values ``K(t, x; t, x)`` — the one-bead density on line ``t``."""
+    """Diagonal values ``K(t, x; t, x)`` — the one-bead density on line ``t``.
+
+    A scalar ``xs`` returns a float, an array of any shape an array of that
+    shape, each value as the flat call gives it.
+    """
     t = _index(t, "line t", 1, ctx.spec.n_lines)
-    xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
+    given = np.asarray(xs, dtype=float)
+    xs_arr = given.ravel()
     _check_positions("line", xs_arr)
     d = ctx.lines[t - 1]
     # K(t, x; t, x) = w_t(x) sum_n p_n(x)^2, from the unscaled rows: up to
@@ -549,7 +557,7 @@ def line_density(ctx: KernelContext, t: int, xs):
     bad = ~np.isfinite(out)
     if bad.any():
         raise _tower_overflow(d, xs_arr[bad])
-    return float(out[0]) if np.ndim(xs) == 0 else out
+    return float(out[0]) if given.ndim == 0 else out.reshape(given.shape)
 
 
 @lru_cache(maxsize=8)

@@ -1,11 +1,17 @@
 """Left counts and single-line marginals of the discrete hexagon, one value
-at a time, from the transfer in :mod:`beadproc.hexagon`; and the interlacing
+at a time, as tallies of :func:`beadproc.hexagon.enumerate_configurations`;
+MacMahon's totals past the budget by a forward count; and the interlacing
 rule by search, as the reference for the constructed successors.
 
 The package checks these identities a whole hexagon at a time
-(``checks.lattice_identities``, one transfer per call); these per-value
+(``checks.lattice_identities``, one listing per call); these per-value
 forms keep the tests' tables readable.  Both check the enumeration budget
-first, as ``enumerate_configurations`` does.
+first, as ``enumerate_configurations`` does, then the line and its
+positions.
+
+``forward_counts`` has no budget: built on the package's own ``_paddings``
+and ``_next_lines``, it checks their successors against MacMahon's totals
+at sizes the listing cannot reach.
 
 ``reference_next_lines`` tries every subset of the next line's sites and
 keeps those that interleave strictly with the current line, padded with a
@@ -20,10 +26,11 @@ from typing import Sequence
 
 from beadproc.hexagon import (
     DiscreteHexagon,
-    _check_budget,
-    _transfer,
+    _next_lines,
+    _paddings,
     _validate_line,
     boundary_positions,
+    enumerate_configurations,
     lattice_particles_per_line,
     line_sites,
 )
@@ -36,18 +43,31 @@ def left_count(hexa: DiscreteHexagon, t: int, xs: Sequence[int]) -> int:
     Defined on the up-ramp ``t <= p`` (where ``xs`` has length ``t``); the
     closed form ``left_count_closed_form`` must match this exactly.
     """
-    _check_budget(hexa)
+    configs = enumerate_configurations(hexa)
     t = _index(t, "line t", 1, min(hexa.p, hexa.q))
     xs = _validate_line(hexa, t, xs)
-    return _transfer(hexa)[0][t].get(xs, 0)
+    return sum(prefix[t] == xs for prefix in {cfg[: t + 1] for cfg in configs})
 
 
 def bruteforce_marginal(hexa: DiscreteHexagon, t: int, xs: Sequence[int]) -> int:
     """Exact count of configurations whose line ``t`` equals ``xs``."""
-    _check_budget(hexa)
+    configs = enumerate_configurations(hexa)
     xs = _validate_line(hexa, t, xs)
-    forward, backward = _transfer(hexa)
-    return forward[t].get(xs, 0) * backward[t].get(xs, 0)
+    return sum(cfg[t] == xs for cfg in configs)
+
+
+def forward_counts(hexa: DiscreteHexagon) -> list[dict]:
+    """Per line ``t = 0..p+q``, a dict from each reachable line-``t`` tuple to
+    the number of fillings of lines ``0..t-1`` that lead to it; the total is
+    ``forward_counts(hexa)[-1][()]``.  No budget is checked."""
+    forward: list[dict] = [{(): 1}]
+    for pad in _paddings(hexa):
+        ahead: dict = {}
+        for cur, ways in forward[-1].items():
+            for cand in _next_lines(pad, cur):
+                ahead[cand] = ahead.get(cand, 0) + ways
+        forward.append(ahead)
+    return forward
 
 
 def interleaves(u: Sequence[int], v: Sequence[int]) -> bool:

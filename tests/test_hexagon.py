@@ -3,8 +3,6 @@
 import itertools
 import math
 import re
-import tracemalloc
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +18,13 @@ from beadproc.hexagon import (
     left_count_closed_form,
     line_sites,
 )
-from lattice_counts import bruteforce_marginal, left_count, reference_configurations, reference_next_lines
+from lattice_counts import (
+    bruteforce_marginal,
+    forward_counts,
+    left_count,
+    reference_configurations,
+    reference_next_lines,
+)
 
 
 def _all_lines(hexa: DiscreteHexagon, t: int):
@@ -237,7 +241,7 @@ def test_marginal_validation():
         bruteforce_marginal(DiscreteHexagon(5, 2, 2), 1, (0,))
 
 
-# ----------------------------------------------------------------- transfer
+# ------------------------------------------------------- tallies of the listing
 
 
 def _budget_hexagons():
@@ -246,20 +250,34 @@ def _budget_hexagons():
     return [DiscreteHexagon(*npq) for npq in npqs if math.prod(npq) <= hexagon._BUDGET]
 
 
-def test_transfer_matches_enumeration_tallies():
-    # every hexagon inside the budget, mirrors included: the total, every
-    # line's marginals and every up-ramp line's left counts, against the listing
-    for hexa in _budget_hexagons():
-        configs = enumerate_configurations(hexa)
-        forward, backward = hexagon._transfer(hexa)
-        assert forward[-1][()] == len(configs), hexa
-        for t in range(hexa.p + hexa.q + 1):
-            tally = Counter(cfg[t] for cfg in configs)
-            got = {xs: forward[t][xs] * backward[t][xs] for xs in forward[t]}
-            assert {xs: c for xs, c in got.items() if c} == tally, (hexa, t)
-        for t in range(1, min(hexa.p, hexa.q) + 1):
-            prefixes = Counter(cfg[t] for cfg in {cfg[: t + 1] for cfg in configs})
-            assert forward[t] == prefixes, (hexa, t)
+def test_lattice_identities_hold_on_every_budget_hexagon():
+    # every hexagon inside the budget, mirrors included, with every up-ramp
+    # line's left counts and every line's marginal
+    hexas = _budget_hexagons()
+    assert len(hexas) == 110
+    for hexa in hexas:
+        count_lines, marginal_lines = range(1, min(hexa.p, hexa.q) + 1), range(hexa.p + hexa.q + 1)
+        assert checks.lattice_identities(hexa, count_lines, marginal_lines) == (True, True), hexa
+
+
+@pytest.mark.parametrize(
+    "count_lines,marginal_lines,error,message",
+    [
+        ((), (-1,), ValueError, "line t must be an integer in 0..4, got -1"),
+        ((), (5,), ValueError, "line t must be an integer in 0..4, got 5"),
+        ((), (True,), TypeError, "line t must be an integer in 0..4, got True"),
+        ((), (1.0,), TypeError, "line t must be an integer in 0..4, got 1.0"),
+        ((3,), (), ValueError, "line t must be an integer in 1..2, got 3"),
+    ],
+)
+def test_lattice_identities_check_each_line_before_any_tally(count_lines, marginal_lines, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        checks.lattice_identities(DiscreteHexagon(2, 2, 2), count_lines, marginal_lines)
+
+
+def test_lattice_identities_check_the_budget_first():
+    with pytest.raises(BudgetExceededError, match=r"^n\*p\*q = 27 exceeds the enumeration budget 16$"):
+        checks.lattice_identities(DiscreteHexagon(3, 3, 3), (4,), (7,))
 
 
 @pytest.mark.parametrize(
@@ -267,23 +285,9 @@ def test_transfer_matches_enumeration_tallies():
     [(4, 4, 4, 232848), (5, 5, 5, 267227532), (8, 3, 3, 259545), (16, 2, 3, 276165), (5, 3, 8, 61408347)],
 )
 def test_transfer_counts_macmahon_past_the_budget(n, p, q, total):
-    # the transfer itself has no budget; only its entry points check one
+    # the package's successors, counted forward with no budget
     assert total == _macmahon(n, p, q)
-    assert hexagon._transfer(DiscreteHexagon(n, p, q))[0][-1][()] == total
-
-
-def test_transfer_keeps_counts_not_edges():
-    # the traced peak is what the two count lists retain, give or take; it
-    # was about 5x while the forward pass stored every state's successors
-    hexa = DiscreteHexagon(24, 2, 3)
-    tracemalloc.start()
-    try:
-        result = hexagon._transfer(hexa)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result[0][-1][()] == _macmahon(24, 2, 3)
-    assert peak <= 1.5 * retained, (peak, retained)
+    assert forward_counts(DiscreteHexagon(n, p, q))[-1][()] == total
 
 
 def test_transfer_reads_each_boundary_once(monkeypatch):
@@ -295,28 +299,11 @@ def test_transfer_reads_each_boundary_once(monkeypatch):
         return real(hexa, t)
 
     monkeypatch.setattr(hexagon, "boundary_positions", counted)
-    for hexa in (DiscreteHexagon(2, 2, 2), DiscreteHexagon(3, 2, 4), DiscreteHexagon(2, 4, 2)):
+    # the listing's largest budget hexagons, both orientations
+    for hexa in (DiscreteHexagon(2, 2, 2), DiscreteHexagon(2, 2, 4), DiscreteHexagon(2, 4, 2)):
         calls.clear()
-        hexagon._transfer(hexa)
+        enumerate_configurations(hexa)
         assert len(calls) <= hexa.p + hexa.q + 1, (hexa, calls)
-
-
-def test_total_runs_only_the_forward_pass(monkeypatch):
-    # one _next_lines call per state of lines 0..p+q-1, none for a backward pass
-    calls = []
-    real = hexagon._next_lines
-
-    def counted(pad, current):
-        calls.append(current)
-        return real(pad, current)
-
-    monkeypatch.setattr(hexagon, "_next_lines", counted)
-    for n, p, q in [(2, 2, 2), (4, 2, 2), (2, 2, 4), (1, 4, 4)]:
-        hexa = DiscreteHexagon(n, p, q)
-        forward = hexagon._transfer(hexa)[0]
-        calls.clear()
-        assert hexagon._total(hexa) == _macmahon(n, p, q)
-        assert len(calls) == sum(len(states) for states in forward[:-1]), hexa
 
 
 def test_next_lines_match_the_reference_search():
@@ -339,15 +326,15 @@ def test_enumeration_matches_the_reference_walk():
         assert enumerate_configurations(hexa) == reference_configurations(hexa), hexa
 
 
-def test_lattice_identities_runs_one_transfer(monkeypatch):
+def test_lattice_identities_runs_one_listing(monkeypatch):
     calls = []
 
     def counted(hexa):
         calls.append(hexa)
-        return transfer(hexa)
+        return listing(hexa)
 
-    transfer = hexagon._transfer
-    monkeypatch.setattr(hexagon, "_transfer", counted)
+    listing = hexagon.enumerate_configurations
+    monkeypatch.setattr(hexagon, "enumerate_configurations", counted)
     hexa = DiscreteHexagon(2, 2, 2)
     assert checks.lattice_identities(hexa, (2,), (1, 2, 3)) == (True, True)
     assert calls == [hexa]

@@ -98,13 +98,9 @@ def test_integer_arguments_are_checked_only_in_model():
 # ``model._index``, the one integer check, is open to every module.
 PRIVATE_READS = {
     "cli": {
-        "hexagon._total": "`enumerate --total-only` counts without listing",
         "scaling._nu": "`bulk` needs nu alone, past the k where scaling_context's A overflows",
     },
     "checks": {
-        "hexagon._check_budget": "lattice_identities refuses a hexagon past the budget before its transfer",
-        "hexagon._total": "validate's frozen counts count without listing",
-        "hexagon._transfer": "lattice_identities reads the counts the transfer keeps",
         "sampler._dirichlet_draw": "validate checks the sampler's own Dirichlet draw",
     },
     "oracle": {"kernel._check_positions": "probe positions are refused as kernel positions are"},

@@ -811,6 +811,39 @@ def test_empty_sides_give_empty_blocks():
         assert kernel_matrix(ctx, s, [], t, [0.3, 0.5, 0.9]).shape == (0, 3)
 
 
+@pytest.mark.parametrize("s,t", [(1, 2), (1, 1), (2, 1)])
+def test_kernel_matrix_refuses_positions_of_more_than_one_dimension(monkeypatch, s, t):
+    # a row array of shape (1, 2) reached the exact arithmetic (AttributeError)
+    # or numpy's concatenate (ValueError) before; now no work starts
+    def fail(*args):
+        raise AssertionError("no block is built")
+
+    monkeypatch.setattr(kernel_module, "_tower", fail)
+    monkeypatch.setattr(kernel_module, "_cross_block", fail)
+    ctx = kernel_context(HexagonSpec(2, 3))
+    rule = "positions must be a scalar or a 1-D array, got shape"
+    with pytest.raises(ValueError, match=rf"^row {rule} \(1, 2\)$"):
+        kernel_matrix(ctx, s, [[0.2, 0.3]], t, [0.4])
+    with pytest.raises(ValueError, match=rf"^column {rule} \(2, 1\)$"):
+        kernel_matrix(ctx, s, 0.4, t, [[0.2], [0.3]])
+    with pytest.raises(ValueError, match=rf"^row {rule} \(1, 1, 1\)$"):
+        kernel_matrix(ctx, s, [[[1.5]]], t, [0.4])  # the shape is named before the range
+
+
+def test_line_density_keeps_the_shape_of_its_positions():
+    ctx = kernel_context(HexagonSpec(2, 3))
+    xs = np.array([[0.2, 0.3, 0.35], [0.4, 0.5, 0.9]])
+    for t in (1, 2, 4):
+        flat = line_density(ctx, t, xs.ravel())
+        for given in (xs, xs.T, xs.tolist(), xs[:, :, None], xs[:0]):
+            got = line_density(ctx, t, given)
+            assert got.shape == np.shape(given)
+            assert got.ravel().tobytes() == line_density(ctx, t, np.ravel(given)).tobytes()
+        assert line_density(ctx, t, xs).tobytes() == flat.tobytes()
+        assert line_density(ctx, t, 0.3) == flat[1] and type(line_density(ctx, t, 0.3)) is float
+        assert line_density(ctx, t, [0.3]).shape == (1,)
+
+
 @pytest.mark.parametrize("p,q", [(64, 192), (256, 768)])
 def test_same_line_entries_match_mpmath(p, q):
     # Every s >= t entry against the 60-digit reference, out-of-band points
