@@ -19,13 +19,9 @@ out for nearly every end without evaluating the resolvent sum there, with
 the same bytes as evaluating it.
 
 The solve works gap-major: a line's (batch, poles) arrays are transposed
-once, so every bracket and Newton operation runs on contiguous rows as long
-as the batch instead of on rows a few poles long.  Sums over the poles then
-run down the first axis, where numpy's own order depends on the shape (left
-to right while the other axes hold more than one element, pairwise once
-they collapse to one); :func:`_pole_sum` adds them in the order numpy adds a
-contiguous row, so each zero has the bytes of a row-by-row solve, whatever
-shares its call.
+once, so bracket and Newton steps run on contiguous rows as long as the
+batch, and every sum over the poles adds left to right (:func:`_pole_sum`),
+so each zero depends on its own row alone, whatever shares its call.
 
 Batched internally: all configurations of a chunk march through the lines
 together as (batch, beads) arrays, and each fixed-size chunk owns a spawned
@@ -89,31 +85,16 @@ def _dirichlet_draw(rng: np.random.Generator, mult: Sequence[int], batch: int) -
 
 
 def _pole_sum(terms: np.ndarray) -> np.ndarray:
-    """``terms.sum(axis=0)``, added in the order numpy adds a contiguous row.
+    """``terms.sum(axis=0)``, added left to right down the first axis.
 
-    numpy sums a contiguous row of n terms left to right below 8 terms, as
-    eight interleaved partial sums from 8 to 128 terms, and as the sum of
-    two 8-aligned halves above that.  Along axis 0 it adds left to right
-    whenever the other axes hold more than one element, and pairwise when
-    they collapse to one.  Following the row order here makes each sum
-    depend on its own column alone, bit for bit equal to summing that column
-    as a contiguous row, whatever else shares the array.  A single column
-    already is that row, so numpy adds it directly.
+    numpy reduces axis 0 left to right while the other axes hold more than
+    one element, but pairwise once they collapse to one, so a single column
+    is accumulated instead.  Each sum then depends on its own column alone,
+    whatever else shares the array.
     """
-    n = terms.shape[0]
-    if n < 8 or terms[0].size == 1:
-        return np.add.reduce(terms)  # left to right, or one contiguous row
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pole_sum(terms[:half]) + _pole_sum(terms[half:])
-    m = n - n % 8
-    part = np.add.reduce(terms[:m].reshape((m // 8, 8) + terms.shape[1:]))
-    part = part[0::2] + part[1::2]
-    part = part[0::2] + part[1::2]
-    total = part[0] + part[1]
-    for row in terms[m:]:
-        total += row
-    return total
+    if terms[0].size == 1:
+        return np.add.accumulate(terms)[-1]
+    return np.add.reduce(terms)
 
 
 def _eigen_start(poles: np.ndarray, weights: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -124,10 +105,9 @@ def _eigen_start(poles: np.ndarray, weights: np.ndarray, total: np.ndarray) -> n
     ``H diag(a) H`` acts on ``u``-perp.  That block is
     ``diag(a') + u' g^T + g u'^T`` with ``g = u' (kappa/2 - beta a')``,
     ``beta = 2 / v.v`` and ``kappa = beta^2 v^T diag(a) v``; its eigenvalues,
-    ascending, are the zeros of the resolvent sum, one per pole gap.  The
-    poles and weights come gap-major, one column per row of the batch, with
-    ``total`` the weights' :func:`_pole_sum`; the blocks go to ``eigvalsh`` as
-    (B, n-1, n-1).
+    ascending, are the zeros of the resolvent sum, one per pole gap.  Poles
+    and weights come gap-major, ``total`` is the weights' left-to-right sum,
+    and the blocks go to ``eigvalsh`` as (B, n-1, n-1).
     """
     u = np.sqrt(weights)
     norm = np.sqrt(total)
@@ -173,13 +153,10 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     ends, with the same bytes either way.
 
     Inside, the work is gap-major: poles and weights are transposed once to
-    (n, B), and brackets, end evaluations, Newton state and pass 0's
-    (n, n-1, B) resolvent terms run on contiguous rows of the batch, where
-    numpy's elementwise loops are long, instead of on (B, n) rows only a few
-    poles long.  Every sum over the poles goes through :func:`_pole_sum`, in
-    the order numpy sums a row, so the zeros have the bytes of the row-major
-    solve and do not depend on how many rows or active entries share the
-    call; the prefix and suffix sums run left to right in any layout.
+    (n, B), so brackets, end evaluations, Newton state and pass 0's
+    (n, n-1, B) resolvent terms run on contiguous rows of the batch.  Every
+    sum over the poles, prefix and suffix sums included, adds left to right,
+    so no zero depends on how many rows or active entries share the call.
 
     Raises ``ValueError`` naming the row and its sum if a row's weights sum
     to a value outside [0.5, 2), NaN included.  Raises ``RuntimeError``

@@ -438,6 +438,10 @@ def bulk_convergence_probe(
     ``1/(p u_S)`` and divided by the gauge ``A^{X-Y} (pB)^{s0-t0}`` — the
     ``p``-power is the size part of the same gauge and, like ``B`` itself,
     cancels from every correlation determinant.
+
+    Raises ``ValueError`` before any kernel work for an offset that is not
+    ``(s0, t0, X, Y)``, a line offset whose line is off the fan, or an ``X``
+    or ``Y`` whose position is not strictly inside (0, 1).
     """
     ctx_s = scaling_context(k, S)
     p = _index(p, "p", 1)  # a Python int, so every row holds floats
@@ -448,12 +452,24 @@ def bulk_convergence_probe(
     spec = HexagonSpec(p, q)
     center = round(p * S)
     lo, hi = 1 - center, spec.n_lines - center  # the offsets whose line is in range
+    for off in offsets:
+        if len(off) != 4:
+            raise ValueError(f"offset must be (s0, t0, X, Y), got {off!r}")
     s0s = [_index(off[0], "offset s0", lo, hi) for off in offsets]
     t0s = [_index(off[1], "offset t0", lo, hi) for off in offsets]
     Xs, Ys = (np.array([off[j] for off in offsets], dtype=float) for j in (2, 3))
     scale = p * ctx_s.u_S
+    xy = np.array([Xs, Ys])
+    points = ctx_s.X_S + xy / scale
+    outside = ~((0.0 < points) & (points < 1.0))  # a NaN too
+    if outside.any():
+        j, i = np.argwhere(outside)[0]
+        name, value = "XY"[j], float(xy[j, i])
+        span = f"({-ctx_s.X_S * scale:.6g}, {(1.0 - ctx_s.X_S) * scale:.6g})"
+        where = f"puts X_S + {name}/(p u_S) outside (0, 1); {name} must lie in about {span}"
+        raise ValueError(f"offset {name} = {value!r} at p = {p} {where}")
     line_s, line_t = center + np.array(s0s), center + np.array(t0s)
-    values = kernel_eval(kernel_context(spec), line_s, ctx_s.X_S + Ys / scale, line_t, ctx_s.X_S + Xs / scale)
+    values = kernel_eval(kernel_context(spec), line_s, points[1], line_t, points[0])
     rows = []
     for s0, t0, X, Y, value in zip(s0s, t0s, Xs.tolist(), Ys.tolist(), values.tolist()):
         scaled = value / scale

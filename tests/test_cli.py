@@ -319,6 +319,14 @@ def test_bulk_probe_table(capsys):
     assert err16 < err8
 
 
+def test_bulk_probe_names_an_x_off_the_line(capsys):
+    # X = 100 at p = 16 puts the point past position 1: the error names X,
+    # p and the range of X, not only the kernel's (0, 1)
+    assert run("bulk --k 2 --S 2 --probe-p 16 --X 100".split()) == 2
+    err = "error: offset X = 100.0 at p = 16 puts X_S + X/(p u_S) outside (0, 1); X must lie in about (-8.82126, 8.82126)"
+    assert _capture(capsys) == ("", err + "\n")
+
+
 def test_bulk_probe_flag_repeats(capsys):
     # the README form: one row per repeated flag, in order
     assert run("bulk --k 2 --S 2 --probe-p 16 --probe-p 32".split()) == 0

@@ -1,8 +1,11 @@
 """Random construction: Dirichlet weights, secular zeros, configuration sampling."""
 
+import functools
 import hashlib
 import math
+import operator
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,6 +179,39 @@ def test_secular_zeros_match_bisection_reference(row):
     _assert_matches_reference(poles, weights, sampler._secular_zeros_batch(poles, weights))
 
 
+def test_sampled_zeros_with_many_poles_lie_within_two_ulps(monkeypatch):
+    # The bisection reference above draws at most 8 poles; lines of (32, 96)
+    # have up to 33.  On every 10th sampled line, each zero is compared with
+    # the exact zero of its row's resolvent sum, built from the same double
+    # poles and weights: f decreases on the gap, so exact Fraction signs of f
+    # two doubles either side of the zero bracket the exact one.
+    calls, real = [], sampler._secular_zeros_batch
+
+    def recorded(poles, weights):
+        zeros = real(poles, weights)
+        calls.append((poles, weights, zeros))
+        return zeros
+
+    monkeypatch.setattr(sampler, "_secular_zeros_batch", recorded)
+    sampler._sample_lines_batch(np.random.default_rng(7), HexagonSpec(32, 96), 4)
+    checked = 0
+    for poles, weights, zeros in calls[::10]:
+        for a, w, row in zip(poles.tolist(), weights.tolist(), zeros.tolist()):
+            terms = [(Fraction(ai), Fraction(wi)) for ai, wi in zip(a, w)]
+
+            def f(x):
+                return sum(wi / (Fraction(x) - ai) for ai, wi in terms)
+
+            for j, z in enumerate(row):
+                below = math.nextafter(math.nextafter(z, -math.inf), -math.inf)
+                above = math.nextafter(math.nextafter(z, math.inf), math.inf)
+                assert below <= a[j] or f(below) >= 0, (poles.shape, j, z)
+                assert above >= a[j + 1] or f(above) <= 0, (poles.shape, j, z)
+                checked += 1
+    assert max(p.shape[1] for p, _, _ in calls[::10]) == 33
+    assert checked == 1232
+
+
 def _hard_batch(seed, batch=24, n=9):
     """Rows of one batch: spread poles with gaps down to 1e-15, poles
     clustered at the 1e-12 scale between anchors at 0 and 1, and weights
@@ -286,20 +322,21 @@ def test_secular_zeros_depend_only_on_their_row(monkeypatch):
     assert {8, 9} <= single
 
 
-def test_pole_sum_adds_in_numpy_row_order():
+def test_pole_sum_adds_left_to_right():
     # The solver sums over the poles down the first axis of gap-major arrays,
-    # in the order numpy sums a contiguous row, so each zero keeps the bytes
-    # of a row-major solve.  Mixed signs and magnitudes make the order show:
-    # a numpy release that sums rows differently fails here, instead of
-    # moving sample bytes without a word.
-    # The (n, 2, n-1, k) case is the bracket-end evaluation of k rows.
+    # left to right in every shape, so each sum is that of its own column.
+    # Mixed signs and magnitudes make the order show: a numpy release that
+    # reduces an axis in another order fails here, instead of moving sample
+    # bytes without a word.  The (n, 2, n-1, k) case is the bracket-end
+    # evaluation of k rows.
     rng = np.random.default_rng(27)
     for n in [*range(1, 141), 256, 513]:
         rows = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (6, n))
         ends = rng.standard_normal((2, n - 1, 3, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (2, n - 1, 3, n))
         for batch in (rows[:1], rows, rows.reshape(2, 3, n), ends):
             got = sampler._pole_sum(np.ascontiguousarray(np.moveaxis(batch, -1, 0)))
-            assert got.tobytes() == batch.sum(axis=-1).tobytes(), (n, batch.shape)
+            want = [functools.reduce(operator.add, column) for column in batch.reshape(-1, n).tolist()]
+            assert got.tobytes() == np.array(want).reshape(batch.shape[:-1]).tobytes(), (n, batch.shape)
 
 
 def _record_bracket_ends(monkeypatch):
@@ -458,10 +495,13 @@ def test_seed_determinism_is_bytewise():
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
-# sha256 of sample_positions on both sides of the 8-term boundary of numpy's
-# row sums: up to (4, 12) every line has fewer than 8 poles, from (7, 9) on
-# some have more.  Computed while the secular solve still ran on (B, n) rows.
-_SAMPLE_DIGEST = "aaa5de862e6136771311d01e7a4fcd3b251ee900f48d1264ef491277fc7281b7"
+# sha256 of sample_positions with every pole sum added left to right.  The
+# largest line of (p, q) has p + 1 poles, so up to (4, 12) every line has
+# fewer than 8 and keeps the bytes of the earlier solve, which added a row in
+# numpy's order: left to right below 8 terms, in eight partial sums from 8.
+# From p = 7, (7, 9), (8, 24) and (32, 96) have lines of 8 poles or more,
+# and their bytes changed when the sums went left to right.
+_SAMPLE_DIGEST = "2173b71f3dff662dc5cadc92b9c157ce6bc27b566fbe161e7be89dd4db2119ef"
 
 
 def test_sample_bytes_match_the_pinned_digest():

@@ -517,6 +517,36 @@ def test_probe_validation():
         bulk_convergence_probe(2.0, 2.0, 16, [(1.7, 0, 0.1, 0.0)])  # not truncated to offset 1
 
 
+_X_OUTSIDE = r"at p = 16 puts X_S \+ {0}/\(p u_S\) outside \(0, 1\); {0} must lie in about \(-8\.82126, 8\.82126\)$"
+
+
+@pytest.mark.parametrize(
+    "offset,message",
+    [
+        ((0, 0, 0.1), r"^offset must be \(s0, t0, X, Y\), got \(0, 0, 0\.1\)$"),
+        ((0, 0, 0.1, 0.2, 99), r"^offset must be \(s0, t0, X, Y\), got \(0, 0, 0\.1, 0\.2, 99\)$"),
+        ((0, 0, 100.0, 0.0), r"^offset X = 100\.0 " + _X_OUTSIDE.format("X")),
+        ((0, 0, 0.0, -8.83), r"^offset Y = -8\.83 " + _X_OUTSIDE.format("Y")),
+        ((0, 0, math.nan, 0.0), r"^offset X = nan " + _X_OUTSIDE.format("X")),
+    ],
+    ids=["three-items", "five-items", "X-past-1", "Y-below-0", "X-nan"],
+)
+def test_probe_refuses_a_malformed_offset_before_kernel_work(monkeypatch, offset, message):
+    # the offset follows a valid one; X or Y must put X_S + X/(p u_S)
+    # strictly inside (0, 1), about |X| < 8.82 at k = S = 2, p = 16
+    def no_kernel(spec):
+        raise AssertionError("kernel work before the offsets were checked")
+
+    monkeypatch.setattr(scaling, "kernel_context", no_kernel)
+    with pytest.raises(ValueError, match=message):
+        bulk_convergence_probe(2.0, 2.0, 16, [(0, 0, 0.1, 0.0), offset])
+
+
+def test_probe_takes_offsets_up_to_the_ends_of_their_range():
+    rows = bulk_convergence_probe(2.0, 2.0, 16, [(0, 0, 8.82, -8.82), (0, 0, -8.82, 8.82)])
+    assert all(math.isfinite(r.normalized) for r in rows)
+
+
 def test_probe_takes_numpy_integer_p():
     # the rows match the Python-int ones bit for bit (repr prints floats
     # exactly, and names numpy scalar types)
