@@ -231,9 +231,7 @@ def _cmd_bulk(args) -> int:
         g = scaling.gamma_parameter(args.k, args.S)
         val = scaling.boutillier_kernel(g, args.s0, args.Y, args.t0, args.X)
     else:
-        # nu alone: scaling_context's A = e^(pi/nu) leaves a double from k ~ 2e5
-        nu = scaling._nu(args.k, args.S, "nu at (k, S) = ")
-        val = scaling.bulk_kernel(nu, args.s0, args.Y, args.t0, args.X)
+        val = scaling.bulk_kernel(scaling.scaling_context(args.k, args.S).nu, args.s0, args.Y, args.t0, args.X)
     _write_text(args.out, _fmt(val) + "\n")
     return 0
 

@@ -130,8 +130,8 @@ def midpoint_density(k: float, S: float) -> float:
 
 @dataclass(frozen=True)
 class ScalingContext:
-    """Bulk constants at the band midpoint of line label ``S``; the gauge
-    constant is ``B = pi u_S / nu``."""
+    """Bulk constants at the band midpoint of line label ``S``, with the gauge
+    constant ``B = pi u_S / nu``; the probe computes its own ``A = e^{pi/nu}``."""
 
     k: float
     S: float
@@ -140,37 +140,23 @@ class ScalingContext:
     X_S: float
     u_S: float
     nu: float
-    A: float
     B: float
-
-
-def _nu(k: float, S: float, name: str) -> float:
-    # nu at the band midpoint of a plateau label; an OverflowError prints
-    # name followed by (k, S).  The bulk kernels need no other midpoint constant
-    _check_ks(k, S)
-    if k <= 0:
-        raise ValueError("bulk constants need k > 0 (p = q makes nu infinite)")
-    if not 1.0 <= S <= k + 1.0:
-        raise ValueError(f"plateau labels need 1 <= S <= {k + 1}, got {S}")
-    return _finite((2.0 + k) / k * math.sqrt((1.0 + k) / (S * (2.0 + k - S))), name, k, S)
 
 
 # typed: a context keeps its caller's k and S as given, and True is not 1.0
 @lru_cache(maxsize=8, typed=True)
 def scaling_context(k: float, S: float) -> ScalingContext:
-    """All midpoint constants, with ``A = e^{pi/nu}`` and ``B = pi u_S / nu``;
-    needs ``k > 0`` and the plateau ``1 <= S <= k+1``.  Raises
-    ``OverflowError`` where ``nu`` or ``A`` is outside the range of a double:
-    ``A`` leaves it once ``nu < 0.00443``, from about ``k = 2e5`` at the
-    plateau midpoint.  :func:`bulk_kernel` and :func:`gamma_parameter` need
-    only ``nu``, which is a double for every ``k <= 1e6``.  Memoized, as
-    :func:`~beadproc.kernel.kernel_context` is, so a probe over several ``p``
-    builds one context; a refused ``(k, S)`` raises on every call."""
-    nu = _nu(k, S, "scaling_context")
-    try:
-        A = math.exp(math.pi / nu)
-    except OverflowError:
-        raise OverflowError(f"scaling_context{(k, S)!r} is outside the range of a double") from None
+    """All midpoint constants, with ``B = pi u_S / nu``; needs ``k > 0`` and the
+    plateau ``1 <= S <= k+1``, and serves every ``k <= 1e6``.  Raises
+    ``OverflowError`` naming the call where ``nu`` leaves a double.  Memoized,
+    as :func:`~beadproc.kernel.kernel_context` is, so a probe over several
+    ``p`` builds one context; a refused ``(k, S)`` raises on every call."""
+    _check_ks(k, S)
+    if k <= 0:
+        raise ValueError("bulk constants need k > 0 (p = q makes nu infinite)")
+    if not 1.0 <= S <= k + 1.0:
+        raise ValueError(f"plateau labels need 1 <= S <= {k + 1}, got {S}")
+    nu = _finite((2.0 + k) / k * math.sqrt((1.0 + k) / (S * (2.0 + k - S))), "scaling_context", k, S)
     c, d = support_interval(k, S)
     u_S = midpoint_density(k, S)
     return ScalingContext(
@@ -181,14 +167,13 @@ def scaling_context(k: float, S: float) -> ScalingContext:
         X_S=0.5 * (c + d),
         u_S=u_S,
         nu=nu,
-        A=A,
         B=math.pi / nu * u_S,  # this order keeps B = 2 exact at k = S = 2
     )
 
 
 def gamma_parameter(k: float, S: float) -> float:
-    """Anisotropy parameter of ``J_gamma``: ``1/sqrt(1 + nu^2)``."""
-    nu = float(_nu(k, S, "gamma_parameter"))  # a Python float: nu * nu overflows to inf without a warning
+    """Anisotropy parameter of ``J_gamma``: ``1/sqrt(1 + nu^2)``, ``nu`` from :func:`scaling_context`."""
+    nu = float(scaling_context(k, S).nu)  # a Python float: nu * nu overflows to inf without a warning
     if math.isinf(nu * nu):  # nu > 1.3e154, where 1 + nu^2 rounds to nu^2 anyway
         return 1.0 / nu
     return 1.0 / math.sqrt(1.0 + nu * nu)
@@ -202,7 +187,7 @@ _E1_TERMS = 200  # series cap; the series converges within it for every |z| <= 7
 
 def _en_fraction(z: complex, n: int, steps: int) -> complex | None:
     """``e^z E_n(z)`` by its continued fraction, or ``None`` if that has not
-    converged within ``steps`` steps.
+    converged within ``steps`` steps.  Needs ``Im z != 0``.
 
     A step factor ``delta`` that rounds to 1 ends the fraction.  Far from
     the origin (``|z| ~ 1e19`` and beyond) the factors differ from 1 by less
@@ -214,22 +199,16 @@ def _en_fraction(z: complex, n: int, steps: int) -> complex | None:
     their bytes.
     """
     # modified Lentz on the even continued fraction
-    # 1/(z+n- 1n/(z+n+2- 2(n+1)/(z+n+4- ...))); f = z + n is off 0 for every
-    # z served (|z| > 4 for E_1, Im z = -tau != 0 for the tails), so only c
-    # and d need the guard
-    tiny = 1e-290
+    # 1/(z+n- 1n/(z+n+2- 2(n+1)/(z+n+4- ...))), with no zero guard: a < 0,
+    # so a d (d = 1/the last denominator) and a/c keep the sign of Im b = Im z,
+    # and no denominator's imaginary part is below |Im z| in size
     f = z + n
     c, d, last = f, complex(0.0), None
     for i in range(1, steps):
         a = -float(i * (i + n - 1))
         b = z + 2.0 * i + n
-        d = b + a * d
-        if d == 0:
-            d = tiny
+        d = 1.0 / (b + a * d)
         c = b + a / c
-        if c == 0:
-            c = tiny
-        d = 1.0 / d
         delta = c * d
         f *= delta
         if abs(delta - 1.0) < 1e-16:
@@ -441,9 +420,15 @@ def bulk_convergence_probe(
 
     Raises ``ValueError`` before any kernel work for an offset that is not
     ``(s0, t0, X, Y)``, a line offset whose line is off the fan, or an ``X``
-    or ``Y`` whose position is not strictly inside (0, 1).
+    or ``Y`` whose position is not strictly inside (0, 1); ``OverflowError``
+    naming ``A``, ``k`` and ``S`` where the gauge ``A = e^{pi/nu}`` leaves a
+    double (``nu < pi/709.78``, from about ``k = 2e5`` at mid-plateau).
     """
     ctx_s = scaling_context(k, S)
+    try:
+        A = math.exp(math.pi / ctx_s.nu)
+    except OverflowError:
+        raise OverflowError(f"gauge A = e^(pi/nu) at (k, S) = {(k, S)!r} is outside the range of a double") from None
     p = _index(p, "p", 1)  # a Python int, so every row holds floats
     q_real = p * (1.0 + k)
     q = round(q_real)
@@ -473,7 +458,7 @@ def bulk_convergence_probe(
     rows = []
     for s0, t0, X, Y, value in zip(s0s, t0s, Xs.tolist(), Ys.tolist(), values.tolist()):
         scaled = value / scale
-        normalized = scaled / (ctx_s.A ** (X - Y) * (p * ctx_s.B) ** (s0 - t0))
+        normalized = scaled / (A ** (X - Y) * (p * ctx_s.B) ** (s0 - t0))
         limit = bulk_kernel(ctx_s.nu, s0, Y, t0, X)
         rows.append(
             ProbeRow(

@@ -288,7 +288,7 @@ def test_bulk_nu_outside_a_double_names_nu_and_its_arguments(capsys):
     code = run("bulk --k 1e-320 --S 1".split())
     out, err = _capture(capsys)
     assert code == 2 and out == ""
-    assert err == "error: nu at (k, S) = (1e-320, 1.0) is outside the range of a double\n"
+    assert err == "error: scaling_context(1e-320, 1.0) is outside the range of a double\n"
 
 
 def test_gamma_form_value_outside_a_double_is_an_error_line(capsys):

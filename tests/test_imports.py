@@ -97,9 +97,6 @@ def test_integer_arguments_are_checked_only_in_model():
 # Each reader's reads of other modules' private names, with the reason.
 # ``model._index``, the one integer check, is open to every module.
 PRIVATE_READS = {
-    "cli": {
-        "scaling._nu": "`bulk` needs nu alone, past the k where scaling_context's A overflows",
-    },
     "checks": {
         "sampler._dirichlet_draw": "validate checks the sampler's own Dirichlet draw",
     },

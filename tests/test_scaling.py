@@ -181,7 +181,6 @@ def test_midpoint_constants_frozen_case():
     assert abs(ctx.u_S - 2.0 * math.sqrt(3.0) / math.pi) < 1e-12
     assert abs(ctx.B - 2.0) < 1e-12
     assert abs(ctx.B - math.pi * ctx.u_S / ctx.nu) < 1e-12
-    assert abs(math.log(ctx.A) * ctx.nu - math.pi) < 1e-12
 
 
 @pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 2.0, 3.0, 5.5])
@@ -195,6 +194,17 @@ def test_gauge_b_matches_rational_closed_form(k):
         assert abs(scaling_context(k, S).B - closed) <= 1e-14 * closed
 
 
+@pytest.mark.parametrize("k", [2.5e5, 1e6])
+def test_gauge_b_matches_rational_closed_form_up_to_the_cap(k):
+    # the same closed form, within the band's relative error of k * 1e-14
+    # (1.8e-11 at k = 2.5e5 and 8.2e-11 at 1e6 over these labels)
+    for S in np.linspace(1.0, 1.0 + k, 9):
+        closed = (2 + k) ** 2 * k * S * (2 + k - S) / (
+            4 + 8 * k + k**3 * (1 + S) + k**2 * (5 + 2 * S - S * S)
+        )
+        assert abs(scaling_context(k, S).B - closed) <= k * 1e-14 * closed
+
+
 def test_gamma_parameter_values():
     assert abs(gamma_parameter(2.0, 2.0) - 0.5) < 1e-14
     nu = scaling_context(3.0, 1.5).nu
@@ -202,12 +212,20 @@ def test_gamma_parameter_values():
 
 
 def test_nu_alone_serves_k_up_to_the_cap():
-    # A = e^(pi/nu) leaves a double from k ~ 2e5 at mid-plateau; gamma needs only nu
+    # nu and every midpoint constant are doubles up to the cap; only the probe's A is not
     nu_squared = 4.0 * 250001.0 / 2.5e5**2  # nu = 2 sqrt(1 + k) / k at S = 1 + k/2
     assert gamma_parameter(2.5e5, 125001.0) == pytest.approx(1.0 / math.sqrt(1.0 + nu_squared), rel=1e-14)
-    message = r"^scaling_context\(1000000\.0, 500001\.0\) is outside the range of a double$"
+    ctx = scaling_context(1e6, 500001.0)
+    assert ctx.nu == 2.0 * math.sqrt(1.0 + 1e6) / 1e6
+    assert all(math.isfinite(v) for v in (ctx.X_S, ctx.u_S, ctx.B))
+
+
+def test_probe_names_a_gauge_outside_a_double_before_kernel_work(monkeypatch):
+    # nu = 0.004 < pi/709.78 at k = 2.5e5, so A = e^(pi/nu) overflows
+    monkeypatch.setattr(scaling, "kernel_context", lambda spec: pytest.fail("kernel work before the refusal"))
+    message = r"^gauge A = e\^\(pi/nu\) at \(k, S\) = \(250000\.0, 125001\.0\) is outside the range of a double$"
     with pytest.raises(OverflowError, match=message):
-        scaling_context(1e6, 500001.0)
+        bulk_convergence_probe(2.5e5, 125001.0, 1, [(0, 0, 0.0, 0.0)])
 
 
 def test_scaling_context_is_memoized_and_a_refusal_is_not():
@@ -217,8 +235,8 @@ def test_scaling_context_is_memoized_and_a_refusal_is_not():
     assert scaling_context(1, 1) is not scaling_context(1.0, 1.0)
     assert scaling_context(1.0, 1.0).k == 1.0 and type(scaling_context(1, 1).k) is int
     for _ in range(2):
-        with pytest.raises(OverflowError, match=r"^scaling_context\(1000000\.0, 500001\.0\)"):
-            scaling_context(1e6, 500001.0)
+        with pytest.raises(OverflowError, match=r"^scaling_context\(1e-320, 1\.0\)"):
+            scaling_context(1e-320, 1.0)
         with pytest.raises(ValueError, match="plateau labels"):
             scaling_context(2.0, 0.5)
 
