@@ -335,8 +335,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    return run(argv)
+main = run  # the console entry point
 
 
 if __name__ == "__main__":

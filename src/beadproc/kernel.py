@@ -62,7 +62,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import HexagonSpec, _index, particles_per_line
+from .model import HexagonSpec, _index, _positions, _records, particles_per_line
 
 __all__ = [
     "KernelContext",
@@ -149,11 +149,6 @@ def kernel_context(spec: HexagonSpec) -> KernelContext:
         mirror = lines[p + q - t - 1].a if 2 * t > p + q else None
         lines.append(_line_data(spec, t, logfact, den, mirror))
     return KernelContext(spec=spec, lines=tuple(lines))
-
-
-def _check_positions(name: str, arr: np.ndarray) -> None:
-    if arr.size and not (0.0 < arr.min() and arr.max() < 1.0):  # a NaN fails both
-        raise ValueError(f"{name} positions must lie strictly inside (0, 1)")
 
 
 def _norm_fraction(n: int, a: int, b: int) -> Fraction:
@@ -470,7 +465,7 @@ def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
     for name, arr in (("row", ys), ("column", xs)):
         if arr.ndim > 1:
             raise ValueError(f"{name} positions must be a scalar or a 1-D array, got shape {arr.shape}")
-        _check_positions(name, arr)
+        _positions(arr, f"{name} positions")
 
     if s != t:
         return _cross_block(spec, s, ys, t, xs)
@@ -534,9 +529,8 @@ def line_density(ctx: KernelContext, t: int, xs):
     shape, each value as the flat call gives it.
     """
     t = _index(t, "line t", 1, ctx.spec.n_lines)
-    given = np.asarray(xs, dtype=float)
+    given = _positions(xs, "line positions")
     xs_arr = given.ravel()
-    _check_positions("line", xs_arr)
     d = ctx.lines[t - 1]
     # K(t, x; t, x) = w_t(x) sum_n p_n(x)^2, from the unscaled rows: up to
     # p = 512 the gauge keeps their sum of squares within about [e^-1400,
@@ -579,6 +573,8 @@ def expected_count(ctx: KernelContext, t: int, nodes: int | None = None) -> floa
 
 def npoint_correlation(ctx: KernelContext, points: Sequence) -> float:
     """Correlation function ``det[K(t_i, x_i; t_j, x_j)]`` at the given
-    ``(line, position)`` pairs."""
+    ``(line, position)`` pairs; any other tuple raises ``ValueError`` before
+    any kernel work."""
+    points = _records(points, "point", ("line", "position"))
     L, X = (np.array([pt[k] for pt in points]) for k in (0, 1))
     return float(np.linalg.det(kernel_eval(ctx, L[:, None], X[:, None], L[None, :], X[None, :])))

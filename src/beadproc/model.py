@@ -13,7 +13,8 @@ every array being configuration ``b``, as
 :func:`~beadproc.sampler.sample_positions` returns them.
 :func:`interlacing_breaks` checks their shape and applies the rule.  Beside
 that rule, the module holds only the side parameters, the per-line bead
-counts and :func:`_index`, the integer check every module uses.
+counts and the argument checks every module uses: :func:`_index`,
+:func:`_positions` and :func:`_records`.
 """
 
 from __future__ import annotations
@@ -60,6 +61,26 @@ def _index(v, name: str, lo: int | None, hi: int | None = None) -> int:
         error = TypeError
     rule = "an integer" if lo is None else f"an integer >= {lo}" if hi is None else f"an integer in {lo}..{hi}"
     raise error(f"{name} must be {rule}, got {v!r}")
+
+
+def _positions(v, name: str) -> np.ndarray:
+    """``v`` as a float array inside (0, 1), the package's one position check; otherwise
+    ``ValueError`` names ``name`` and the first bad value in C order, NaN included."""
+    arr = np.asarray(v, dtype=float)
+    if arr.size and not (0.0 < arr.min() and arr.max() < 1.0):  # a NaN fails both
+        bad = arr[~((0.0 < arr) & (arr < 1.0))][0]
+        raise ValueError(f"{name} must lie strictly inside (0, 1), got {float(bad)!r}")
+    return arr
+
+
+def _records(items, name: str, fields: tuple[str, ...]) -> list:
+    """``items`` as a list of tuples with one value per field in ``fields``; otherwise
+    ``ValueError``: ``point must be (line, position), got (1, 0.5, 9)``."""
+    items = list(items)
+    for item in items:
+        if not hasattr(item, "__len__") or len(item) != len(fields):
+            raise ValueError(f"{name} must be ({', '.join(fields)}), got {item!r}")
+    return items
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import _check_positions, kernel_context, kernel_eval
-from .model import HexagonSpec, _index
+from .kernel import kernel_context, kernel_eval
+from .model import HexagonSpec, _index, _positions, _records
 
 __all__ = ["grid_points", "oracle_deviation"]
 
@@ -97,18 +97,17 @@ def oracle_deviation(spec: HexagonSpec, m: int, probes: Sequence[tuple[int, floa
     evaluated, so the comparison carries no interpolation error — only the
     genuine O(1/m) discretization gap.  Only the probed entries of the grid
     kernel are formed: one solve per distinct column line and one gathered
-    product per line pair.  Probe lines must be integers in ``1..p+q-1``
-    and positions lie inside (0, 1); an empty probe list raises.
+    product per line pair.  Each probe is ``(s, y, t, x)``, its lines integers
+    in ``1..p+q-1`` and its positions strictly inside (0, 1); an empty probe
+    list raises.  Each refusal names the value it refused, before any work.
     """
     m = _check_size(spec, m)
     if len(probes) == 0:
         raise ValueError("oracle_deviation needs at least one probe")
-    s, y, t, x = zip(*probes)
+    s, y, t, x = zip(*_records(probes, "probe", ("s", "y", "t", "x")))
     s = np.array([_index(v, "probe line s", 1, spec.n_lines) for v in s])
     t = np.array([_index(v, "probe line t", 1, spec.n_lines) for v in t])
-    y, x = np.array(y, dtype=float), np.array(x, dtype=float)
-    _check_positions("probe row", y)
-    _check_positions("probe column", x)
+    y, x = _positions(y, "probe row positions"), _positions(x, "probe column positions")
     paths, G, H, M = _hat_blocks(spec, m)
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1e12:

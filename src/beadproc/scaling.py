@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernel import _gauss_legendre_unit, kernel_context, kernel_eval
-from .model import HexagonSpec, _index
+from .model import HexagonSpec, _index, _positions, _records
 
 __all__ = [
     "ScalingContext",
@@ -43,7 +43,6 @@ __all__ = [
     "support_interval",
     "region_parameters",
     "global_density",
-    "midpoint_density",
     "scaling_context",
     "bulk_kernel",
     "boutillier_kernel",
@@ -103,12 +102,10 @@ def global_density(k: float, S: float, y):
     """Normalized limit density at height ``y`` on line label ``S``.
 
     Vanishes (like a square root) off the open band ``(c_S, d_S)``; heights
-    must lie strictly inside (0, 1).
+    outside (0, 1) raise ``heights must lie strictly inside (0, 1), got 1.0``.
     """
     _check_ks(k, S)
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if y_arr.size and not (np.all(y_arr > 0.0) and np.all(y_arr < 1.0)):
-        raise ValueError("heights must lie strictly inside (0, 1)")
+    y_arr = np.atleast_1d(_positions(y, "heights"))
     if S == 0.0 or S == 2.0 + k:
         out = np.zeros_like(y_arr)
         return float(out[0]) if np.ndim(y) == 0 else out
@@ -123,31 +120,25 @@ def global_density(k: float, S: float, y):
     return float(out[0]) if np.ndim(y) == 0 else out
 
 
-def midpoint_density(k: float, S: float) -> float:
-    c, d = support_interval(k, S)
-    return float(global_density(k, S, 0.5 * (c + d)))
-
-
 @dataclass(frozen=True)
 class ScalingContext:
-    """Bulk constants at the band midpoint of line label ``S``, with the gauge
-    constant ``B = pi u_S / nu``; the probe computes its own ``A = e^{pi/nu}``."""
+    """Bulk constants at the band midpoint ``X_S`` of line label ``S``: the density
+    ``u_S`` there, ``nu`` and the gauge constant ``B = pi u_S / nu``; the probe
+    computes its own ``A = e^{pi/nu}``."""
 
-    k: float
-    S: float
-    c_S: float
-    d_S: float
     X_S: float
     u_S: float
     nu: float
     B: float
 
 
-# typed: a context keeps its caller's k and S as given, and True is not 1.0
+# typed: an np.float64 k gives np.float64 X_S, nu and B, and a Python float
+# gives floats; untyped, whichever came first would serve both
 @lru_cache(maxsize=8, typed=True)
 def scaling_context(k: float, S: float) -> ScalingContext:
-    """All midpoint constants, with ``B = pi u_S / nu``; needs ``k > 0`` and the
-    plateau ``1 <= S <= k+1``, and serves every ``k <= 1e6``.  Raises
+    """The four midpoint constants of :class:`ScalingContext`, ``u_S`` being
+    ``global_density(k, S, X_S)``; needs ``k > 0`` and the plateau
+    ``1 <= S <= k+1``, and serves every ``k <= 1e6``.  Raises
     ``OverflowError`` naming the call where ``nu`` leaves a double.  Memoized,
     as :func:`~beadproc.kernel.kernel_context` is, so a probe over several
     ``p`` builds one context; a refused ``(k, S)`` raises on every call."""
@@ -158,17 +149,9 @@ def scaling_context(k: float, S: float) -> ScalingContext:
         raise ValueError(f"plateau labels need 1 <= S <= {k + 1}, got {S}")
     nu = _finite((2.0 + k) / k * math.sqrt((1.0 + k) / (S * (2.0 + k - S))), "scaling_context", k, S)
     c, d = support_interval(k, S)
-    u_S = midpoint_density(k, S)
-    return ScalingContext(
-        k=k,
-        S=S,
-        c_S=c,
-        d_S=d,
-        X_S=0.5 * (c + d),
-        u_S=u_S,
-        nu=nu,
-        B=math.pi / nu * u_S,  # this order keeps B = 2 exact at k = S = 2
-    )
+    X_S = 0.5 * (c + d)
+    u_S = global_density(k, S, X_S)
+    return ScalingContext(X_S=X_S, u_S=u_S, nu=nu, B=math.pi / nu * u_S)  # this order keeps B = 2 exact at k = S = 2
 
 
 def gamma_parameter(k: float, S: float) -> float:
@@ -437,9 +420,7 @@ def bulk_convergence_probe(
     spec = HexagonSpec(p, q)
     center = round(p * S)
     lo, hi = 1 - center, spec.n_lines - center  # the offsets whose line is in range
-    for off in offsets:
-        if len(off) != 4:
-            raise ValueError(f"offset must be (s0, t0, X, Y), got {off!r}")
+    offsets = _records(offsets, "offset", ("s0", "t0", "X", "Y"))
     s0s = [_index(off[0], "offset s0", lo, hi) for off in offsets]
     t0s = [_index(off[1], "offset t0", lo, hi) for off in offsets]
     Xs, Ys = (np.array([off[j] for off in offsets], dtype=float) for j in (2, 3))

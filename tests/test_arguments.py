@@ -1,4 +1,6 @@
-"""Every integer argument of the public API goes through one check, ``model._index``.
+"""Every integer argument of the public API goes through one check, ``model._index``,
+every position in (0, 1) through ``model._positions``, and every point tuple
+through ``model._records``.
 
 Each entry point is called with a bool, a numpy bool, a float and a string in
 place of one integer argument, and must raise ``TypeError`` naming the
@@ -9,14 +11,18 @@ calls returned a value: ``left_count(h, 1, (1.5,))`` was 1,
 ``sample_positions(count=True)`` drew one configuration,
 ``beta_cdf(0.5, True, 1)`` was 0.5, ``RandomStream(True)`` drew as seed 1
 and ``RandomStream([True, 1])`` as ``[1, 1]``, and ``RandomStream(1).spawn``
-gave one child for ``True`` and none for ``-1``.
+gave one child for ``True`` and none for ``-1``.  Before the point tuples
+were checked, ``npoint_correlation`` dropped a third field and
+``oracle_deviation`` a fifth.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
 
+from beadproc import kernel, oracle
 from beadproc.hexagon import (
     DiscreteHexagon,
     boundary_positions,
@@ -26,13 +32,14 @@ from beadproc.hexagon import (
     line_sites,
 )
 from beadproc.kernel import expected_count, kernel_context, kernel_eval, kernel_matrix, line_density, npoint_correlation
-from beadproc.model import HexagonSpec, _index, particles_per_line
+from beadproc.model import HexagonSpec, _index, _positions, particles_per_line
 from beadproc.oracle import grid_points, oracle_deviation
 from beadproc.sampler import RandomStream, sample_positions
 from beadproc.scaling import (
     boutillier_kernel,
     bulk_convergence_probe,
     bulk_kernel,
+    global_density,
     scaling_context,
     tail_integral_real,
 )
@@ -104,6 +111,64 @@ CASES = {
 # These take their lines as arrays, so a numpy bool arrives as a Python bool.
 ARRAYED = {"kernel_eval-s", "kernel_eval-t", "npoint_correlation"}
 NOT_INTEGERS = {"True": True, "np.True_": np.bool_(True), "1.5": 1.5, "'2'": "2"}
+
+
+# name: (call with one position v beside a valid one, the name its refusal gives)
+POSITION_CASES = {
+    "kernel_matrix-rows": (lambda v: kernel_matrix(CTX, 1, [0.3, v], 2, [0.5]), "row positions"),
+    "kernel_matrix-columns": (lambda v: kernel_matrix(CTX, 1, [0.3], 2, [0.5, v]), "column positions"),
+    "line_density": (lambda v: line_density(CTX, 1, [[0.3], [v]]), "line positions"),
+    "kernel_eval-y": (lambda v: kernel_eval(CTX, 1, [0.3, v], 2, 0.5), "row positions"),
+    "kernel_eval-x": (lambda v: kernel_eval(CTX, 1, 0.3, 2, [0.5, v]), "column positions"),
+    "npoint_correlation": (lambda v: npoint_correlation(CTX, [(1, v), (2, 0.3)]), "row positions"),
+    "oracle_deviation-rows": (
+        lambda v: oracle_deviation(SPEC, 8, [(1, 0.3, 1, 0.7), (2, v, 1, 0.7)]), "probe row positions"
+    ),
+    "oracle_deviation-columns": (
+        lambda v: oracle_deviation(SPEC, 8, [(1, 0.3, 1, 0.7), (2, 0.3, 1, v)]), "probe column positions"
+    ),
+    "global_density": (lambda v: global_density(2.0, 2.0, [0.5, v]), "heights"),
+}
+NOT_INSIDE = (0.0, 1.0, -0.5, 1.5, math.nan)
+
+
+@pytest.mark.parametrize("bad", NOT_INSIDE, ids=map(repr, NOT_INSIDE))
+@pytest.mark.parametrize("case", POSITION_CASES)
+def test_position_outside_the_open_interval_raises_naming_it(case, bad):
+    call, name = POSITION_CASES[case]
+    with pytest.raises(ValueError, match=rf"^{name} must lie strictly inside \(0, 1\), got {re.escape(repr(bad))}$"):
+        call(bad)
+
+
+def test_a_position_refusal_names_the_first_bad_value_in_c_order():
+    v = np.array([[0.5, 2.0], [-1.0, 0.5]]).T  # C order: 0.5, -1.0, 2.0, 0.5
+    with pytest.raises(ValueError, match=r"^v must lie strictly inside \(0, 1\), got -1\.0$"):
+        _positions(v, "v")
+    assert _positions([0.25, 0.5], "v").dtype == float and _positions([], "v").size == 0
+
+
+@pytest.mark.parametrize(
+    "call,field,good,bad",
+    [
+        (lambda v: npoint_correlation(CTX, v), "point must be (line, position)", (1, 0.5), (1, 0.5, 9)),
+        (lambda v: npoint_correlation(CTX, v), "point must be (line, position)", (1, 0.5), (1,)),
+        (lambda v: npoint_correlation(CTX, v), "point must be (line, position)", (1, 0.5), 5),
+        (lambda v: oracle_deviation(SPEC, 8, v), "probe must be (s, y, t, x)", (1, 0.3, 2, 0.4), (1, 0.5, 1, 0.5, 9)),
+        (lambda v: oracle_deviation(SPEC, 8, v), "probe must be (s, y, t, x)", (1, 0.3, 2, 0.4), (1, 0.5, 1)),
+    ],
+    ids=["point-three", "point-one", "point-int", "probe-five", "probe-three"],
+)
+def test_point_tuples_of_the_wrong_length_are_refused_before_kernel_work(monkeypatch, call, field, good, bad):
+    # a third point field and a fifth probe field were dropped before, a
+    # short tuple raised IndexError or failed to unpack, and an int had no len()
+    def fail(*args):
+        raise AssertionError("kernel work before the tuples were checked")
+
+    monkeypatch.setattr(kernel, "kernel_eval", fail)
+    monkeypatch.setattr(oracle, "_hat_blocks", fail)
+    for points in ([bad, good], [good, bad]):
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{field}, got {bad!r}')}$"):
+            call(points)
 
 
 @pytest.mark.parametrize("bad", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())

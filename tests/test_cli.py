@@ -554,3 +554,5 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+    # the ``beadproc`` console script runs cli.main, which is run itself
+    assert cli.main is run

@@ -96,12 +96,18 @@ def test_integer_arguments_are_checked_only_in_model():
 
 # Each reader's reads of other modules' private names, with the reason.
 # ``model._index``, the one integer check, is open to every module.
+CHECKS = "model holds the one position check and the one point-tuple check"
 PRIVATE_READS = {
     "checks": {
         "sampler._dirichlet_draw": "validate checks the sampler's own Dirichlet draw",
     },
-    "oracle": {"kernel._check_positions": "probe positions are refused as kernel positions are"},
-    "scaling": {"kernel._gauss_legendre_unit": "the bulk forms share the kernel's cached nodes"},
+    "kernel": {"model._positions": CHECKS, "model._records": CHECKS},
+    "oracle": {"model._positions": CHECKS, "model._records": CHECKS},
+    "scaling": {
+        "kernel._gauss_legendre_unit": "the bulk forms share the kernel's cached nodes",
+        "model._positions": CHECKS,
+        "model._records": CHECKS,
+    },
 }
 
 

@@ -116,11 +116,11 @@ def test_oracle_deviation_checks_its_probes():
         oracle_deviation(spec, 8, [(5, 0.3, 1, 0.7)])
     with pytest.raises(TypeError, match=r"^probe line t must be an integer in 1\.\.2, got 1\.0$"):
         oracle_deviation(spec, 8, [(1, 0.3, 1.0, 0.7)])
-    with pytest.raises(ValueError, match=r"^probe row positions must lie strictly inside \(0, 1\)$"):
+    with pytest.raises(ValueError, match=r"^probe row positions must lie strictly inside \(0, 1\), got 1\.7$"):
         oracle_deviation(spec, 8, [(1, 1.7, 1, 0.7)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^probe column positions must lie strictly inside \(0, 1\)$"):
+        with pytest.raises(ValueError, match=r"^probe column positions must lie strictly inside \(0, 1\), got nan$"):
             oracle_deviation(spec, 8, [(1, 0.3, 2, math.nan)])
     with pytest.raises(ValueError, match=r"^oracle_deviation needs at least one probe$"):
         oracle_deviation(spec, 8, [])

@@ -17,7 +17,6 @@ from beadproc.scaling import (
     bulk_kernel,
     gamma_parameter,
     global_density,
-    midpoint_density,
     region_parameters,
     scaling_context,
     support_interval,
@@ -174,10 +173,11 @@ def test_line_density_converges_to_the_global_density_at_rate_one_over_p():
 def test_midpoint_constants_frozen_case():
     # k=2, S=2: everything is algebraic
     ctx = scaling_context(2.0, 2.0)
-    assert abs(ctx.c_S + ctx.d_S - 1.0) < 1e-15
-    assert abs((ctx.d_S - ctx.c_S) - math.sqrt(3.0) / 2.0) < 1e-15
+    c, d = support_interval(2.0, 2.0)
+    assert abs(c + d - 1.0) < 1e-15
+    assert abs((d - c) - math.sqrt(3.0) / 2.0) < 1e-15
+    assert ctx.X_S == 0.5 * (c + d)
     assert abs(ctx.nu - math.sqrt(3.0)) < 1e-15
-    assert abs(ctx.u_S - midpoint_density(2.0, 2.0)) < 1e-15
     assert abs(ctx.u_S - 2.0 * math.sqrt(3.0) / math.pi) < 1e-12
     assert abs(ctx.B - 2.0) < 1e-12
     assert abs(ctx.B - math.pi * ctx.u_S / ctx.nu) < 1e-12
@@ -231,9 +231,12 @@ def test_probe_names_a_gauge_outside_a_double_before_kernel_work(monkeypatch):
 def test_scaling_context_is_memoized_and_a_refusal_is_not():
     ctx = scaling_context(2.0, 1.5)
     assert scaling_context(2.0, 1.5) is ctx
-    # typed: an int k has its own context, which keeps k as the caller gave it
+    # typed: an np.float64 k has its own context, whose constants are np.float64
+    # (u_S is a Python float either way, as global_density returns one)
     assert scaling_context(1, 1) is not scaling_context(1.0, 1.0)
-    assert scaling_context(1.0, 1.0).k == 1.0 and type(scaling_context(1, 1).k) is int
+    plain, wide = scaling_context(2.0, 2.0), scaling_context(np.float64(2.0), 2.0)
+    assert {type(v) for v in (plain.X_S, plain.u_S, plain.nu, plain.B)} == {float}
+    assert {type(v) for v in (wide.X_S, wide.nu, wide.B)} == {np.float64}
     for _ in range(2):
         with pytest.raises(OverflowError, match=r"^scaling_context\(1e-320, 1\.0\)"):
             scaling_context(1e-320, 1.0)
