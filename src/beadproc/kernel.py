@@ -507,10 +507,11 @@ def kernel_eval(ctx: KernelContext, s, y, t, x):
     The points are grouped by line pair ``(s, t)``, and each pair takes one
     :func:`kernel_matrix` block over its distinct ``y`` by its distinct ``x``,
     from which the requested entries are gathered; scattered points of one
-    pair therefore evaluate the full cross product.  :func:`kernel_matrix`
-    checks each pair's lines.  Scalar input returns a float.
+    pair therefore evaluate the full cross product.  Positions are checked
+    first, in the caller's order, and :func:`kernel_matrix` checks each
+    pair's lines.  Scalar input returns a float.
     """
-    s, y, t, x = np.broadcast_arrays(s, np.asarray(y, dtype=float), t, np.asarray(x, dtype=float))
+    s, y, t, x = np.broadcast_arrays(s, _positions(y, "row positions"), t, _positions(x, "column positions"))
     shape = s.shape
     s, y, t, x = (v.ravel() for v in (s, y, t, x))
     out = np.empty(s.size)

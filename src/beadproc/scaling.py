@@ -19,9 +19,9 @@ The tail integrals reduce exactly to the scaled complex exponential integral
 ``e^z E_d(z)``: ``E_1`` (series near the origin and near the negative real
 axis, modified-Lentz continued fraction elsewhere) plus a short upward
 recurrence where that recurrence keeps its digits, the continued fraction of
-``E_d`` itself elsewhere; no truncation is involved.  Where that fraction
-gives up too, the tail is the half line's residue less the [0, 1] integral,
-by the bulk forms' quadrature.
+``E_d`` itself elsewhere; no truncation is involved.  Where that fraction has
+not settled in its 500 steps, the tail is the half line's residue less the
+[0, 1] integral, by the bulk forms' quadrature.
 """
 
 from __future__ import annotations
@@ -166,11 +166,12 @@ def gamma_parameter(k: float, S: float) -> float:
 
 _EULER_GAMMA = 0.5772156649015328606
 _E1_TERMS = 200  # series cap; the series converges within it for every |z| <= 70
+_FRACTION_STEPS = 500  # step budget of both continued fractions, E_1's and E_d's
 
 
-def _en_fraction(z: complex, n: int, steps: int) -> complex | None:
+def _en_fraction(z: complex, n: int) -> complex | None:
     """``e^z E_n(z)`` by its continued fraction, or ``None`` if that has not
-    converged within ``steps`` steps.  Needs ``Im z != 0``.
+    converged within ``_FRACTION_STEPS`` steps.  Needs ``Im z != 0``.
 
     A step factor ``delta`` that rounds to 1 ends the fraction.  Far from
     the origin (``|z| ~ 1e19`` and beyond) the factors differ from 1 by less
@@ -187,7 +188,7 @@ def _en_fraction(z: complex, n: int, steps: int) -> complex | None:
     # and no denominator's imaginary part is below |Im z| in size
     f = z + n
     c, d, last = f, complex(0.0), None
-    for i in range(1, steps):
+    for i in range(1, _FRACTION_STEPS):
         a = -float(i * (i + n - 1))
         b = z + 2.0 * i + n
         d = 1.0 / (b + a * d)
@@ -211,10 +212,8 @@ def _e1_scaled(z: complex) -> complex:
     fraction does not converge in its 500 steps.  There the series terms
     nearly share one sign, so the series loses few digits and takes over.
     """
-    if abs(z) > 4.0:
-        value = _en_fraction(z, 1, 500)
-        if value is not None:
-            return value
+    if abs(z) > 4.0 and (value := _en_fraction(z, 1)) is not None:
+        return value
     total = complex(0.0)
     term = complex(1.0)
     for n in range(1, _E1_TERMS):
@@ -238,13 +237,15 @@ def tail_integral_real(tau: float, nu: float, d: int) -> float:
     ``d`` while the rounding error it multiplies by ``|z| / (j - 1)`` at step
     ``j`` stays small; otherwise the continued fraction of ``E_d`` gives it
     directly.  No truncation anywhere, hence no truncation tolerance.  Where
-    that fraction does not converge either (mostly ``d`` near ``|z|`` with
-    ``tau nu`` below 0.002), the tail is the residue of the whole half line
-    less its [0, 1] part (:func:`_tail_by_residue`).  Where ``tau/nu``
-    overflows, the value is ``-sin(tau)/tau``, the first integration-by-parts
-    term: the rest is below ``d nu / tau^2`` of it.  Raises ``ValueError``
-    naming tau, nu and d where the residue form's two terms cancel, and
-    ``OverflowError`` where the value is outside the range of a double.
+    that fraction has not settled in its 500 steps (mostly ``d`` near ``|z|``
+    with ``tau nu`` small), the tail is the residue of the whole half line
+    less its [0, 1] part (:func:`_tail_by_residue`).  Where the fraction would
+    settle later, that form is within 5e-12 relative (the fraction: 6e-10),
+    and far sooner.  Where ``tau/nu`` overflows, the value is
+    ``-sin(tau)/tau``, the first integration-by-parts term: the rest is below
+    ``d nu / tau^2`` of it.  Raises ``ValueError`` naming tau, nu and d where
+    the residue form's two terms cancel, and ``OverflowError`` where the value
+    is outside the range of a double.
     """
     d = _index(d, "tail power d", 1)
     if not (math.isfinite(tau) and math.isfinite(nu)) or nu == 0.0:
@@ -260,16 +261,14 @@ def tail_integral_real(tau: float, nu: float, d: int) -> float:
         z = complex(-tau / nu, -tau)
         # g_j = e^z E_j(z) / beta.  The recurrence multiplies the error of
         # g_1 by |z|^(d-1) / (d-1)! and loses about eps times that, give or
-        # take a factor 100:
-        # it serves up to 1e3.  Past that the fraction serves, in up to 2^17
-        # steps (about 0.2 s); near d ~ |z| it needs about 300 |z| / Im(z)^2
-        # of them, 300 / (tau nu), and far fewer elsewhere.
+        # take a factor 100: it serves up to 1e3.  Past that the fraction
+        # serves; near d ~ |z| it needs about 300 / (tau nu) steps.
         if d == 1 or (d - 1) * math.log(abs(z)) - math.lgamma(d) <= math.log(1e3):
             g = _e1_scaled(z) / beta
             for j in range(2, d + 1):
                 g = (1.0 + 1j * tau * g) / (beta * (j - 1))
         else:
-            h = _en_fraction(z, d, 1 << 17)
+            h = _en_fraction(z, d)
             g = None if h is None else h / beta
         if g is None:  # the fraction gave up too
             value = _tail_by_residue(tau, nu, d)

@@ -140,6 +140,21 @@ def test_position_outside_the_open_interval_raises_naming_it(case, bad):
         call(bad)
 
 
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: kernel_eval(CTX, 1, [1.5, -0.5], 1, 0.5), "row positions"),
+        (lambda: kernel_eval(CTX, 1, 0.5, 1, [1.5, -0.5]), "column positions"),
+        (lambda: npoint_correlation(CTX, [(1, 1.5), (1, -0.5)]), "row positions"),
+    ],
+    ids=["kernel_eval-y", "kernel_eval-x", "npoint_correlation"],
+)
+def test_a_point_refusal_names_the_first_bad_value_in_the_callers_order(call, name):
+    # each line pair's positions used to be sorted before the check: got -0.5
+    with pytest.raises(ValueError, match=rf"^{name} must lie strictly inside \(0, 1\), got 1\.5$"):
+        call()
+
+
 def test_a_position_refusal_names_the_first_bad_value_in_c_order():
     v = np.array([[0.5, 2.0], [-1.0, 0.5]]).T  # C order: 0.5, -1.0, 2.0, 0.5
     with pytest.raises(ValueError, match=r"^v must lie strictly inside \(0, 1\), got -1\.0$"):

@@ -572,6 +572,22 @@ def test_one_bead_law_matches_the_kernel_on_every_line():
         assert stat < band, (t, stat)
 
 
+def test_extreme_beads_of_lines_p_and_q_follow_their_exact_laws():
+    # Line p's lowest bead has CDF 1 - (1 - x)^{pq}, and by the fan reflection
+    # line q's highest bead has CDF x^{pq}.  KS band at family level 1e-3,
+    # Bonferroni over the 4 statistics.
+    band = math.sqrt(math.log(8000) / 2)
+    for p, q, n in ((4, 12, 4000), (8, 24, 2000)):
+        lines = sample_positions(RandomStream(1), HexagonSpec(p=p, q=q), count=n)
+        laws = (
+            (lines[p - 1][:, -1], lambda x: -np.expm1(p * q * np.log1p(-x))),
+            (lines[q - 1][:, 0], lambda x: x ** (p * q)),
+        )
+        for beads, cdf in laws:
+            stat = math.sqrt(n) * ks_statistic(beads, cdf)
+            assert stat < band, (p, q, stat)
+
+
 def test_entropy_echo_reproduces_os_seeded_run():
     first = RandomStream()
     entropy = first.entropy

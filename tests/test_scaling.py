@@ -2,6 +2,7 @@
 
 import math
 import re
+import timeit
 
 import mpmath as mp
 import numpy as np
@@ -344,16 +345,39 @@ def _tail_mpmath(tau, nu, d):
         return float(mp.re(scale * (1 + 1j * mp.mpf(nu)) ** -d * mp.expint(d, z)))
 
 
-@pytest.mark.parametrize("tau,nu,d", [(0.03, 0.002, 8), (-0.03, -0.002, 8), (0.1, 0.0013, 75), (0.0075, 1e-4, 80)])
+# d near tau/nu: the E_d fraction does not settle in its 500 steps.  The first
+# four would need 2e6 steps or more (tau nu <= 1.3e-4); the last three settle
+# after 111030, 11891 and 1309, with the fraction up to 2.7e-12 off where the
+# residue form is within 6.7e-15.
+_PAST_THE_FRACTION = [
+    (0.03, 0.002, 8),
+    (-0.03, -0.002, 8),
+    (0.1, 0.0013, 75),
+    (0.0075, 1e-4, 80),
+    (0.22360679774997896, 0.01, 13),
+    (0.6597539553864473, 0.03162277660168379, 30),
+    (1.9466102373808662, 0.1, 8),
+]
+
+
+@pytest.mark.parametrize("tau,nu,d", _PAST_THE_FRACTION)
 def test_tail_where_the_fraction_gives_up_is_the_residue_form(tau, nu, d, monkeypatch):
-    # tau nu <= 1.3e-4 with d near tau/nu: the fraction would need 2e6 steps
-    # or more, and the residue of the half line less its [0, 1] part serves
+    # the residue of the half line less its [0, 1] part serves
     calls = []
     residue = scaling._tail_by_residue
     monkeypatch.setattr(scaling, "_tail_by_residue", lambda *a: calls.append(a) or residue(*a))
     got = tail_integral_real(tau, nu, d)
     assert calls == [(tau, nu, d)]
     assert abs(got - _tail_mpmath(tau, nu, d)) <= 1e-12 * abs(got)
+
+
+def test_tail_where_the_fraction_gives_up_takes_milliseconds():
+    # a fraction run to 131072 steps took about 75 ms on each of the first
+    # four; the residue form takes about 0.3 ms once the Gauss nodes are cached
+    tail_integral_real(*_PAST_THE_FRACTION[0])
+    for args in _PAST_THE_FRACTION:
+        best = min(timeit.repeat(lambda: tail_integral_real(*args), number=1, repeat=3))
+        assert best < 0.010, (args, best)
 
 
 def test_tail_out_of_reach_names_its_arguments():
