@@ -29,7 +29,7 @@ def main(argv=None):
     for p in args.sizes:
         rows = bulk_convergence_probe(args.k, args.S, p, offsets)
         sup = max(r.abs_err for r in rows)
-        same = max(r.abs_err for r in rows if r.prefactor_free)
+        same = max(r.abs_err for r in rows if r.s0 == r.t0)
         print(f"{p},{sup:.6g},{same:.6g}")
     return 0
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import hexagon as hx
 from .kernel import expected_count, kernel_context, line_density
-from .model import HexagonSpec, _index, interlacing_breaks, particles_per_line
+from .model import HexagonSpec, interlacing_breaks, particles_per_line
 from .oracle import oracle_deviation
 from .sampler import RandomStream, _dirichlet_draw, sample_positions
 from .scaling import (
@@ -43,13 +43,14 @@ def two_line_form_error(points: int) -> float:
     return max(d1, d2)
 
 
-def count_identity_error(specs: Iterable[HexagonSpec], nodes: int | None = None) -> float:
-    """Max over every line of every spec of ``|int K(t,x;t,x) dx - r(t)|``."""
+def count_identity_error(specs: Iterable[HexagonSpec]) -> float:
+    """Max over every line of every spec of ``|int K(t,x;t,x) dx - r(t)|``, each
+    integral on :func:`~beadproc.kernel.expected_count`'s exact default rule."""
     worst = 0.0
     for spec in specs:
         ctx = kernel_context(spec)
         for t in spec.lines():
-            worst = max(worst, abs(expected_count(ctx, t, nodes=nodes) - particles_per_line(spec, t)))
+            worst = max(worst, abs(expected_count(ctx, t) - particles_per_line(spec, t)))
     return worst
 
 
@@ -84,36 +85,29 @@ def interlacing_rejections(spec: HexagonSpec, n: int, seed: int) -> int:
     return int(np.count_nonzero(breaks))
 
 
-def lattice_identities(
-    hexa: hx.DiscreteHexagon, count_lines: Iterable[int], marginal_lines: Iterable[int]
-) -> tuple[bool, bool]:
-    """Exact rational identities of the discrete hexagon.
+def lattice_identities(hexa: hx.DiscreteHexagon) -> tuple[bool, bool]:
+    """Exact rational identities of the discrete hexagon, on every line.
 
-    Returns ``(count_ok, marginal_ok)``: the left counts equal their closed
-    form on every configuration of each of ``count_lines``, and the exact
-    line marginal is one constant times the Hahn weight on each of
-    ``marginal_lines``.  The weight is a product of positive factors, and a
-    line with no bead (0 or p + q) has one configuration, so one ratio.
-    Both are tallies of one listing, by line-``t`` tuple: a left count tallies
-    the distinct prefixes ``cfg[:t+1]``, a marginal the configurations.  The
-    listing checks the budget first; every line's range is checked next.
+    Returns ``(count_ok, marginal_ok)``: on each up-ramp line ``t = 1..min(p,
+    q)`` the left counts equal their closed form on every line-``t`` tuple,
+    and on each line ``t = 0..p+q`` the exact line marginal is one constant
+    times the Hahn weight.  The weight is a product of positive factors, and a
+    line with no bead (0 or p + q) has one configuration, so one ratio.  One
+    pass over the lines tallies both from one listing, by line-``t`` tuple: a
+    left count tallies the distinct prefixes ``cfg[:t+1]``, a marginal the
+    configurations.  The listing checks the budget first.
     """
     configs = hx.enumerate_configurations(hexa)
-    count_lines = [_index(t, "line t", 1, min(hexa.p, hexa.q)) for t in count_lines]
-    marginal_lines = [_index(t, "line t", 0, hexa.p + hexa.q) for t in marginal_lines]
-
-    def lines(t):
-        sites = sorted(hx.line_sites(hexa, t), reverse=True)
-        return itertools.combinations(sites, hx.lattice_particles_per_line(hexa, t))
-
     count_ok = marginal_ok = True
-    for t in count_lines:
-        left = Counter(cfg[t] for cfg in {cfg[: t + 1] for cfg in configs})
-        count_ok = count_ok and all(left[xs] == hx.left_count_closed_form(t, xs) for xs in lines(t))
-    for t in marginal_lines:
+    for t in range(hexa.p + hexa.q + 1):
+        sites = sorted(hx.line_sites(hexa, t), reverse=True)
+        tuples = list(itertools.combinations(sites, hx.lattice_particles_per_line(hexa, t)))
         tally = Counter(cfg[t] for cfg in configs)
-        ratios = {Fraction(tally[xs], hx.hahn_marginal_unnormalized(hexa, t, xs)) for xs in lines(t)}
+        ratios = {Fraction(tally[xs], hx.hahn_marginal_unnormalized(hexa, t, xs)) for xs in tuples}
         marginal_ok = marginal_ok and len(ratios) == 1
+        if 1 <= t <= min(hexa.p, hexa.q):
+            left = Counter(cfg[t] for cfg in {cfg[: t + 1] for cfg in configs})
+            count_ok = count_ok and all(left[xs] == hx.left_count_closed_form(t, xs) for xs in tuples)
     return count_ok, marginal_ok
 
 
@@ -219,7 +213,7 @@ def _discrete_suite(level: str) -> Iterator[tuple]:
     frozen = {(1, 1, 1): 2, (1, 1, 2): 3, (2, 1, 1): 3}
     yield _exact("frozen_counts", all(count(*npq) == want for npq, want in frozen.items()))
 
-    count_ok, marginal_ok = lattice_identities(hx.DiscreteHexagon(2, 2, 2), (2,), (1, 2, 3))
+    count_ok, marginal_ok = lattice_identities(hx.DiscreteHexagon(2, 2, 2))
     yield _exact("left_count_closed_form", count_ok)
     yield _exact("hahn_proportionality", marginal_ok)
 

@@ -1,9 +1,10 @@
 """Command-line surface: sampling, kernel evaluation, enumeration, limits, validation.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 usage error or a value
-beyond the range of a double (``OverflowError``).  All numeric output is
-emitted with 17 significant digits (full double round-trip),
-locale-independent.  CSV schemas:
+beyond the range of a double (``OverflowError``).  CSV rows and bare values
+carry numbers with 17 significant digits (full double round-trip),
+locale-independent; JSON carries Python's shortest repr, which parses back
+to the same double.  CSV schemas:
 
 * configurations  -> ``sample,line,index,position``
 * line densities  -> ``s,y,t,x,value``

@@ -507,9 +507,11 @@ def kernel_eval(ctx: KernelContext, s, y, t, x):
     The points are grouped by line pair ``(s, t)``, and each pair takes one
     :func:`kernel_matrix` block over its distinct ``y`` by its distinct ``x``,
     from which the requested entries are gathered; scattered points of one
-    pair therefore evaluate the full cross product.  Positions are checked
-    first, in the caller's order, and :func:`kernel_matrix` checks each
-    pair's lines.  Scalar input returns a float.
+    pair therefore evaluate the full cross product.  Where that block raises
+    ``OverflowError``, the pair's requested entries are taken one by one in
+    the caller's order, so only a requested entry beyond a double raises.
+    Positions are checked first, in the caller's order, and
+    :func:`kernel_matrix` checks each pair's lines.  Scalar input returns a float.
     """
     s, y, t, x = np.broadcast_arrays(s, _positions(y, "row positions"), t, _positions(x, "column positions"))
     shape = s.shape
@@ -519,7 +521,10 @@ def kernel_eval(ctx: KernelContext, s, y, t, x):
         sel = (s == si) & (t == ti)
         ysel, xsel = y[sel], x[sel]
         ys, xs = _distinct(ysel), _distinct(xsel)
-        out[sel] = kernel_matrix(ctx, si, ys, ti, xs)[np.searchsorted(ys, ysel), np.searchsorted(xs, xsel)]
+        try:
+            out[sel] = kernel_matrix(ctx, si, ys, ti, xs)[np.searchsorted(ys, ysel), np.searchsorted(xs, xsel)]
+        except OverflowError:  # maybe an entry nobody asked for: take the requested ones alone
+            out[sel] = [kernel_matrix(ctx, si, yi, ti, xi)[0, 0] for yi, xi in zip(ysel.tolist(), xsel.tolist())]
     return float(out[0]) if not shape else out.reshape(shape)
 
 

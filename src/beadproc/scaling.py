@@ -383,7 +383,6 @@ class ProbeRow:
     normalized: float  # scaled / (A^{X-Y} (pB)^{s0-t0})
     limit: float  # bulk_kernel value
     abs_err: float
-    prefactor_free: bool  # True on same-line offsets (the gauge drops out)
 
 
 def bulk_convergence_probe(
@@ -450,7 +449,6 @@ def bulk_convergence_probe(
                 normalized=normalized,
                 limit=limit,
                 abs_err=abs(normalized - limit),
-                prefactor_free=s0 == t0,
             )
         )
     return rows

@@ -256,28 +256,12 @@ def test_lattice_identities_hold_on_every_budget_hexagon():
     hexas = _budget_hexagons()
     assert len(hexas) == 110
     for hexa in hexas:
-        count_lines, marginal_lines = range(1, min(hexa.p, hexa.q) + 1), range(hexa.p + hexa.q + 1)
-        assert checks.lattice_identities(hexa, count_lines, marginal_lines) == (True, True), hexa
-
-
-@pytest.mark.parametrize(
-    "count_lines,marginal_lines,error,message",
-    [
-        ((), (-1,), ValueError, "line t must be an integer in 0..4, got -1"),
-        ((), (5,), ValueError, "line t must be an integer in 0..4, got 5"),
-        ((), (True,), TypeError, "line t must be an integer in 0..4, got True"),
-        ((), (1.0,), TypeError, "line t must be an integer in 0..4, got 1.0"),
-        ((3,), (), ValueError, "line t must be an integer in 1..2, got 3"),
-    ],
-)
-def test_lattice_identities_check_each_line_before_any_tally(count_lines, marginal_lines, error, message):
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        checks.lattice_identities(DiscreteHexagon(2, 2, 2), count_lines, marginal_lines)
+        assert checks.lattice_identities(hexa) == (True, True), hexa
 
 
 def test_lattice_identities_check_the_budget_first():
     with pytest.raises(BudgetExceededError, match=r"^n\*p\*q = 27 exceeds the enumeration budget 16$"):
-        checks.lattice_identities(DiscreteHexagon(3, 3, 3), (4,), (7,))
+        checks.lattice_identities(DiscreteHexagon(3, 3, 3))
 
 
 @pytest.mark.parametrize(
@@ -336,11 +320,19 @@ def test_lattice_identities_runs_one_listing(monkeypatch):
     listing = hexagon.enumerate_configurations
     monkeypatch.setattr(hexagon, "enumerate_configurations", counted)
     hexa = DiscreteHexagon(2, 2, 2)
-    assert checks.lattice_identities(hexa, (2,), (1, 2, 3)) == (True, True)
+    assert checks.lattice_identities(hexa) == (True, True)
     assert calls == [hexa]
-    calls.clear()
-    assert checks.lattice_identities(hexa, range(1, 3), range(5)) == (True, True)
-    assert calls == [hexa]
-    # the count lines keep left_count's range check
-    with pytest.raises(ValueError, match=r"^line t must be an integer in 1\.\.2, got 3$"):
-        checks.lattice_identities(hexa, (3,), ())
+
+
+def test_validate_checks_every_lattice_line(monkeypatch):
+    # a closed form off by one on line 1 only: the discrete suite of
+    # ``validate`` walks every up-ramp line of (2, 2, 2), line 1 included
+    closed_form = hexagon.left_count_closed_form
+
+    def off_on_line_1(t, xs):
+        return closed_form(t, xs) + (t == 1)
+
+    monkeypatch.setattr(hexagon, "left_count_closed_form", off_on_line_1)
+    rows = {row[0]: row for row in checks.SUITES["discrete"]("quick")}
+    assert rows["left_count_closed_form"] == ("left_count_closed_form", 1.0, 0.0, False)
+    assert rows["hahn_proportionality"] == ("hahn_proportionality", 0.0, 0.0, True)

@@ -3,6 +3,7 @@
 import collections
 import hashlib
 import math
+import re
 import sys
 import tracemalloc
 from math import factorial
@@ -956,6 +957,32 @@ def test_overflowing_entry_raises_with_its_place():
     msg = r"K\(384, y; 384, x\) at \(y, x\) = \(0\.010953, 0\.973261\).*log10\|K\| = 319\.3"
     with pytest.raises(OverflowError, match=msg):
         kernel_matrix(ctx, 384, [0.5, y], 384, [0.3, x])
+
+
+@pytest.mark.parametrize(
+    "s,ys,t,xs,log10,want",
+    [
+        # same line: the block's (5.4e-06, 0.905) was not asked for
+        (512, [5.4e-6, 0.5], 512, [0.5, 0.905], "308.4", [-5.182721918644463e182, -2.37557549794555e125]),
+        # cross line: the same place, in the exact block
+        (513, [5.4e-6, 0.5], 512, [5.4e-6, 0.905], "311.4", [0.0, 1.1227194905338454e128]),
+    ],
+)
+def test_kernel_eval_ignores_an_unrequested_overflow(s, ys, t, xs, log10, want):
+    ctx = kernel_context(HexagonSpec(256, 768))
+    with pytest.raises(OverflowError, match=rf"\(y, x\) = \(5\.4e-06, 0\.905\).*log10\|K\| = {re.escape(log10)}$"):
+        kernel_matrix(ctx, s, ys, t, xs)
+    assert [float(kernel_matrix(ctx, s, y, t, x)[0, 0]) for y, x in zip(ys, xs)] == want
+    assert kernel_eval(ctx, s, ys, t, xs).tolist() == want
+
+
+def test_kernel_eval_names_the_first_requested_overflow():
+    # both requested entries overflow; the block's first in row order is
+    # (5.4e-06, 0.905), the caller's first is (2e-05, 0.95)
+    ctx = kernel_context(HexagonSpec(256, 768))
+    msg = r"^K\(512, y; 512, x\) at \(y, x\) = \(2e-05, 0\.95\) is beyond the range of a double: log10\|K\| = 340\.7$"
+    with pytest.raises(OverflowError, match=msg):
+        kernel_eval(ctx, 512, [2e-5, 5.4e-6], 512, [0.95, 0.905])
 
 
 def test_tower_overflow_raises_instead_of_nan():
