@@ -336,3 +336,30 @@ def test_validate_checks_every_lattice_line(monkeypatch):
     rows = {row[0]: row for row in checks.SUITES["discrete"]("quick")}
     assert rows["left_count_closed_form"] == ("left_count_closed_form", 1.0, 0.0, False)
     assert rows["hahn_proportionality"] == ("hahn_proportionality", 0.0, 0.0, True)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_lattice_identities_catch_a_wrong_weight_on_any_line(monkeypatch, t):
+    # one tuple's Hahn weight doubled on line t only: the marginal ratio
+    # splits there, and the left counts do not read the weight
+    hexa = DiscreteHexagon(2, 2, 2)
+    first = _all_lines(hexa, t)[0]
+    weight = hexagon.hahn_marginal_unnormalized
+
+    def doubled_on_line_t(h, line, xs):
+        return weight(h, line, xs) * (2 if (line, tuple(xs)) == (t, first) else 1)
+
+    monkeypatch.setattr(hexagon, "hahn_marginal_unnormalized", doubled_on_line_t)
+    assert checks.lattice_identities(hexa) == (True, False)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_lattice_identities_catch_a_wrong_count_on_any_up_ramp_line(monkeypatch, t):
+    # the closed form off by one on up-ramp line t only
+    closed_form = hexagon.left_count_closed_form
+
+    def off_on_line_t(line, xs):
+        return closed_form(line, xs) + (line == t)
+
+    monkeypatch.setattr(hexagon, "left_count_closed_form", off_on_line_t)
+    assert checks.lattice_identities(DiscreteHexagon(2, 2, 2)) == (False, True)
