@@ -318,13 +318,37 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER: argparse.ArgumentParser | None = None
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """``--flag -1e-3`` as ``--flag=-1e-3``, for every value that parses as a float.
+
+    argparse takes a token starting with ``-`` as an option unless it looks
+    like ``-1`` or ``-.5``, so ``--Y -1e-3`` would lose its value.
+    """
+    joined: list[str] = []
+    for token in argv:
+        prev = joined[-1] if joined else ""
+        if prev.startswith("--") and len(prev) > 2 and "=" not in prev and token.startswith("-") and _is_float(token):
+            joined[-1] = f"{prev}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Run one command line; the parser is built on the first call and reused."""
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code) if exc.code else 0
     # Looked up per call, so a replaced ``_cmd_*`` function is the one that runs.

@@ -6,17 +6,18 @@ current pole set (previous line's beads, plus multiplicity-weighted anchors at
 0 and/or 1 while those are active) and taking the zeros of the weighted
 resolvent sum ``sum_i w_i / (x - a_i)``.  That function decreases strictly on
 every pole gap, so each gap holds exactly one zero, and the zeros are the
-eigenvalues of ``diag(a)`` compressed onto the complement of ``sqrt(w)``: each
-line is the next matrix of a random corank-1 sequence.  The solver takes
-those eigenvalues (one batched ``eigvalsh`` per line) as starting points and
+eigenvalues of the rank-one update ``diag(a_1, ..., a_{n-1}) + z z^T`` with
+``z_i^2 = w_i (a_n - a_i)`` (the weights sum to 1): each line is the
+spectrum of the next matrix in a random sequence.  The solver takes those
+eigenvalues (one batched ``eigvalsh`` per line) as starting points and
 polishes them by Newton's method inside each gap's bracket, bisecting
 whenever a step would leave it; the bracket only ever shrinks, so every zero
 stays in its gap.  Interlacing therefore holds by construction and is never
-enforced after the fact, though every sample is still checked for it.  A
-zero nearer a pole than its bracket's inward offset (a vanishing weight) is
+enforced after the fact, though every sample is still checked for it.  A zero
+nearer a pole than its bracket's inward offset (a vanishing weight) is
 clamped to the bracket end; prefix and suffix sums of the weights rule that
-out for nearly every end without evaluating the resolvent sum there, with
-the same bytes as evaluating it.
+out for nearly every end without evaluating the resolvent sum there, with the
+same bytes as evaluating it.
 
 The solve works gap-major: a line's (batch, poles) arrays are transposed
 once, so bracket and Newton steps run on contiguous rows as long as the
@@ -98,26 +99,17 @@ def _pole_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def _eigen_start(poles: np.ndarray, weights: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Eigenvalues of ``diag(a)`` compressed onto ``sqrt(w)``-perp; (n, B), (n, B), (B,) -> (n-1, B).
+    """Eigenvalues of ``diag(a_1, ..., a_{n-1}) + z z^T``; (n, B), (n, B), (B,) -> (n-1, B).
 
-    The Householder reflector ``H = I - beta v v^T`` with ``v = u + |u| e1``
-    maps ``u = sqrt(w)`` to ``-|u| e1``, so the trailing block of
-    ``H diag(a) H`` acts on ``u``-perp.  That block is
-    ``diag(a') + u' g^T + g u'^T`` with ``g = u' (kappa/2 - beta a')``,
-    ``beta = 2 / v.v`` and ``kappa = beta^2 v^T diag(a) v``; its eigenvalues,
-    ascending, are the zeros of the resolvent sum, one per pole gap.  Poles
-    and weights come gap-major, ``total`` is the weights' left-to-right sum,
-    and the blocks go to ``eigvalsh`` as (B, n-1, n-1).
+    With ``z_i^2 = w_i (a_n - a_i) / sum(w)``,
+    ``(x - a_n) f(x) = sum(w) (1 + sum_{i<n} z_i^2 / (a_i - x))``, so the
+    eigenvalues, ascending, are the zeros of the resolvent sum ``f``, one per
+    pole gap.  Poles and weights come gap-major, ``total`` is the weights'
+    left-to-right sum, and the blocks go to ``eigvalsh`` as (B, n-1, n-1).
     """
-    u = np.sqrt(weights)
-    norm = np.sqrt(total)
-    v0 = u[0] + norm
-    beta = 1.0 / (norm * v0)
-    kappa = beta**2 * (poles[0] * v0**2 + _pole_sum(poles[1:] * weights[1:]))
-    a, ut = poles[1:], u[1:]
-    g = ut * (0.5 * kappa - beta * a)
-    block = ut.T[:, :, None] * g.T[:, None, :]
-    block += np.swapaxes(block, 1, 2)
+    a = poles[:-1]
+    z = np.sqrt(weights[:-1] * (poles[-1] - a) / total).T
+    block = z[:, :, None] * z[:, None, :]
     diag = np.arange(a.shape[0])
     block[:, diag, diag] += a.T
     return eigvalsh(block).T
@@ -145,12 +137,11 @@ def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     and an entry freezes once its step is at most 4 ulps or its bracket has
     closed, so every zero depends on its own row alone.  Weights are
     non-negative and sum to 1 within rounding, as :func:`_dirichlet_draw`
-    draws them, which keeps ``sqrt(w)``, ``beta**2`` in :func:`_eigen_start`
-    and the Newton sums clear of overflow and subnormals.  A zero nearer a
-    pole than its bracket's inward offset is clamped to the bracket end.
-    Prefix and suffix sums of the weights settle the sign of ``f`` at nearly
-    every end; only a row with an end they leave open evaluates ``f`` at its
-    ends, with the same bytes either way.
+    draws them, which keeps the Newton sums clear of overflow and subnormals.
+    A zero nearer a pole than its bracket's inward offset is clamped to the
+    bracket end.  Prefix and suffix sums of the weights settle the sign of
+    ``f`` at nearly every end; only a row with an end they leave open
+    evaluates ``f`` at its ends, with the same bytes either way.
 
     Inside, the work is gap-major: poles and weights are transposed once to
     (n, B), so brackets, end evaluations, Newton state and pass 0's

@@ -10,8 +10,9 @@ eigenvalues and polishes with safeguarded Newton, and must agree with this to
 a relative ``1e-14``.  Here every zero costs 62 evaluations of ``f``: both
 bracket ends, since this is the reference for the clamps, and 60 halvings.
 The package's solver settles the ends of sampled brackets from the weights
-alone and takes 1.1 to 1.2 Newton passes per zero on sampled lines from
-(2, 3) to (64, 192), each one ``f`` with its derivative: about fifty times
+alone and, from the rank-one eigenvalue start, takes 1.01 Newton passes per
+zero on sampled lines at (2, 3), 1.07 at (4, 12) and 1.17 at (32, 96) and
+(64, 192) (seed 5), each one ``f`` with its derivative: about fifty times
 fewer.  For tests only.
 
 :func:`unsettled_rows` replays, one scalar at a time, the weight-sum test by

@@ -122,7 +122,7 @@ def test_sample_out_file_and_svg(tmp_path, capsys):
 # sha256 of both files the README's figure invocation writes: every CSV row,
 # bead circle and boundary point is pinned to the byte
 _FIGURE_DIGESTS = {
-    "beads.csv": "824e3f0b33b0cdf8d63d977c02d18781fe1293aa3da1d1c597c7d7f1c7578f68",
+    "beads.csv": "dbca34b1ad9cf3091c10364a5ba58458fd8f7be6ac9f8251a126e2dc598733e7",
     "beads.svg": "3f4475bfb2616b42193ae5fa6737fccead4a07cf6b3244fb00b60fcf22774c9d",
 }
 
@@ -234,6 +234,17 @@ def test_bulk_point_values(capsys):
     assert run("bulk --k 2 --S 2 --gamma-form".split()) == 0
     out, _ = _capture(capsys)
     assert float(out) == pytest.approx(1.0 / math.pi, abs=1e-12)
+
+
+@pytest.mark.parametrize("flag,scientific,decimal", [("--Y", "-1e-3", "-0.001"), ("--X", "-2.5E-1", "-0.25")])
+def test_negative_values_in_scientific_notation_are_values(flag, scientific, decimal, capsys):
+    # argparse alone reads "-1e-3" after a flag as an option, not a number
+    outs = []
+    for argv in ([flag, scientific], [flag, decimal], [f"{flag}={scientific}"]):
+        assert run(["bulk", "--k", "2", "--S", "2", *argv]) == 0
+        outs.append(_capture(capsys))
+    assert outs[0] == outs[1] == outs[2]
+    assert run("enumerate --n 1 --p 1 --q 1 --total-only -1".split()) == 2
 
 
 def test_bulk_tail_at_large_k(capsys):

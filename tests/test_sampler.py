@@ -230,6 +230,42 @@ def _hard_batch(seed, batch=24, n=9):
     return poles, w / w.sum(axis=1, keepdims=True)
 
 
+def _starts(poles, weights):
+    """:func:`sampler._eigen_start` on row-major (B, n) arrays, as (B, n-1)."""
+    poles, weights = poles.T.copy(), weights.T.copy()
+    return sampler._eigen_start(poles, weights, sampler._pole_sum(weights)).T
+
+
+def test_eigen_start_is_the_zeros_before_polishing():
+    # The eigenvalues of diag(a_1..a_{n-1}) + zz^T are the zeros themselves,
+    # so the start alone agrees with bisection to 1e-12 and lies inside its
+    # gap, on sampled-like lines (anchors at 0 and 1, Dirichlet weights), on
+    # a row whose weights sum to 1.5, and on the hard batch.
+    rng = np.random.default_rng(43)
+    rows = []
+    for n in (2, 3, 8, 33, 130):
+        inner = np.sort(rng.random((4, n - 2)), axis=1)
+        rows.append((np.hstack([np.zeros((4, 1)), inner, np.ones((4, 1))]), _dirichlet_draw(rng, [1] * n, 4)))
+    rows.append((np.array([[0.0, 0.3, 0.45, 1.0]]), np.array([[0.1, 0.4, 0.6, 0.4]])))
+    for poles, weights in rows:
+        start = _starts(poles, weights)
+        assert np.all(np.abs(start - secular_zeros_bisect(poles, weights)) <= 1e-12), poles.shape
+        assert np.all((poles[:, :-1] < start) & (start < poles[:, 1:])), poles.shape
+    # Weights down to 1e-14 and gaps down to 1e-15 put some zeros within
+    # eigvalsh's rounding (a few eps) of a pole; those starts may land just
+    # past it, which the clip into the brackets absorbs.  Every zero farther
+    # than 8 eps from its poles starts strictly inside its gap.
+    poles, weights = _hard_batch(0)
+    assert weights.min() < 1e-14
+    start, ref = _starts(poles, weights), secular_zeros_bisect(poles, weights)
+    assert np.all(np.abs(start - ref) <= 1e-12)
+    eps = np.finfo(float).eps
+    clear = np.minimum(ref - poles[:, :-1], poles[:, 1:] - ref) > 8.0 * eps
+    inside = (poles[:, :-1] < start) & (start < poles[:, 1:])
+    assert np.all(inside | ~clear) and 2 * clear.sum() > clear.size
+    assert np.all((poles[:, :-1] - 8.0 * eps <= start) & (start <= poles[:, 1:] + 8.0 * eps))
+
+
 @pytest.mark.parametrize("start", [np.nan, -np.inf, np.inf], ids=["nan", "bracket-lo", "bracket-hi"])
 def test_secular_safeguard_recovers_from_bad_starts(monkeypatch, start):
     # eigenvalue starts that are NaN, or clip to either bracket end
@@ -495,13 +531,10 @@ def test_seed_determinism_is_bytewise():
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
-# sha256 of sample_positions with every pole sum added left to right.  The
-# largest line of (p, q) has p + 1 poles, so up to (4, 12) every line has
-# fewer than 8 and keeps the bytes of the earlier solve, which added a row in
-# numpy's order: left to right below 8 terms, in eight partial sums from 8.
-# From p = 7, (7, 9), (8, 24) and (32, 96) have lines of 8 poles or more,
-# and their bytes changed when the sums went left to right.
-_SAMPLE_DIGEST = "2173b71f3dff662dc5cadc92b9c157ce6bc27b566fbe161e7be89dd4db2119ef"
+# sha256 of sample_positions at five sizes, two seeds each.  Newton stops
+# within a few ulps of each zero, where its start leaves it, so this pins the
+# eigenvalue start (diag(a_1..a_{n-1}) + zz^T) as well as the polishing.
+_SAMPLE_DIGEST = "73b2aeb42468dd13baa172dd33e844087d835f2df451264743897e798c5ccd3c"
 
 
 def test_sample_bytes_match_the_pinned_digest():
