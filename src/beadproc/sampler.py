@@ -9,15 +9,16 @@ every pole gap, so each gap holds exactly one zero, and the zeros are the
 eigenvalues of the rank-one update ``diag(a_1, ..., a_{n-1}) + z z^T`` with
 ``z_i^2 = w_i (a_n - a_i)`` (the weights sum to 1): each line is the
 spectrum of the next matrix in a random sequence.  The solver takes those
-eigenvalues (one batched ``eigvalsh`` per line) as starting points and
-polishes them by Newton's method inside each gap's bracket, bisecting
-whenever a step would leave it; the bracket only ever shrinks, so every zero
-stays in its gap.  Interlacing therefore holds by construction and is never
-enforced after the fact, though every sample is still checked for it.  A zero
-nearer a pole than its bracket's inward offset (a vanishing weight) is
-clamped to the bracket end; prefix and suffix sums of the weights rule that
-out for nearly every end without evaluating the resolvent sum there, with the
-same bytes as evaluating it.
+eigenvalues as starting points (in closed form for a block of one or two
+rows, one batched ``eigvalsh`` per longer line) and polishes them by
+Newton's method inside each gap's bracket, bisecting whenever a step would
+leave it; the bracket only ever shrinks, so every zero stays in its gap.
+Interlacing therefore holds by construction and is never enforced after the
+fact, though every sample is still checked for it.  A zero nearer a pole
+than its bracket's inward offset (a vanishing weight) is clamped to the
+bracket end; prefix and suffix sums of the weights rule that out for nearly
+every end without evaluating the resolvent sum there, with the same bytes as
+evaluating it.
 
 The solve works gap-major: a line's (batch, poles) arrays are transposed
 once, so bracket and Newton steps run on contiguous rows as long as the
@@ -104,11 +105,25 @@ def _eigen_start(poles: np.ndarray, weights: np.ndarray, total: np.ndarray) -> n
     With ``z_i^2 = w_i (a_n - a_i) / sum(w)``,
     ``(x - a_n) f(x) = sum(w) (1 + sum_{i<n} z_i^2 / (a_i - x))``, so the
     eigenvalues, ascending, are the zeros of the resolvent sum ``f``, one per
-    pole gap.  Poles and weights come gap-major, ``total`` is the weights'
-    left-to-right sum, and the blocks go to ``eigvalsh`` as (B, n-1, n-1).
+    pole gap.  Poles and weights come gap-major, and ``total`` is the
+    weights' left-to-right sum.  Blocks of one or two rows take their closed
+    forms: the 1x1 block's entry ``a + z^2``, which ``eigvalsh`` would return
+    unchanged, and for 2x2 the larger eigenvalue as half the trace plus the
+    ``hypot`` of the half difference and ``z_1 z_2``, the smaller as the
+    determinant ``a_1 a_2 + a_1 z_2^2 + a_2 z_1^2`` over it, which adds no
+    terms of opposite sign on poles in [0, 1].  Larger blocks go to
+    ``eigvalsh`` as (B, n-1, n-1).
     """
     a = poles[:-1]
-    z = np.sqrt(weights[:-1] * (poles[-1] - a) / total).T
+    z = np.sqrt(weights[:-1] * (poles[-1] - a) / total)
+    if a.shape[0] == 1:
+        return a + z * z
+    if a.shape[0] == 2:
+        d = a + z * z
+        upper = 0.5 * (d[0] + d[1]) + np.hypot(0.5 * (d[1] - d[0]), z[0] * z[1])
+        det = a[0] * a[1] + a[0] * z[1] * z[1] + a[1] * z[0] * z[0]
+        return np.stack([det / upper, upper])
+    z = z.T
     block = z[:, :, None] * z[:, None, :]
     diag = np.arange(a.shape[0])
     block[:, diag, diag] += a.T
@@ -130,12 +145,13 @@ def _gap_failure(stage: str, poles: np.ndarray, j: int, b: int, detail: str) -> 
 def _secular_zeros_batch(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Zeros of ``sum_i w_i/(x - a_i)`` per row; shapes (B, n) -> (B, n-1).
 
-    Each zero starts from the eigenvalue guess of :func:`_eigen_start` and is
-    polished by Newton steps inside its pole bracket, which shrinks by the
-    sign of ``f`` at every step.  A step of more than 4 ulps that does not
-    land strictly inside the bracket (or is NaN) becomes a bisection step,
-    and an entry freezes once its step is at most 4 ulps or its bracket has
-    closed, so every zero depends on its own row alone.  Weights are
+    Each zero starts from the eigenvalue guess of :func:`_eigen_start`, in
+    closed form for n <= 3 poles and by ``eigvalsh`` beyond, and is polished
+    by Newton steps inside its pole bracket, which shrinks by the sign of
+    ``f`` at every step.  A step of more than 4 ulps that does not land
+    strictly inside the bracket (or is NaN) becomes a bisection step, and an
+    entry freezes once its step is at most 4 ulps or its bracket has closed,
+    so every zero depends on its own row alone.  Weights are
     non-negative and sum to 1 within rounding, as :func:`_dirichlet_draw`
     draws them, which keeps the Newton sums clear of overflow and subnormals.
     A zero nearer a pole than its bracket's inward offset is clamped to the

@@ -122,7 +122,7 @@ def test_sample_out_file_and_svg(tmp_path, capsys):
 # sha256 of both files the README's figure invocation writes: every CSV row,
 # bead circle and boundary point is pinned to the byte
 _FIGURE_DIGESTS = {
-    "beads.csv": "dbca34b1ad9cf3091c10364a5ba58458fd8f7be6ac9f8251a126e2dc598733e7",
+    "beads.csv": "015d8f6861dd44052f7c789b601b1b6c749520e067fda53a8391312d03c596e5",
     "beads.svg": "3f4475bfb2616b42193ae5fa6737fccead4a07cf6b3244fb00b60fcf22774c9d",
 }
 

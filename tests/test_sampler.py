@@ -252,26 +252,57 @@ def test_eigen_start_is_the_zeros_before_polishing():
         assert np.all(np.abs(start - secular_zeros_bisect(poles, weights)) <= 1e-12), poles.shape
         assert np.all((poles[:, :-1] < start) & (start < poles[:, 1:])), poles.shape
     # Weights down to 1e-14 and gaps down to 1e-15 put some zeros within
-    # eigvalsh's rounding (a few eps) of a pole; those starts may land just
+    # the start's rounding (a few eps) of a pole; those starts may land just
     # past it, which the clip into the brackets absorbs.  Every zero farther
-    # than 8 eps from its poles starts strictly inside its gap.
-    poles, weights = _hard_batch(0)
-    assert weights.min() < 1e-14
-    start, ref = _starts(poles, weights), secular_zeros_bisect(poles, weights)
-    assert np.all(np.abs(start - ref) <= 1e-12)
+    # than 8 eps from its poles starts strictly inside its gap, on the
+    # closed-form sizes (n = 2, 3) as on eigvalsh's (n = 9).  With two or
+    # three weights a row, the smallest stays a little above 1e-14.
     eps = np.finfo(float).eps
-    clear = np.minimum(ref - poles[:, :-1], poles[:, 1:] - ref) > 8.0 * eps
-    inside = (poles[:, :-1] < start) & (start < poles[:, 1:])
-    assert np.all(inside | ~clear) and 2 * clear.sum() > clear.size
-    assert np.all((poles[:, :-1] - 8.0 * eps <= start) & (start <= poles[:, 1:] + 8.0 * eps))
+    for n, smallest in ((2, 1e-13), (3, 1e-13), (9, 1e-14)):
+        poles, weights = _hard_batch(0, n=n)
+        assert weights.min() < smallest, n
+        start, ref = _starts(poles, weights), secular_zeros_bisect(poles, weights)
+        assert np.all(np.abs(start - ref) <= 1e-12), n
+        clear = np.minimum(ref - poles[:, :-1], poles[:, 1:] - ref) > 8.0 * eps
+        inside = (poles[:, :-1] < start) & (start < poles[:, 1:])
+        assert np.all(inside | ~clear) and 2 * clear.sum() > clear.size, n
+        assert np.all((poles[:, :-1] - 8.0 * eps <= start) & (start <= poles[:, 1:] + 8.0 * eps)), n
 
 
+def test_closed_form_starts_match_eigvalsh():
+    # Blocks of one or two rows skip eigvalsh: the 1x1 start is eigvalsh's
+    # bit for bit, the 2x2 start within 4 eps of it, on sampled-like rows
+    # (anchors at 0 and 1, Dirichlet weights) and on the hard batches.
+    rng = np.random.default_rng(44)
+    eps = np.finfo(float).eps
+    for n, tol in ((2, 0.0), (3, 4.0 * eps)):
+        inner = np.sort(rng.random((2000, n - 2)), axis=1)
+        sampled = (np.hstack([np.zeros((2000, 1)), inner, np.ones((2000, 1))]), _dirichlet_draw(rng, [1] * n, 2000))
+        for poles, weights in [sampled, *(_hard_batch(seed, n=n) for seed in range(6))]:
+            total = sampler._pole_sum(weights.T.copy())
+            z = np.sqrt(weights[:, :-1] * (poles[:, -1:] - poles[:, :-1]) / total[:, None])
+            block = z[:, :, None] * z[:, None, :] + np.apply_along_axis(np.diag, 1, poles[:, :-1])
+            want = np.linalg.eigvalsh(block)
+            got = _starts(poles, weights)
+            if tol == 0.0:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.all(np.abs(got - want) <= tol), np.abs(got - want).max() / eps
+
+
+def _constant_start(monkeypatch, start):
+    """Make every eigenvalue start ``start``, whatever the block size."""
+    monkeypatch.setattr(sampler, "_eigen_start", lambda poles, weights, total: np.full(poles[1:].shape, start))
+
+
+@pytest.mark.parametrize("n", [3, 9])
 @pytest.mark.parametrize("start", [np.nan, -np.inf, np.inf], ids=["nan", "bracket-lo", "bracket-hi"])
-def test_secular_safeguard_recovers_from_bad_starts(monkeypatch, start):
-    # eigenvalue starts that are NaN, or clip to either bracket end
-    monkeypatch.setattr(sampler, "eigvalsh", lambda m: np.full(m.shape[:-1], start))
+def test_secular_safeguard_recovers_from_bad_starts(monkeypatch, start, n):
+    # eigenvalue starts that are NaN, or clip to either bracket end, on a
+    # closed-form size (n = 3) and an eigvalsh one (n = 9)
+    _constant_start(monkeypatch, start)
     for seed in range(6):
-        poles, weights = _hard_batch(seed)
+        poles, weights = _hard_batch(seed, n=n)
         _assert_matches_reference(poles, weights, sampler._secular_zeros_batch(poles, weights))
 
 
@@ -279,7 +310,7 @@ def test_secular_newton_does_not_cycle(monkeypatch):
     # In the 359-ulp gap, Newton from the bracket's left end (4 ulps in) goes
     # to 269 ulps, and from there lands back on the left end exactly: without
     # the strict-inside rule the two points alternate until the step cap.
-    monkeypatch.setattr(sampler, "eigvalsh", lambda m: np.full(m.shape[:-1], -np.inf))
+    _constant_start(monkeypatch, -np.inf)
     poles = 0.5 + np.spacing(0.5) * np.array([[-14.0, 0.0, 359.0, 785.0]])
     weights = np.array([[0.0026, 0.1736, 0.1912, 0.1656]])
     weights /= weights.sum()
@@ -449,7 +480,7 @@ def test_only_unsettled_rows_evaluate_their_ends(monkeypatch):
 
 
 def test_unconverged_zero_names_line_and_gap(monkeypatch):
-    monkeypatch.setattr(sampler, "eigvalsh", lambda m: np.full(m.shape[:-1], np.nan))
+    _constant_start(monkeypatch, np.nan)
     monkeypatch.setattr(sampler, "_NEWTON_ITERS", 0)
     with pytest.raises(RuntimeError, match=r"^line 2: .*gap 1 .*non-finite") as err:
         sample_positions(RandomStream(3), HexagonSpec(p=2, q=3), count=4)
@@ -533,8 +564,9 @@ def test_seed_determinism_is_bytewise():
 
 # sha256 of sample_positions at five sizes, two seeds each.  Newton stops
 # within a few ulps of each zero, where its start leaves it, so this pins the
-# eigenvalue start (diag(a_1..a_{n-1}) + zz^T) as well as the polishing.
-_SAMPLE_DIGEST = "73b2aeb42468dd13baa172dd33e844087d835f2df451264743897e798c5ccd3c"
+# eigenvalue start (diag(a_1..a_{n-1}) + zz^T, in closed form for one or two
+# rows) as well as the polishing.
+_SAMPLE_DIGEST = "155538a81a7fa8e761957e27d02ab51e88e63843ba4f3652c88eefd093554700"
 
 
 def test_sample_bytes_match_the_pinned_digest():

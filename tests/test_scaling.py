@@ -345,6 +345,16 @@ def _tail_mpmath(tau, nu, d):
         return float(mp.re(scale * (1 + 1j * mp.mpf(nu)) ** -d * mp.expint(d, z)))
 
 
+@pytest.mark.parametrize("nu", [1e-4, 1e-3])
+def test_tail_of_large_order_takes_the_fraction(nu):
+    # At d = 100000 the upward recurrence's g_j peak near j ~ |z| = 1/nu and
+    # overflowed, after taking a step per order; the E_d fraction settles.
+    # Python's complex power multiplied the rounding of |1 + i nu| by d and
+    # put the result 2e-12 and 6e-12 off; taken in logs, it is within an ulp.
+    want = _tail_mpmath(1.0, nu, 100000)
+    assert abs(tail_integral_real(1.0, nu, 100000) - want) <= 1e-12 * abs(want)
+
+
 # d near tau/nu: the E_d fraction does not settle in its 500 steps.  The first
 # four would need 2e6 steps or more (tau nu <= 1.3e-4); the last three settle
 # after 111030, 11891 and 1309, with the fraction up to 2.7e-12 off where the
