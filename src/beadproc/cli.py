@@ -26,7 +26,7 @@ import numpy as np
 
 from . import checks, scaling
 from . import hexagon as hx
-from .kernel import kernel_context, kernel_eval, line_density, npoint_correlation
+from .kernel import kernel_context, kernel_matrix, line_density, npoint_correlation
 from .model import HexagonSpec
 from .sampler import RandomStream, sample_positions
 
@@ -128,7 +128,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_kernel(args) -> int:
     ctx = kernel_context(HexagonSpec(args.p, args.q))
-    val = kernel_eval(ctx, args.s, args.y, args.t, args.x)
+    val = kernel_matrix(ctx, args.s, args.y, args.t, args.x)[0, 0]  # one entry: a 1x1 block
     _write_text(args.out, _fmt(val) + "\n")
     return 0
 

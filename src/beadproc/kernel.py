@@ -44,11 +44,13 @@ correctly rounded, in one loop of rungs (Ziv's strategy, as MPFR uses it):
   rows' length, after a fixed-point division overflows, or at once when
   the block's exact rows are at most 1000 bits long (``e * deg``: the small
   fans, where the exact rung is the cheaper one).  On it the first pending
-  entry beyond a double, in row order, raises ``OverflowError``; every
-  entry before it is a finite double.
+  entry beyond a double, in the order asked for, raises ``OverflowError``;
+  every entry before it is a finite double.
 
 Either way an entry is the same double, bit for bit, free of the
-cancellation between the ``p`` summands and the propagator.
+cancellation between the ``p`` summands and the propagator, and only the
+entries asked for are formed: :func:`kernel_matrix` asks for its whole
+block, :func:`kernel_eval` each line pair for its requested ``(y, x)`` alone.
 """
 
 from __future__ import annotations
@@ -290,17 +292,17 @@ _GUARD = 64
 _EXACT_BITS = 1000
 
 
-def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarray) -> np.ndarray:
-    # s != t: rank-p transfer sum, minus the propagator when s < t, as one
-    # integer fraction over a common dyadic denominator per entry, in rungs.
-    # Fixed-point rung k gives point i's rows F_i = (min(e_top, e_i + _GUARD)
+def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarray, i, j) -> np.ndarray:
+    # s != t: entries (ys[i], xs[j]) in the order of i, j.  Rank-p transfer sum,
+    # minus the propagator when s < t, as one integer fraction each, in rungs.
+    # Fixed-point rung k gives a point's rows F = (min(e_top, e + _GUARD)
     # + _GUARD) << k bits and brackets each pending numerator by num +- err;
     # an entry is kept when both ends round to the same double, signed zero
     # included: that double is the correctly rounded exact value.  The last
     # rung is exact (err = 0).  The block takes it when the next fixed rung
     # would reach the exact rows' e_top * deg bits, at once when those are at
     # most _EXACT_BITS, and after a fixed-rung division overflows; on it the
-    # first pending entry beyond a double, in row order, raises.
+    # first pending entry beyond a double, in the order of i and j, raises.
     p, q = spec.p, spec.q
     psi, phi = _psi_family(p, q, s), _phi_family(p, q, t)
     L = min(len(psi.scales), len(phi.scales))
@@ -309,8 +311,8 @@ def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarr
     den0 = psi.den * phi.den
     ys, xs = ys.tolist(), xs.tolist()
     yd, xd = list(map(_dyadic, ys)), list(map(_dyadic, xs))
-    out = np.empty((len(ys), len(xs)), dtype=float)
-    todo = [(i, j) for i in range(len(ys)) for j in range(len(xs))]
+    out = np.empty(len(i), dtype=float)
+    todo = list(zip(range(len(i)), i.tolist(), j.tolist()))
     e_top = max((e for _, e in yd + xd), default=0)
     exact_bits = e_top * max(psi.deg, phi.deg)
     k, exact = 0, exact_bits <= _EXACT_BITS
@@ -319,17 +321,17 @@ def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarr
         # per pending point: its rows, the exact positive prefactor
         # num (1 - y)^pre or num x^pre, and the power of two under both
         ry, rx = {}, {}
-        for side, fam, dyad, pts in ((ry, psi, yd, {i for i, _ in todo}), (rx, phi, xd, {j for _, j in todo})):
-            for i in pts:
-                m, e = dyad[i]
+        for side, fam, dyad, pts in ((ry, psi, yd, {a for _, a, _ in todo}), (rx, phi, xd, {b for _, _, b in todo})):
+            for a in pts:
+                m, e = dyad[a]
                 F = None if exact else (min(e_top, e + _GUARD) + _GUARD) << k
                 base = m if fam is phi else (1 << e) - m
-                side[i] = _rows(fam, L, m, e, F), fam.num * base**fam.pre, e * fam.pre + (e * fam.deg if exact else F)
+                side[a] = _rows(fam, L, m, e, F), fam.num * base**fam.pre, e * fam.pre + (e * fam.deg if exact else F)
         left, overflow = [], False
-        for i, j in todo:
-            (my, ey), (mx, ex) = yd[i], xd[j]
-            hy, pre_y, sh_y = ry[i]
-            hx, pre_x, sh_x = rx[j]
+        for n, a, b in todo:
+            (my, ey), (mx, ex) = yd[a], xd[b]
+            hy, pre_y, sh_y = ry[a]
+            hx, pre_x, sh_x = rx[b]
             if exact:
                 # sum_l psi_l(y) phi_l(x): row l of each side lacks the factor
                 # 2^(e (l-1)) of the common 2^(e deg), so the products nest
@@ -344,7 +346,7 @@ def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarr
                 err = sum(map(operator.mul, abs_y, err_x)) + sum(map(operator.mul, err_y, hull_x))
             pre, den, shift = pre_y * pre_x, den0, sh_y + sh_x
             num, err = num * pre, err * pre
-            if s < t and ys[i] < xs[j]:  # minus (x - y)^g / g!
+            if s < t and ys[a] < xs[b]:  # minus (x - y)^g / g!
                 e = max(ex, ey)
                 d = (mx << (e - ex)) - (my << (e - ey))
                 top = max(shift, e * g)
@@ -356,14 +358,14 @@ def _cross_block(spec: HexagonSpec, s: int, ys: np.ndarray, t: int, xs: np.ndarr
             except OverflowError:
                 if exact:
                     log10 = math.log10(abs(num)) - math.log10(den) - shift * math.log10(2)
-                    raise _overflow(s, t, ys[i], xs[j], log10) from None
-                left.append((i, j))
+                    raise _overflow(s, t, ys[a], xs[b], log10) from None
+                left.append((n, a, b))
                 overflow = True
                 continue
             if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
-                out[i, j] = lo
+                out[n] = lo
             else:
-                left.append((i, j))
+                left.append((n, a, b))
         todo, k, exact = left, k + 1, overflow
     return out
 
@@ -454,9 +456,10 @@ def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
     open, then the exact integers (see the module docstring).  The
     coincident-point convention of the ``s < t`` propagator term is strict:
     it vanishes when ``y >= x``.  Raises ``OverflowError`` when an entry lies
-    beyond the range of a double, naming the first such entry in row order.
-    Lines go through :func:`~beadproc.model._index`, so numpy integers are
-    taken as Python ints, which the exact arithmetic needs.
+    beyond the range of a double, naming the first such entry in row order;
+    :func:`kernel_eval` forms only the entries asked for.  Lines go through
+    :func:`~beadproc.model._index`, so numpy integers are taken as Python
+    ints, which the exact arithmetic needs.
     """
     spec = ctx.spec
     s, t = _index(s, "line s", 1, spec.n_lines), _index(t, "line t", 1, spec.n_lines)
@@ -466,9 +469,16 @@ def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
         if arr.ndim > 1:
             raise ValueError(f"{name} positions must be a scalar or a 1-D array, got shape {arr.shape}")
         _positions(arr, f"{name} positions")
+    i, j = np.indices((ys.size, xs.size)).reshape(2, -1)  # row-major
+    return _entries(ctx, s, ys, t, xs, i, j).reshape(ys.size, xs.size)
 
+
+def _entries(ctx: KernelContext, s: int, ys: np.ndarray, t: int, xs: np.ndarray, i, j) -> np.ndarray:
+    # K(s, ys[i]; t, xs[j]) for 1-D index arrays i, j at checked lines and
+    # positions: only these entries are formed, in order, and the first
+    # beyond a double raises.
     if s != t:
-        return _cross_block(spec, s, ys, t, xs)
+        return _cross_block(ctx.spec, s, ys, t, xs, i, j)
 
     # K = a_t(y) b_t(x) sum_n p_n(y) p_n(x), where the signs (-1)^ea of a_t
     # and b_t cancel.  One tower serves both sides; take() keeps the gathered
@@ -480,17 +490,17 @@ def kernel_matrix(ctx: KernelContext, s: int, ys, t: int, xs) -> np.ndarray:
     G = _scale_columns(psi, G)  # a product of two far-out points' rows could underflow
     row_log = (d.ea * lx + d.eb * l1x + G)[iy]
     col_log = ((d.pa - d.ea) * lx + (d.pb - d.eb) * l1x + G)[ix]
-    S = psi.take(iy, axis=1).T @ psi.take(ix, axis=1)
+    S = (psi.take(iy, axis=1).T @ psi.take(ix, axis=1))[i, j]
     # The per-line constant is summed apart from the per-point terms: on a
     # single-term line such as K(1, y; 1, x) = 2(1 - y) at (1, 2) the exponent
     # then takes one rounding, and K(1, 0.25; 1, 0.25) comes out as 1.5.
     with np.errstate(divide="ignore", over="ignore"):
-        expo = row_log[:, None] + col_log[None, :] - 2.0 * d.half_log_n0 + np.log(np.abs(S))
+        expo = row_log[i] + col_log[j] - 2.0 * d.half_log_n0 + np.log(np.abs(S))
         K = np.sign(S) * np.exp(expo)
     bad = ~np.isfinite(K)
     if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise _overflow(s, t, float(ys[i]), float(xs[j]), expo[i, j] / math.log(10))
+        k = bad.argmax()
+        raise _overflow(s, t, float(ys[i[k]]), float(xs[j[k]]), expo[k] / math.log(10))
     return K
 
 
@@ -504,14 +514,11 @@ def _distinct(v: np.ndarray) -> np.ndarray:
 def kernel_eval(ctx: KernelContext, s, y, t, x):
     """Kernel values ``K(s, y; t, x)``, broadcast over the four arguments.
 
-    The points are grouped by line pair ``(s, t)``, and each pair takes one
-    :func:`kernel_matrix` block over its distinct ``y`` by its distinct ``x``,
-    from which the requested entries are gathered; scattered points of one
-    pair therefore evaluate the full cross product.  Where that block raises
-    ``OverflowError``, the pair's requested entries are taken one by one in
-    the caller's order, so only a requested entry beyond a double raises.
-    Positions are checked first, in the caller's order, and
-    :func:`kernel_matrix` checks each pair's lines.  Scalar input returns a float.
+    The points are grouped by line pair ``(s, t)``, and each pair forms only
+    its requested entries, as :func:`kernel_matrix` forms them, so only a
+    requested entry beyond a double raises ``OverflowError``: the first in
+    the caller's order.  Positions are checked first, in the caller's order,
+    then each pair's lines.  Scalar input returns a float.
     """
     s, y, t, x = np.broadcast_arrays(s, _positions(y, "row positions"), t, _positions(x, "column positions"))
     shape = s.shape
@@ -521,10 +528,8 @@ def kernel_eval(ctx: KernelContext, s, y, t, x):
         sel = (s == si) & (t == ti)
         ysel, xsel = y[sel], x[sel]
         ys, xs = _distinct(ysel), _distinct(xsel)
-        try:
-            out[sel] = kernel_matrix(ctx, si, ys, ti, xs)[np.searchsorted(ys, ysel), np.searchsorted(xs, xsel)]
-        except OverflowError:  # maybe an entry nobody asked for: take the requested ones alone
-            out[sel] = [kernel_matrix(ctx, si, yi, ti, xi)[0, 0] for yi, xi in zip(ysel.tolist(), xsel.tolist())]
+        si, ti = _index(si, "line s", 1, ctx.spec.n_lines), _index(ti, "line t", 1, ctx.spec.n_lines)
+        out[sel] = _entries(ctx, si, ys, ti, xs, np.searchsorted(ys, ysel), np.searchsorted(xs, xsel))
     return float(out[0]) if not shape else out.reshape(shape)
 
 

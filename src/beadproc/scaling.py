@@ -455,7 +455,7 @@ def bulk_convergence_probe(
     for s0, t0, X, Y, value in zip(s0s, t0s, Xs.tolist(), Ys.tolist(), values.tolist()):
         scaled = value / scale
         normalized = scaled / (A ** (X - Y) * (p * ctx_s.B) ** (s0 - t0))
-        limit = bulk_kernel(ctx_s.nu, s0, Y, t0, X)
+        limit = _finite(_bulk_form(1.0, ctx_s.nu, s0, t0, math.pi * (X - Y)), "bulk_kernel", ctx_s.nu, s0, Y, t0, X)
         rows.append(
             ProbeRow(
                 s0=s0,

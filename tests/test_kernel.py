@@ -128,6 +128,27 @@ def test_each_line_sum_has_its_exact_mean_and_variance(p, q):
         assert var == pytest.approx(t * (N - t) * p * q / (N * N * (N * N - 1)), rel=1e-11), t
 
 
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 4)])
+def test_counts_on_two_lines_do_not_co_vary(p, q):
+    # Bead counts are fixed, so for s < t iint K(s,y;t,x) K(t,x;s,y) dy dx = 0.
+    # The propagator jumps on the diagonal, so each triangle takes its own
+    # Gauss-Legendre rule in Duffy coordinates, p + q + 2 nodes per side:
+    # y < x as (x, y) = (u, uv) and y > x as (y, x) = (u, uv), weight u.
+    spec = HexagonSpec(p, q)
+    ctx = kernel_context(spec)
+    u, w = _gl(p + q + 2)
+    uv = u[:, None] * u[None, :]
+    U = np.broadcast_to(u[:, None], uv.shape)
+    Y, X = np.array([uv, U]), np.array([U, uv])  # y < x, then y > x
+    weight = np.broadcast_to((w * u)[:, None] * w[None, :], Y.shape)
+    worst = 0.0
+    for s in spec.lines():
+        for t in range(s + 1, spec.n_lines + 1):
+            value = np.sum(weight * kernel_eval(ctx, s, Y, t, X) * kernel_eval(ctx, t, X, s, Y))
+            worst = max(worst, abs(value))
+    assert worst < 1e-13
+
+
 def test_line_density_matches_diagonal():
     ctx = kernel_context(HexagonSpec(2, 3))
     xs = np.linspace(0.1, 0.9, 7)
@@ -633,19 +654,39 @@ def test_bulk_probe_cross_entry_bit_identical():
 
 
 def test_kernel_eval_takes_one_block_per_line_pair(monkeypatch):
-    calls, block = [], kernel_module.kernel_matrix
+    calls, entries = [], kernel_module._entries
 
-    def counted(ctx, s, ys, t, xs):
+    def counted(ctx, s, ys, t, xs, i, j):
         calls.append((s, t))
-        return block(ctx, s, ys, t, xs)
+        return entries(ctx, s, ys, t, xs, i, j)
 
-    monkeypatch.setattr(kernel_module, "kernel_matrix", counted)
+    monkeypatch.setattr(kernel_module, "_entries", counted)
     bulk_convergence_probe(2.0, 2.0, 16, bulk_offsets(2))  # 125 offsets on 5 line pairs
     assert len(calls) == 5
     calls.clear()
     ctx = kernel_context(HexagonSpec(2, 3))
     npoint_correlation(ctx, [(2, 0.3), (3, 0.6), (2, 0.8)])
     assert sorted(calls) == [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+def test_kernel_eval_forms_only_the_requested_entries(monkeypatch):
+    # 40 scattered (y, x) on lines 3 -> 5 of (4, 12): the rungs run over the
+    # 40 requested entries, not the 40 x 40 block of their distinct points,
+    # and each is the one-at-a-time entry, bit for bit
+    ctx = kernel_context(HexagonSpec(4, 12))
+    y, x = np.random.default_rng(4).random((2, 40))
+    sizes, block = [], kernel_module._cross_block
+
+    def counted(*args):
+        out = block(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(kernel_module, "_cross_block", counted)
+    got = kernel_eval(ctx, 3, y, 5, x)
+    assert sizes == [40]
+    want = np.array([kernel_matrix(ctx, 3, yi, 5, xi)[0, 0] for yi, xi in zip(y, x)])
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("p", [16, 32])
